@@ -25,16 +25,13 @@ from .process import (
 from .parser import parse_process, parse_spec
 from .healthiness import (
     HealthReport, TraceSet, check_healthy, close_healthy, covers_equal,
-    covers_subset, restrict_params,
+    restrict_params,
 )
 from .operational import (
-    StepEngine, avail_traces, avail_traces_full, build_lts, is_divergent,
-    stable_failures, std_traces,
+    StepEngine, avail_traces, build_lts, is_divergent, stable_failures,
+    std_traces,
 )
-from .trace_algebra import (
-    hide_trace_set, interleave_merge, merge_offer, merge_traces,
-    project_trace, rename_trace, sync_merge,
-)
+from .trace_algebra import merge_offer, merge_traces, rename_trace
 from .denotational import denote_traces
 from .testing import (
     MayVerdict, may_pass, parse_test, process_from_trace, realize,

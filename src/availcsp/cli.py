@@ -2,7 +2,7 @@
 
 Exit codes: 0 when the queried property holds (equal, refined, may pass,
 healthy, faithful round trip), 1 when it is refuted with a witness, and 2
-for usage errors or verdicts cut short by an exploration budget.
+for usage errors, verdicts cut short by an exploration budget, and crashes.
 """
 from __future__ import annotations
 
@@ -12,11 +12,11 @@ import sys
 
 from .denotational import denote_traces
 from .equivalence import (
-    DISTINGUISHED, EQUAL, REFINED, distinguish, equal_in, refine_in,
+    DISTINGUISHED, EQUAL, REFINED, _trace_set, distinguish, equal_in, refine_in,
 )
 from .errors import AvailCspError
 from .healthiness import check_healthy, close_healthy, covers_equal
-from .kernel import Bounds, ModelParams, parse_trace, show_trace
+from .kernel import Bounds, ModelParams, parse_trace, show_trace, trace_from_json
 from .operational import avail_traces, std_traces
 from .parser import parse_process, parse_spec
 from .process import Call, SpecEnv, pretty
@@ -116,12 +116,6 @@ def _bounds(args) -> Bounds:
     )
 
 
-def _trace_set(term, env, params, bounds, engine: str):
-    if ENGINE_NAMES.get(engine, engine) == "denotational":
-        return denote_traces(term, env, params, bounds)
-    return avail_traces(term, env, params, bounds)
-
-
 def _read_trace_lines(path: str, alphabet) -> list:
     traces = []
     with open(path, encoding="utf-8") as fh:
@@ -130,8 +124,6 @@ def _read_trace_lines(path: str, alphabet) -> list:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("["):
-                from .kernel import trace_from_json
-
                 traces.append(trace_from_json(line, alphabet))
             elif line.startswith("{"):
                 continue
@@ -223,7 +215,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def _cmd_traces(args) -> int:
     env = _load_env(args)
     term = _resolve(args.process, env)
-    ts = _trace_set(term, env, parse_model(args.model), _bounds(args), args.engine)
+    ts = _trace_set(term, env, parse_model(args.model), _bounds(args),
+                    ENGINE_NAMES[args.engine])
     if args.json:
         for line in ts.json_lines(env.alphabet):
             print(line)
@@ -299,7 +292,7 @@ def _cmd_health(args) -> int:
         subject = _read_trace_lines(args.traces_file, env.alphabet)
     else:
         term = _resolve(args.process, env)
-        subject = _trace_set(term, env, params, _bounds(args), args.engine)
+        subject = _trace_set(term, env, params, _bounds(args), ENGINE_NAMES[args.engine])
     report = check_healthy(subject, params, args.len)
     if args.json:
         print(json.dumps(report.json_objs(env.alphabet), sort_keys=True))
@@ -408,12 +401,14 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except AvailCspError as exc:
+    except (AvailCspError, OSError) as exc:
         print(f"availcsp: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
-        print(f"availcsp: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except Exception as exc:
+        # A crash must not read as a refutation (exit 1): a RecursionError
+        # from deeply nested input, a MemoryError or a defect exits 2.
+        detail = " ".join(str(exc).split()) or "no detail"
+        print(f"availcsp: {type(exc).__name__}: {detail}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -14,12 +14,12 @@ result is trimmed back at the end.
 from __future__ import annotations
 
 from .errors import BudgetError, SpecError
-from .healthiness import EvalMeta, TraceSet, finalize, max_offers
+from .healthiness import EvalMeta, TraceSet, covers_equal, finalize, max_offers
 from .kernel import Bounds, ModelParams
 from .process import (
     Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, IntChoiceMany,
     Interleave, Mu, Parallel, Prefix, Rename, Stop, SpecEnv, Timeout, Var,
-    subst_events,
+    _children, subst_events,
 )
 from .trace_algebra import (
     concat_traces, hide_set, merge_sets, merge_traces, offers_only,
@@ -62,18 +62,9 @@ def mentions_hiding(term, env: SpecEnv) -> bool:
             seen.add(t.name)
             if walk(env.lookup(t.name).body):
                 return True
-        return any(walk(c) for c in _subterms(t))
+        return any(walk(c) for _, c in _children(t))
 
     return walk(term)
-
-
-def _subterms(t):
-    for name in ("body", "left", "right"):
-        child = getattr(t, name, None)
-        if child is not None and not isinstance(child, (str, frozenset)):
-            yield child
-    for child in getattr(t, "branches", ()):
-        yield child
 
 
 class DenotationalEngine:
@@ -87,11 +78,8 @@ class DenotationalEngine:
         return finalize(traces, self.params, self.eval_len)
 
     def _canon_equal(self, c1: frozenset, c2: frozenset) -> bool:
-        a = TraceSet(c1, self.params, self.eval_len)
-        b = TraceSet(c2, self.params, self.eval_len)
-        return all(b._member_normalized(t) for t in c1) and all(
-            a._member_normalized(t) for t in c2
-        )
+        return covers_equal(TraceSet(c1, self.params, self.eval_len),
+                            TraceSet(c2, self.params, self.eval_len))
 
     def solve(self, term) -> frozenset:
         """Evaluate a closed term, iterating the instantiation vector of

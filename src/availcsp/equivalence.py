@@ -12,12 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .denotational import denote_traces
 from .errors import StateLimitError
-from .healthiness import TraceSet, cond4_reduce
-from .kernel import (
-    Alphabet, Bounds, ModelParams, compose, decompose, normalize_trace,
-    show_trace,
-)
+from .healthiness import TraceSet, _resample_run, _subsets, _uncovered, cond4_reduce
+from .kernel import Alphabet, Bounds, ModelParams, compose, decompose, show_trace
 from .operational import avail_traces, build_lts
 from .process import SpecEnv
 
@@ -50,71 +48,51 @@ class CompareResult:
         return obj
 
 
-def _trace_sets(p, q, env, params, bounds, engine):
+def _trace_set(term, env: SpecEnv, params: ModelParams, bounds: Bounds, engine: str) -> TraceSet:
+    """The trace set of a term from the named semantic engine."""
     if engine == "denotational":
-        from .denotational import denote_traces
+        return denote_traces(term, env, params, bounds)
+    return avail_traces(term, env, params, bounds)
 
-        return denote_traces(p, env, params, bounds), denote_traces(q, env, params, bounds)
-    return (
-        avail_traces(p, env, params, bounds),
-        avail_traces(q, env, params, bounds),
-    )
+
+def _verdict(env, params, tp: TraceSet, tq: TraceSet, only_p, holds, holds_within):
+    """The holding verdict when neither side has members the other lacks
+    (``only_p`` on the left, computed here on the right), else a minimal
+    witness."""
+    only_q = list(_uncovered(tq, tp))
+    if not only_p and not only_q:
+        budget_hit = tp.meta.tau_budget_hit or tq.meta.tau_budget_hit
+        return CompareResult(holds_within if budget_hit else holds, params)
+    witness, side = _minimal_witness(env.alphabet, tp, tq, only_p, only_q)
+    return CompareResult(DISTINGUISHED, params, witness, side)
 
 
 def equal_in(p, q, env: SpecEnv, params: ModelParams, bounds: Bounds,
              engine: str = "operational") -> CompareResult:
     """Do the two processes have the same trace set in this model?"""
-    tp, tq = _trace_sets(p, q, env, params, bounds, engine)
-    only_p = [tr for tr in tp.canon if not tq._member_normalized(tr)]
-    only_q = [tr for tr in tq.canon if not tp._member_normalized(tr)]
-    budget_hit = tp.meta.tau_budget_hit or tq.meta.tau_budget_hit
-    if not only_p and not only_q:
-        return CompareResult(
-            EQUAL_WITHIN_BOUNDS if budget_hit else EQUAL, params
-        )
-    witness, side = _minimal_witness(env.alphabet, tp, tq, only_p, only_q)
-    return CompareResult(DISTINGUISHED, params, witness, side)
+    tp, tq = (_trace_set(t, env, params, bounds, engine) for t in (p, q))
+    return _verdict(env, params, tp, tq, list(_uncovered(tp, tq)), EQUAL, EQUAL_WITHIN_BOUNDS)
 
 
 def refine_in(p, q, env: SpecEnv, params: ModelParams, bounds: Bounds,
               engine: str = "operational") -> CompareResult:
     """Does the second process refine the first: every trace it can show,
     the first can show too?"""
-    tp, tq = _trace_sets(p, q, env, params, bounds, engine)
-    only_q = [tr for tr in tq.canon if not tp._member_normalized(tr)]
-    budget_hit = tp.meta.tau_budget_hit or tq.meta.tau_budget_hit
-    if not only_q:
-        return CompareResult(
-            REFINED_WITHIN_BOUNDS if budget_hit else REFINED, params
-        )
-    witness, side = _minimal_witness(env.alphabet, tp, tq, [], only_q)
-    return CompareResult(DISTINGUISHED, params, witness, side)
+    tp, tq = (_trace_set(t, env, params, bounds, engine) for t in (p, q))
+    return _verdict(env, params, tp, tq, [], REFINED, REFINED_WITHIN_BOUNDS)
 
 
 def _covered_variants(trace, params: ModelParams, len_bound: int):
     """Every in-universe trace covered by a canonical trace: per run, all
     short-enough monotone re-samplings into nonempty subsets."""
     runs, events = decompose(trace)
-    max_run = len_bound if params.run_bound is None else min(params.run_bound, len_bound)
-    options = []
-    for r in runs:
-        subsets = {
-            j: [
-                frozenset(c)
-                for size in range(1, (len(r[j]) if params.set_bound is None
-                                      else min(params.set_bound, len(r[j]))) + 1)
-                for c in itertools.combinations(sorted(r[j]), size)
-            ]
-            for j in range(len(r))
-        }
-        variants = {()}
-        for length in range(1, max_run + 1):
-            for jmap in itertools.combinations_with_replacement(range(len(r)), length):
-                for choice in itertools.product(*[subsets[j] for j in jmap]):
-                    variants.add(tuple(choice))
-        options.append(variants)
+    options = [
+        _resample_run([_subsets(o, 1, params.set_bound) for o in r],
+                      params.run_bound, len_bound)
+        for r in runs
+    ]
     for combo in itertools.product(*options):
-        out = normalize_trace(compose(combo, events))
+        out = compose(combo, events)
         if len(out) <= len_bound:
             yield out
 

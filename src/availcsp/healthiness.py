@@ -19,6 +19,7 @@ change the event skeleton that covering keys on.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 
 from .errors import OutOfUniverseError
@@ -35,13 +36,6 @@ class EvalMeta:
         self.engine = engine
         self.tau_budget_hit = False
         self.len_bound_hit = False
-        self.state_cap_hit = False
-
-    def absorb(self, other: "EvalMeta") -> "EvalMeta":
-        self.tau_budget_hit |= other.tau_budget_hit
-        self.len_bound_hit |= other.len_bound_hit
-        self.state_cap_hit |= other.state_cap_hit
-        return self
 
     def json_obj(self) -> dict:
         return {
@@ -206,16 +200,9 @@ class TraceSet:
             "params": self.params.json_obj(),
         }
         head.update(self.meta.json_obj())
-        import json as _json
-
-        lines = [_json.dumps(head, sort_keys=True)]
+        lines = [json.dumps(head, sort_keys=True)]
         lines.extend(trace_to_json(tr) for tr in self.members_sorted(alphabet))
         return lines
-
-
-def from_raw(traces, params: ModelParams, len_bound: int, meta: EvalMeta | None = None) -> TraceSet:
-    """Build a TraceSet from traces that are already saturation-complete."""
-    return TraceSet(frozenset(traces), params, len_bound, meta)
 
 
 def close_healthy(raw, params: ModelParams, len_bound: int, alphabet: Alphabet | None = None) -> TraceSet:
@@ -227,19 +214,17 @@ def close_healthy(raw, params: ModelParams, len_bound: int, alphabet: Alphabet |
     return TraceSet(saturate(normalized, params.run_bound, len_bound), params, len_bound)
 
 
+def _uncovered(a: TraceSet, b: TraceSet):
+    """The members of ``a``'s core that ``b`` does not cover, lazily; ``a``
+    is a subset of ``b`` exactly when there are none."""
+    if a.params != b.params or a.len_bound != b.len_bound:
+        raise ValueError("trace sets compared at different parameters")
+    member = b._member_normalized
+    return (tr for tr in a.canon if not member(tr))
+
+
 def covers_equal(a: TraceSet, b: TraceSet) -> bool:
-    if a.params != b.params or a.len_bound != b.len_bound:
-        raise ValueError("trace sets compared at different parameters")
-    return all(b._member_normalized(tr) for tr in a.canon) and all(
-        a._member_normalized(tr) for tr in b.canon
-    )
-
-
-def covers_subset(a: TraceSet, b: TraceSet) -> bool:
-    """Does every member of ``a`` belong to ``b``?"""
-    if a.params != b.params or a.len_bound != b.len_bound:
-        raise ValueError("trace sets compared at different parameters")
-    return all(b._member_normalized(tr) for tr in a.canon)
+    return next(_uncovered(a, b), None) is None and next(_uncovered(b, a), None) is None
 
 
 # --- trimming into a bounded universe --------------------------------------
@@ -256,7 +241,7 @@ def trim_runs(trace, run_bound: int | None):
         if len(r) <= run_bound:
             options.append([r])
         else:
-            options.append(sorted(set(itertools.combinations(r, run_bound)), key=len))
+            options.append(set(itertools.combinations(r, run_bound)))
     out = set()
     for combo in itertools.product(*options):
         out.add(normalize_trace(compose(combo, events)))
@@ -289,66 +274,66 @@ def trim_length(traces, len_bound: int):
     return out
 
 
+def _subsets(events, smallest: int, largest: int | None) -> list:
+    """The subsets of an event collection whose sizes lie in
+    [smallest, largest] (None: no upper limit), by size, then in order of
+    their sorted members."""
+    items = sorted(events)
+    top = len(items) if largest is None else min(largest, len(items))
+    return [frozenset(c) for size in range(smallest, top + 1)
+            for c in itertools.combinations(items, size)]
+
+
 def max_offers(events, set_bound: int | None):
     """Maximal nonempty offers over an enabled-event collection: the whole
     collection when it fits the set bound, otherwise every bound-sized
     subset.  Smaller offers are recovered by covering at query time."""
-    events = sorted(events)
     if not events:
         return []
     if set_bound is None or len(events) <= set_bound:
         return [frozenset(events)]
-    return [frozenset(c) for c in itertools.combinations(events, set_bound)]
+    return _subsets(events, set_bound, set_bound)
 
 
-def _monotone_maps(length: int, targets: int):
-    return itertools.combinations_with_replacement(range(targets), length)
-
-def _run_expansions(run, set_bound: int, max_run: int):
-    """Replacement runs for a run holding offers above the set bound.
-
-    A member of the restricted universe may map several of its capped
-    offers onto one oversized offer (duplication plus subset closure), so
-    each replacement is a whole run of capped subsets drawn, order
-    preservingly, from the original positions.  The empty run is included
-    so the surrounding trace survives even when no offer is expressible.
-    """
-    caps = []
-    for o in run:
-        if len(o) <= set_bound:
-            caps.append([o])
-        else:
-            caps.append([frozenset(c) for c in itertools.combinations(sorted(o), set_bound)])
+def _resample_run(choices, run_bound: int | None, len_bound: int) -> set:
+    """Every offer run read order-preservingly off a run of positions,
+    taking one of ``choices[j]`` at each step from the current position j
+    on, with adjacent repeats merged and at most min(run bound, length
+    bound) steps.  The empty run is included."""
     out = {()}
-    for length in range(1, max_run + 1):
-        for jmap in _monotone_maps(length, len(run)):
-            for choice in itertools.product(*[caps[j] for j in jmap]):
-                seq = []
-                for b in choice:
-                    if not seq or seq[-1] != b:
-                        seq.append(b)
-                out.add(tuple(seq))
+    frontier = {(): 0}          # run -> least position it can end at
+    for _ in range(len_bound if run_bound is None else min(run_bound, len_bound)):
+        nxt = {}
+        for run, start in frontier.items():
+            last = run[-1] if run else None
+            for j in range(start, len(choices)):
+                for o in choices[j]:
+                    if o != last:
+                        nxt.setdefault(run + (o,), j)
+        if not nxt:
+            break
+        out.update(nxt)
+        frontier = nxt
     return out
 
 
 def cap_offers(trace, params: ModelParams, len_bound: int):
-    """Canonical variants of a trace with every offer capped at the set
-    bound, expanding oversized offers into runs of capped subsets."""
+    """Canonical variants of a normalised trace with every offer capped at
+    the set bound.  A member of the restricted universe may map several
+    capped offers onto one oversized offer (duplication plus subset
+    closure), so a run holding an oversized offer is replaced by every run
+    of capped subsets resampled from it; the empty run keeps the
+    surrounding trace even when no offer is expressible."""
     k = params.set_bound
     if k is None or all(not is_offer(a) or len(a) <= k for a in trace):
         return {trace}
-    max_run = len_bound if params.run_bound is None else min(params.run_bound, len_bound)
     runs, events = decompose(trace)
-    options = []
-    for r in runs:
-        if all(len(o) <= k for o in r):
-            options.append([r])
-        else:
-            options.append(sorted(_run_expansions(r, k, max_run), key=lambda s: (len(s), repr(s))))
-    return {
-        normalize_trace(compose(combo, events))
-        for combo in itertools.product(*options)
-    }
+    options = [
+        [r] if all(len(o) <= k for o in r)
+        else _resample_run([max_offers(o, k) for o in r], params.run_bound, len_bound)
+        for r in runs
+    ]
+    return {compose(combo, events) for combo in itertools.product(*options)}
 
 
 def finalize(traces, params: ModelParams, len_bound: int):
@@ -369,51 +354,6 @@ def restrict_params(ts: TraceSet, params: ModelParams, len_bound: int | None = N
     lb = ts.len_bound if len_bound is None else min(len_bound, ts.len_bound)
     canon = finalize(ts.canon, params, lb)
     return TraceSet(canon, params, lb, ts.meta)
-
-
-# --- universe enumeration (oracle-scale only) ------------------------------
-
-
-def enumerate_universe(alphabet: Alphabet, params: ModelParams, len_bound: int, cap: int = 2_000_000):
-    """Every trace in the bounded universe, including empty offers.  Only
-    intended for small alphabets and short bounds."""
-    events = list(alphabet.events)
-    max_size = len(events) if params.set_bound is None else min(params.set_bound, len(events))
-    offers = [
-        frozenset(c)
-        for size in range(0, max_size + 1)
-        for c in itertools.combinations(events, size)
-    ]
-    count = 0
-
-    def rec(prefix, run):
-        nonlocal count
-        count += 1
-        if count > cap:
-            raise OutOfUniverseError("universe enumeration exceeded its cap")
-        yield tuple(prefix)
-        if len(prefix) == len_bound:
-            return
-        for e in events:
-            prefix.append(e)
-            yield from rec(prefix, 0)
-            prefix.pop()
-        if params.run_bound is None or run < params.run_bound:
-            for o in offers:
-                prefix.append(o)
-                yield from rec(prefix, run + 1)
-                prefix.pop()
-
-    yield from rec([], 0)
-
-
-def expand_cover(ts: TraceSet, alphabet: Alphabet, cap: int = 2_000_000):
-    """Materialise the full closed set within the bounded universe."""
-    return frozenset(
-        tr
-        for tr in enumerate_universe(alphabet, ts.params, ts.len_bound, cap)
-        if ts._member_normalized(cond4_reduce(normalize_trace(tr)))
-    )
 
 
 # --- healthiness verification ----------------------------------------------
@@ -447,12 +387,65 @@ class HealthReport:
         return [c.json_obj(alphabet) for c in self.conditions]
 
 
+def _prefixes(tr, within):
+    return (tr[:i] for i in range(len(tr)))
+
+
+def _offer_removals_and_duplicates(tr, within):
+    for i, a in enumerate(tr):
+        if is_offer(a):
+            yield tr[:i] + tr[i + 1:]
+            dup = tr[:i] + (a,) + tr[i:]
+            if within(dup):
+                yield dup
+
+
+def _final_offer_events(tr, within):
+    if tr and is_offer(tr[-1]):
+        for a in tr[-1]:
+            yield tr[:-1] + (a,)
+
+
+def _offers_before_events(tr, within):
+    for i, a in enumerate(tr):
+        if is_event(a):
+            ins = tr[:i] + (frozenset([a]),) + tr[i:]
+            if within(ins):
+                yield ins
+
+
+def _offer_subsets(tr, within):
+    for i, a in enumerate(tr):
+        if is_offer(a):
+            for sub in _subsets(a, 0, len(a) - 1):
+                yield tr[:i] + (sub,) + tr[i + 1:]
+
+
+def _empty_offers(tr, within):
+    for i in range(len(tr) + 1):
+        ins = tr[:i] + (frozenset(),) + tr[i:]
+        if within(ins):
+            yield ins
+
+
+# Each condition with the traces a member requires; the last two only
+# apply above the singleton-offer model.
+_CONDITIONS = (
+    ("nonempty-prefix-closed", _prefixes),
+    ("offer-remove-duplicate", _offer_removals_and_duplicates),
+    ("offer-implies-event", _final_offer_events),
+    ("event-implies-offer", _offers_before_events),
+    ("offer-subset-closed", _offer_subsets),
+    ("empty-offer-free", _empty_offers),
+)
+
+
+def _conditions(params: ModelParams):
+    return _CONDITIONS if params.set_bound != 1 else _CONDITIONS[:4]
+
+
 def condition_names(params: ModelParams):
-    names = ["nonempty-prefix-closed", "offer-remove-duplicate",
-             "offer-implies-event", "event-implies-offer"]
-    if params.set_bound != 1:
-        names += ["offer-subset-closed", "empty-offer-free"]
-    return names
+    return [name for name, _ in _conditions(params)]
 
 
 def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
@@ -461,12 +454,17 @@ def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
     ``subject`` may be a TraceSet (membership is closure-aware, so the
     conditions absorbed by the representation hold by construction and the
     substantive checks are prefix closure and offer-implies-event) or a
-    plain collection of traces checked literally as an explicit set.
+    plain collection of traces checked literally as an explicit set.  A
+    failing condition's witness is the first member, shortest first, that
+    lacks a trace the condition requires.
     """
     if isinstance(subject, TraceSet):
         members = sorted(subject.canon, key=lambda t: (len(t), repr(t)))
-        contains = lambda tr: len(tr) <= len_bound and subject._member_normalized(
-            cond4_reduce(normalize_trace(tr))
+        canon = subject.canon
+        # many requirements (prefixes above all) are core members, which
+        # the covering query would accept anyway
+        contains = lambda tr: len(tr) <= len_bound and (
+            tr in canon or subject._member_normalized(cond4_reduce(normalize_trace(tr)))
         )
     else:
         explicit = frozenset(tuple(t) for t in subject)
@@ -477,93 +475,14 @@ def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
         return len(tr) <= len_bound and in_obs(tr, params.run_bound)
 
     report = HealthReport()
-
-    witness = None
-    ok = bool(members) and contains(())
-    if ok:
-        for tr in members:
-            for i in range(len(tr)):
-                if not contains(tr[:i]):
-                    ok, witness = False, tr
-                    break
-            if not ok:
-                break
-    elif members:
-        witness = ()
-    report.conditions.append(ConditionReport("nonempty-prefix-closed", ok, witness))
-
-    ok, witness = True, None
-    for tr in members:
-        for i, a in enumerate(tr):
-            if not is_offer(a):
-                continue
-            if not contains(tr[:i] + tr[i + 1:]):
-                ok, witness = False, tr
-                break
-            dup = tr[:i] + (a,) + tr[i:]
-            if within(dup) and not contains(dup):
-                ok, witness = False, tr
-                break
-        if not ok:
-            break
-    report.conditions.append(ConditionReport("offer-remove-duplicate", ok, witness))
-
-    ok, witness = True, None
-    for tr in members:
-        if tr and is_offer(tr[-1]):
-            for a in tr[-1]:
-                if not contains(tr[:-1] + (a,)):
-                    ok, witness = False, tr
-                    break
-        if not ok:
-            break
-    report.conditions.append(ConditionReport("offer-implies-event", ok, witness))
-
-    ok, witness = True, None
-    for tr in members:
-        for i, a in enumerate(tr):
-            if is_event(a):
-                ins = tr[:i] + (frozenset([a]),) + tr[i:]
-                if within(ins) and not contains(ins):
-                    ok, witness = False, tr
-                    break
-        if not ok:
-            break
-    report.conditions.append(ConditionReport("event-implies-offer", ok, witness))
-
-    if params.set_bound != 1:
-        ok, witness = True, None
-        for tr in members:
-            for i, a in enumerate(tr):
-                if not is_offer(a) or not a:
-                    continue
-                for sub in _proper_subsets(a):
-                    if not contains(tr[:i] + (sub,) + tr[i + 1:]):
-                        ok, witness = False, tr
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.conditions.append(ConditionReport("offer-subset-closed", ok, witness))
-
-        ok, witness = True, None
-        empty = frozenset()
-        for tr in members:
-            for i in range(len(tr) + 1):
-                ins = tr[:i] + (empty,) + tr[i:]
-                if within(ins) and not contains(ins):
-                    ok, witness = False, tr
-                    break
-            if not ok:
-                break
-        report.conditions.append(ConditionReport("empty-offer-free", ok, witness))
-
+    for name, required in _conditions(params):
+        # nonemptiness and <> itself are required by no member: an empty
+        # set fails without a witness, a set lacking <> with witness <>
+        if required is _prefixes and not (members and contains(())):
+            report.conditions.append(ConditionReport(name, False, () if members else None))
+            continue
+        witness = next(
+            (tr for tr in members if not all(map(contains, required(tr, within)))), None
+        )
+        report.conditions.append(ConditionReport(name, witness is None, witness))
     return report
-
-
-def _proper_subsets(s):
-    items = sorted(s)
-    for size in range(len(items)):
-        for c in itertools.combinations(items, size):
-            yield frozenset(c)

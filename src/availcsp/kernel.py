@@ -129,11 +129,6 @@ class ModelParams:
     def fits_offer(self, offer: frozenset) -> bool:
         return self.set_bound is None or len(offer) <= self.set_bound
 
-    def fits_trace(self, trace) -> bool:
-        return in_obs(trace, self.run_bound) and all(
-            self.fits_offer(a) for a in trace if is_offer(a)
-        )
-
     def show(self) -> str:
         n = "F" if self.run_bound is None else str(self.run_bound)
         k = "F" if self.set_bound is None else str(self.set_bound)

@@ -6,11 +6,9 @@ there, so offers appear as self-loops and an observation alternates freely
 between transitions taken and offers noticed.  Extraction explores the
 transition system directly, emitting only canonical traces (maximal
 offers, no adjacent duplicates, no empty offers); the full closed set is
-recovered by covering, or materialised by the oracle-mode extractor.
+recovered by covering.
 """
 from __future__ import annotations
-
-import itertools
 
 from .errors import SpecError, StateLimitError
 from .healthiness import EvalMeta, TraceSet, max_offers
@@ -192,75 +190,12 @@ def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds,
     return TraceSet(canon, params, length, meta)
 
 
-def avail_traces_full(term, env: SpecEnv, params: ModelParams, bounds: Bounds,
-                      len_bound: int | None = None) -> frozenset:
-    """Oracle-mode extraction: the fully materialised closed set within the
-    bounded universe, with every subset offer (including the empty one) and
-    no duplicate suppression.  Exponential; for cross-checking only."""
-    engine = StepEngine(env, bounds.tau_budget)
-    length = bounds.trace_len if len_bound is None else len_bound
-    memo: dict = {}
-
-    def all_offers(enabled):
-        for size in range(len(enabled) + 1):
-            if params.set_bound is not None and size > params.set_bound:
-                break
-            for c in itertools.combinations(enabled, size):
-                yield frozenset(c)
-
-    def suffixes(state, len_left, run_left):
-        key = (state, len_left, run_left)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        out = {()}
-        closure, _ = engine.tau_closure(state)
-        for t in closure:
-            if len_left == 0:
-                continue
-            for lab, succ in engine.steps(t):
-                if lab is TAU:
-                    continue
-                for suf in suffixes(succ, len_left - 1, params.run_bound):
-                    out.add((lab,) + suf)
-            if run_left is None or run_left > 0:
-                nxt_run = None if run_left is None else run_left - 1
-                for offer in all_offers(engine.initials(t)):
-                    for suf in suffixes(t, len_left - 1, nxt_run):
-                        out.add((offer,) + suf)
-        result = frozenset(out)
-        memo[key] = result
-        return result
-
-    return suffixes(term, length, params.run_bound)
-
-
 def std_traces(term, env: SpecEnv, max_len: int, tau_budget: int = 100,
                engine: StepEngine | None = None) -> frozenset:
-    """Ordinary event traces up to a length bound (no offers)."""
-    if engine is None:
-        engine = StepEngine(env, tau_budget)
-    memo: dict = {}
-
-    def suffixes(state, len_left):
-        key = (state, len_left)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        out = {()}
-        closure, _ = engine.tau_closure(state)
-        if len_left > 0:
-            for t in closure:
-                for lab, succ in engine.steps(t):
-                    if lab is TAU:
-                        continue
-                    for suf in suffixes(succ, len_left - 1):
-                        out.add((lab,) + suf)
-        result = frozenset(out)
-        memo[key] = result
-        return result
-
-    return suffixes(term, max_len)
+    """Ordinary event traces up to a length bound: the availability traces
+    of the model that records no offers."""
+    return avail_traces(term, env, ModelParams(run_bound=0), Bounds(max_len, tau_budget),
+                        engine=engine).canon
 
 
 def stable_failures(term, env: SpecEnv, max_len: int, tau_budget: int = 100) -> dict:

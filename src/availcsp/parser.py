@@ -30,7 +30,7 @@ from .kernel import EVENT_RE, Alphabet
 from .process import (
     Call, Definition, Div, ExtChoice, Hide, InputPrefix, IntChoice,
     IntChoiceMany, Interleave, Mu, Parallel, Prefix, Rename, SpecEnv, Stop,
-    Timeout, Var, check_env, check_process, subst_events,
+    Timeout, Var, _scoped_events, check_env, check_process, subst_events,
 )
 
 _RESERVED = {"STOP", "DIV", "mu", "alphabet", "channel"}
@@ -264,56 +264,6 @@ class _ExprParser:
         self.t.error("expected a process")
 
 
-def _mentioned_events(p, bound):
-    """Concrete events mentioned in a term, in first-mention order."""
-    out = []
-
-    def add(e):
-        if e not in bound_stack[-1] and e not in out:
-            out.append(e)
-
-    bound_stack = [frozenset(bound)]
-
-    def walk(t):
-        if isinstance(t, Prefix):
-            add(t.event)
-            walk(t.body)
-        elif isinstance(t, InputPrefix):
-            for e in sorted(t.events):
-                add(e)
-            bound_stack.append(bound_stack[-1] | {t.binder})
-            walk(t.body)
-            bound_stack.pop()
-        elif isinstance(t, (ExtChoice, IntChoice, Timeout, Interleave)):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, IntChoiceMany):
-            for b in t.branches:
-                walk(b)
-        elif isinstance(t, Parallel):
-            for e in sorted(t.left_events | t.right_events):
-                add(e)
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, Hide):
-            for e in sorted(t.events):
-                add(e)
-            walk(t.body)
-        elif isinstance(t, Rename):
-            for a, b in sorted(t.pairs):
-                add(a)
-                add(b)
-            walk(t.body)
-        elif isinstance(t, Mu):
-            walk(t.body)
-        elif isinstance(t, Call):
-            for a in t.args:
-                add(a)
-
-    walk(p)
-    return out
-
-
 def parse_spec(text: str) -> SpecEnv:
     declared = None
     raw_defs = []
@@ -364,9 +314,10 @@ def parse_spec(text: str) -> SpecEnv:
 
     mentioned = []
     for _, name, params, body in raw_defs:
-        for e in _mentioned_events(body, params):
-            if e not in mentioned:
-                mentioned.append(e)
+        for _, named, _ in _scoped_events(body, params):
+            for e in named:
+                if e not in mentioned:
+                    mentioned.append(e)
     if declared is not None:
         extra = [e for e in mentioned if e not in declared]
         if extra:

@@ -268,7 +268,7 @@ def subst_events(p, mapping: dict) -> "Process":
 _CHOICE_OPS = {ExtChoice: "[]", IntChoice: "|~|", Timeout: "[>"}
 
 
-def _ev_set(events, sort_hint=None) -> str:
+def _ev_set(events) -> str:
     members = sorted(events)
     return "{" + ",".join(members) + "}"
 
@@ -315,10 +315,9 @@ def _pretty(p):
             return parts[0], 2
         return " |~| ".join(parts), 3
     if isinstance(p, Interleave):
-        left = _pretty_par_operand(p.left)
-        return f"{left} ||| {pretty(p.right, 3)}", 4
+        return f"{pretty(p.left)} ||| {pretty(p.right, 3)}", 4
     if isinstance(p, Parallel):
-        left = _pretty_par_operand(p.left)
+        left = pretty(p.left)
         sync = f"[{_ev_set(p.left_events)} || {_ev_set(p.right_events)}]"
         return f"{left} {sync} {pretty(p.right, 3)}", 4
     raise TypeError(f"not a process: {p!r}")
@@ -334,10 +333,6 @@ def _pretty_choice_operand(p, op_type):
     return pretty(p, 3)
 
 
-def _pretty_par_operand(p):
-    return pretty(p, 4)
-
-
 def pretty_env(env: SpecEnv) -> str:
     lines = ["alphabet {" + ",".join(env.alphabet.events) + "}"]
     for name, d in env.definitions.items():
@@ -349,69 +344,65 @@ def pretty_env(env: SpecEnv) -> str:
 # --- well-formedness ------------------------------------------------------
 
 
+_UNARY = frozenset({Prefix, InputPrefix, Mu, Hide, Rename})
+_BINARY = frozenset({ExtChoice, IntChoice, Timeout, Parallel, Interleave})
+_TERMS = frozenset(Process.__args__)
+
+
+def _scoped_events(p, bound_events=frozenset(), bound_vars=frozenset()):
+    """Walk a term in pre-order, yielding each node with the events it
+    names that no enclosing binder binds (in sorted order, repeats kept)
+    and the process variables in scope there.  Iterative, and dispatched
+    on the exact node type: parsing runs it twice over every definition."""
+    stack = [(p, frozenset(bound_events), frozenset(bound_vars))]
+    push = stack.append
+    while stack:
+        t, bev, bvars = stack.pop()
+        kind = type(t)
+        if kind is Prefix:
+            named = (t.event,)
+        elif kind is InputPrefix or kind is Hide:
+            named = sorted(t.events)
+        elif kind is Parallel:
+            named = sorted(t.left_events | t.right_events)
+        elif kind is Rename:
+            named = [e for pair in sorted(t.pairs) for e in pair]
+        elif kind is Call:
+            named = t.args
+        else:
+            named = ()
+        if named and bev:
+            named = [e for e in named if e not in bev]
+        yield t, named, bvars
+        if kind in _BINARY:
+            push((t.right, bev, bvars))
+            push((t.left, bev, bvars))
+        elif kind in _UNARY:
+            if kind is InputPrefix:
+                bev = bev | {t.binder}
+            elif kind is Mu:
+                bvars = bvars | {t.var}
+            push((t.body, bev, bvars))
+        elif kind is IntChoiceMany:
+            stack.extend([(b, bev, bvars) for b in reversed(t.branches)])
+
+
 def check_process(p, env: SpecEnv, bound_events=frozenset(), bound_vars=frozenset()):
     """Verify names resolve and every concrete event lies in the alphabet."""
-
-    def chk_event(e):
-        if e in bound_events_stack[-1]:
-            return
-        if e not in env.alphabet:
-            raise SpecError(f"event {e!r} is not in the alphabet and not bound")
-
-    bound_events_stack = [frozenset(bound_events)]
-    bound_vars_stack = [frozenset(bound_vars)]
-
-    def walk(t):
-        if isinstance(t, (Stop, Div)):
-            return
-        if isinstance(t, Prefix):
-            chk_event(t.event)
-            walk(t.body)
-        elif isinstance(t, InputPrefix):
-            for e in t.events:
-                chk_event(e)
-            bound_events_stack.append(bound_events_stack[-1] | {t.binder})
-            walk(t.body)
-            bound_events_stack.pop()
-        elif isinstance(t, (ExtChoice, IntChoice, Timeout, Interleave)):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, IntChoiceMany):
-            for b in t.branches:
-                walk(b)
-        elif isinstance(t, Parallel):
-            for e in t.left_events | t.right_events:
-                chk_event(e)
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, Hide):
-            for e in t.events:
-                chk_event(e)
-            walk(t.body)
-        elif isinstance(t, Rename):
-            for a, b in t.pairs:
-                chk_event(a)
-                chk_event(b)
-            walk(t.body)
-        elif isinstance(t, Mu):
-            bound_vars_stack.append(bound_vars_stack[-1] | {t.var})
-            walk(t.body)
-            bound_vars_stack.pop()
-        elif isinstance(t, Var):
-            if t.name not in bound_vars_stack[-1]:
-                raise SpecError(f"unbound process variable: {t.name}")
-        elif isinstance(t, Call):
+    for t, named, bvars in _scoped_events(p, bound_events, bound_vars):
+        if type(t) not in _TERMS:
+            raise SpecError(f"not a process term: {t!r}")
+        if isinstance(t, Var) and t.name not in bvars:
+            raise SpecError(f"unbound process variable: {t.name}")
+        if isinstance(t, Call):
             d = env.lookup(t.name)
             if len(t.args) != len(d.params):
                 raise SpecError(
                     f"{t.name} takes {len(d.params)} argument(s), got {len(t.args)}"
                 )
-            for a in t.args:
-                chk_event(a)
-        else:
-            raise SpecError(f"not a process term: {t!r}")
-
-    walk(p)
+        for e in named:
+            if e not in env.alphabet:
+                raise SpecError(f"event {e!r} is not in the alphabet and not bound")
 
 
 def check_env(env: SpecEnv):

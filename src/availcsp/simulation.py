@@ -11,10 +11,10 @@ traces of the original.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import SpecError
+from .healthiness import _subsets
 from .kernel import TAU, Alphabet, ModelParams, normalize_trace
 from .operational import StepEngine, build_lts
 from .process import (
@@ -90,18 +90,14 @@ def to_simulation(term, env: SpecEnv, params: ModelParams,
             if (lab, j) not in visible[i]:
                 visible[i].append((lab, j))
 
-    k = params.set_bound
     offer_names = set()
     definitions = {}
     for i, state in enumerate(states):
-        enabled = sorted({lab for lab, _ in visible.get(i, ())})
-        max_size = len(enabled) if k is None else min(k, len(enabled))
         branches = []
-        for size in range(0, max_size + 1):
-            for combo in itertools.combinations(enabled, size):
-                name = offer_event_name(frozenset(combo))
-                offer_names.add(name)
-                branches.append(Prefix(name, Call(_state_name(i), ())))
+        for offer in _subsets({lab for lab, _ in visible.get(i, ())}, 0, params.set_bound):
+            name = offer_event_name(offer)
+            offer_names.add(name)
+            branches.append(Prefix(name, Call(_state_name(i), ())))
         for lab, j in sorted(visible.get(i, ()), key=lambda e: (e[0], e[1])):
             branches.append(Prefix(lab, Call(_state_name(j), ())))
         body = branches[0]

@@ -7,47 +7,7 @@ re-establish the universe with ``finalize``.
 """
 from __future__ import annotations
 
-import itertools
-
-from .kernel import ModelParams, in_obs, is_event, is_offer, normalize_trace
-
-
-def project_trace(trace, events: frozenset):
-    """Projection onto an event set: the subsequence of performed events
-    that fall in the set.  Offers never survive projection, so projecting
-    onto the whole alphabet strips a trace down to its standard part."""
-    return tuple(a for a in trace if is_event(a) and a in events)
-
-
-def respects_params(trace, params: ModelParams) -> bool:
-    """Does the trace stay within the model's run and offer-size bounds?"""
-    if params.set_bound is not None:
-        if any(is_offer(a) and len(a) > params.set_bound for a in trace):
-            return False
-    return in_obs(trace, params.run_bound)
-
-
-def interleave_merge(t1, t2) -> frozenset:
-    """All shuffles of two traces, each preserving its input's order.
-    Positions are taken verbatim from one side or the other; offers are
-    never fused (the synchronised merge handles that)."""
-    out = set()
-
-    def rec(i, j, acc):
-        if i == len(t1) and j == len(t2):
-            out.add(tuple(acc))
-            return
-        if i < len(t1):
-            acc.append(t1[i])
-            rec(i + 1, j, acc)
-            acc.pop()
-        if j < len(t2):
-            acc.append(t2[j])
-            rec(i, j + 1, acc)
-            acc.pop()
-
-    rec(0, 0, [])
-    return frozenset(out)
+from .kernel import is_event, is_offer, normalize_trace
 
 
 def merge_offer(o1: frozenset, o2: frozenset, sync: frozenset) -> frozenset:
@@ -109,15 +69,6 @@ def merge_traces(t1, t2, sync: frozenset) -> frozenset:
     return frozenset(normalize_trace(tr) for tr in rec(0, 0))
 
 
-def sync_merge(t1, t2, sync: frozenset, params: ModelParams) -> frozenset:
-    """Synchronised merge restricted to the model: merges whose offers
-    outgrow the set bound or whose runs outgrow the run bound are dropped
-    rather than capped (capping belongs to set-level finalisation)."""
-    return frozenset(
-        tr for tr in merge_traces(t1, t2, sync) if respects_params(tr, params)
-    )
-
-
 def merge_sets(canon1, canon2, sync: frozenset) -> set:
     """Union of all pairwise merges of two canonical cores."""
     out = set()
@@ -168,25 +119,12 @@ def hide_set(canon, hidden: frozenset) -> set:
     return {hide_trace(tr, hidden) for tr in canon}
 
 
-def hide_trace_set(ts, hidden: frozenset):
-    """Hiding lifted to a whole trace set, with the universe (run clips,
-    length bound) re-established afterwards."""
-    from .healthiness import finalize, from_raw
-
-    raw = finalize(hide_set(ts.canon, hidden), ts.params, ts.len_bound)
-    return from_raw(raw, ts.params, ts.len_bound, ts.meta)
-
-
-def rename_trace(trace, pairs, params: ModelParams | None = None) -> set:
+def rename_trace(trace, pairs) -> set:
     """Relational renaming: each performed event branches over its images
     (a trace with an imageless event is lost) and each offer becomes the
     image of its members (possibly empty, then dropped by normalisation).
-
-    Without params the offer image is kept whole, which is the canonical
-    (maximal) representative; with params the image additionally branches
-    over its subsets within the offer-size bound, materialising the
-    subset closure the sets model ascribes to renamed offers.
-    """
+    The offer image is kept whole, which is the canonical (maximal)
+    representative; capping it to the set bound is left to ``finalize``."""
     images: dict = {}
     for frm, to in pairs:
         images.setdefault(frm, set()).add(to)
@@ -199,20 +137,8 @@ def rename_trace(trace, pairs, params: ModelParams | None = None) -> set:
             results = {base + (b,) for base in results for b in sorted(targets)}
         else:
             img = frozenset(b for x in a for b in images.get(x, ()))
-            if params is None:
-                choices = [img]
-            else:
-                cap = len(img) if params.set_bound is None else min(params.set_bound, len(img))
-                choices = [
-                    frozenset(c)
-                    for size in range(cap + 1)
-                    for c in itertools.combinations(sorted(img), size)
-                ]
-            results = {base + (o,) for base in results for o in choices}
-    out = {normalize_trace(tr) for tr in results}
-    if params is not None:
-        out = {tr for tr in out if respects_params(tr, params)}
-    return out
+            results = {base + (img,) for base in results}
+    return {normalize_trace(tr) for tr in results}
 
 
 def rename_set(canon, pairs) -> set:

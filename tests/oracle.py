@@ -1,15 +1,18 @@
 """Brute-force reference implementations the fast paths are checked against.
 
-Everything here materialises full sets by literal rule application, with no
-canonical representation and no covering shortcuts.  Costs are exponential,
-so callers keep alphabets at two or three events and traces short.
+Everything here materialises full sets: by literal rule application, by
+exploring every subset offer, or by enumerating the whole bounded universe,
+with no canonical representation.  Costs are exponential, so callers keep
+alphabets at two or three events and traces short.
 """
 from __future__ import annotations
 
 import itertools
 
-from availcsp import ModelParams
-from availcsp.kernel import in_obs, is_offer
+from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, SpecEnv
+from availcsp.healthiness import TraceSet, cond4_reduce
+from availcsp.kernel import TAU, in_obs, is_offer, normalize_trace
+from availcsp.operational import StepEngine
 
 
 def _proper_subsets(offer):
@@ -77,3 +80,101 @@ def shuffle_oracle(t1, t2) -> frozenset:
             next(r1) if i in first else next(r2) for i in range(n1 + n2)
         ))
     return frozenset(out)
+
+
+def avail_traces_full(term, env: SpecEnv, params: ModelParams, bounds: Bounds,
+                      len_bound: int | None = None) -> frozenset:
+    """Oracle-mode extraction: the fully materialised closed set within the
+    bounded universe, with every subset offer (including the empty one) and
+    no duplicate suppression.  Exponential; for cross-checking only."""
+    engine = StepEngine(env, bounds.tau_budget)
+    length = bounds.trace_len if len_bound is None else len_bound
+    memo: dict = {}
+
+    def all_offers(enabled):
+        for size in range(len(enabled) + 1):
+            if params.set_bound is not None and size > params.set_bound:
+                break
+            for c in itertools.combinations(enabled, size):
+                yield frozenset(c)
+
+    def suffixes(state, len_left, run_left):
+        key = (state, len_left, run_left)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        out = {()}
+        closure, _ = engine.tau_closure(state)
+        for t in closure:
+            if len_left == 0:
+                continue
+            for lab, succ in engine.steps(t):
+                if lab is TAU:
+                    continue
+                for suf in suffixes(succ, len_left - 1, params.run_bound):
+                    out.add((lab,) + suf)
+            if run_left is None or run_left > 0:
+                nxt_run = None if run_left is None else run_left - 1
+                for offer in all_offers(engine.initials(t)):
+                    for suf in suffixes(t, len_left - 1, nxt_run):
+                        out.add((offer,) + suf)
+        result = frozenset(out)
+        memo[key] = result
+        return result
+
+    return suffixes(term, length, params.run_bound)
+
+
+def enumerate_universe(alphabet: Alphabet, params: ModelParams, len_bound: int, cap: int = 2_000_000):
+    """Every trace in the bounded universe, including empty offers.  Only
+    intended for small alphabets and short bounds."""
+    events = list(alphabet.events)
+    max_size = len(events) if params.set_bound is None else min(params.set_bound, len(events))
+    offers = [
+        frozenset(c)
+        for size in range(0, max_size + 1)
+        for c in itertools.combinations(events, size)
+    ]
+    count = 0
+
+    def rec(prefix, run):
+        nonlocal count
+        count += 1
+        if count > cap:
+            raise OutOfUniverseError("universe enumeration exceeded its cap")
+        yield tuple(prefix)
+        if len(prefix) == len_bound:
+            return
+        for e in events:
+            prefix.append(e)
+            yield from rec(prefix, 0)
+            prefix.pop()
+        if params.run_bound is None or run < params.run_bound:
+            for o in offers:
+                prefix.append(o)
+                yield from rec(prefix, run + 1)
+                prefix.pop()
+
+    yield from rec([], 0)
+
+
+def expand_cover(ts: TraceSet, alphabet: Alphabet, cap: int = 2_000_000):
+    """Materialise the full closed set within the bounded universe."""
+    return frozenset(
+        tr
+        for tr in enumerate_universe(alphabet, ts.params, ts.len_bound, cap)
+        if ts._member_normalized(cond4_reduce(normalize_trace(tr)))
+    )
+
+
+def resample_oracle(choices, run_bound, len_bound: int) -> set:
+    """Every offer run of at most min(run bound, length bound) steps read
+    at non-decreasing positions of ``choices``, adjacent repeats merged, by
+    trying every position map and every pick along it."""
+    max_run = len_bound if run_bound is None else min(run_bound, len_bound)
+    out = {()}
+    for length in range(1, max_run + 1):
+        for jmap in itertools.combinations_with_replacement(range(len(choices)), length):
+            for pick in itertools.product(*[choices[j] for j in jmap]):
+                out.add(tuple(o for i, o in enumerate(pick) if i == 0 or pick[i - 1] != o))
+    return out

@@ -317,3 +317,40 @@ def test_bad_model_flag_exits_two(capsys):
         main(["traces", SPEC, "EXT", "--model", "m=1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# --- crashes exit 2, never 1 (which reads as "refuted") --------------------
+
+
+@pytest.fixture
+def wide_spec(tmp_path):
+    path = tmp_path / "wide.csp"
+    path.write_text("alphabet {a,b,c,d,e,f,g,h,i,j}\nP = a -> STOP\n", encoding="utf-8")
+    return str(path)
+
+
+def assert_crash_exit(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("availcsp: RecursionError: "), err
+
+
+def test_simulate_of_a_wide_input_prefix_exits_two(capsys, wide_spec):
+    # 1,024 subset offers build a choice nested too deep to print
+    term = "? x : {a,b,c,d,e,f,g,h,i,j} -> STOP"
+    assert_crash_exit(*run(capsys, "simulate", wide_spec, term, "--model", "n=F,k=F"))
+
+
+def test_traces_of_a_long_inline_prefix_chain_exits_two(capsys, wide_spec):
+    assert_crash_exit(*run(capsys, "traces", wide_spec, "a -> " * 3000 + "STOP"))
+
+
+def test_traces_of_deeply_nested_parentheses_exits_two(capsys, wide_spec):
+    assert_crash_exit(*run(capsys, "traces", wide_spec, "(" * 500 + "STOP" + ")" * 500))
+
+
+def test_traces_of_a_deep_spec_definition_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.csp"
+    path.write_text("alphabet {a}\nDEEP = " + "a -> " * 3000 + "STOP\n", encoding="utf-8")
+    assert_crash_exit(*run(capsys, "traces", str(path), "DEEP"))

@@ -160,3 +160,15 @@ def test_hidden_offers_are_blocked(henv):
     got = denote_traces(Call("MASK", ()), henv, params, Bounds(trace_len=3))
     assert got.member(("c", FB, "b"), ABC)
     assert not got.member(("c", FA), ABC)
+
+
+@pytest.mark.parametrize(
+    "params", [ModelParams(1, None), ModelParams(2, None)], ids=["n=1,k=F", "n=2,k=F"]
+)
+def test_engines_agree_with_bounded_runs_and_unbounded_offers(corpus, params):
+    # conftest's PARAM_POINTS never pair a run bound with k=F
+    bounds = Bounds(trace_len=4)
+    for group, name, term, env in corpus:
+        op = avail_traces(term, env, params, bounds)
+        den = denote_traces(term, env, params, bounds)
+        assert covers_equal(op, den), (group, name, params.show())

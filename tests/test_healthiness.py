@@ -11,12 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from availcsp import Alphabet, ModelParams, OutOfUniverseError
 from availcsp.healthiness import (
-    TraceSet, cap_offers, check_healthy, close_healthy, cond4_reduce,
-    condition_names, covered, covers_equal, covers_subset,
-    enumerate_universe, expand_cover, finalize, from_raw, max_offers,
-    restrict_params, saturate,
+    TraceSet, _resample_run, cap_offers, check_healthy, close_healthy,
+    cond4_reduce, condition_names, covered, covers_equal, finalize,
+    max_offers, restrict_params, saturate,
 )
-from oracle import closure_oracle
+from oracle import closure_oracle, enumerate_universe, expand_cover, resample_oracle
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -101,11 +100,22 @@ def test_cap_offers_expands_runs_not_positions():
     caps = cap_offers((FABC,), SETS2, 4)
     assert (FAB, FBC) in caps
     assert () in caps
-    t = from_raw(
-        finalize(saturate({(FABC,)}), SETS2, 4), SETS2, 4
-    )
+    t = TraceSet(finalize(saturate({(FABC,)}), SETS2, 4), SETS2, 4)
     assert t.member((FAB, FBC), ABC)
     assert t.member((frozenset("ac"), FB, "b"), ABC)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from([FA, FB, FAB, FABC]), min_size=1, max_size=3),
+             max_size=3),
+    st.one_of(st.none(), st.integers(0, 3)),
+    st.integers(0, 4),
+)
+def test_resample_run_matches_brute_force(choices, run_bound, len_bound):
+    # offer capping and the witness search share it
+    want = resample_oracle(choices, run_bound, len_bound)
+    assert _resample_run(choices, run_bound, len_bound) == want
 
 
 def test_finalize_clips_runs_and_length():
@@ -162,8 +172,7 @@ def test_closure_laws_random_seeds(seeds):
 def test_closure_monotone():
     small = close_healthy([(FA, "a")], SETS2, 3, AB)
     large = close_healthy([(FA, "a"), (FB, "b")], SETS2, 3, AB)
-    assert covers_subset(small, large)
-    assert not covers_subset(large, small)
+    assert expand_cover(small, AB) < expand_cover(large, AB)
 
 
 def test_covers_equal_rejects_mismatched_parameters():

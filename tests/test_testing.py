@@ -11,7 +11,7 @@ import pytest
 from availcsp import Alphabet, Bounds, ModelParams, parse_spec
 from availcsp.denotational import denote_traces
 from availcsp.errors import ParseError, SpecError
-from availcsp.healthiness import close_healthy, covers_equal, enumerate_universe
+from availcsp.healthiness import close_healthy, covers_equal
 from availcsp.operational import StepEngine, avail_traces
 from availcsp.process import Call, Div, InputPrefix, Prefix, Stop, Timeout
 from availcsp.testing import (
@@ -20,6 +20,7 @@ from availcsp.testing import (
 from availcsp.testing import TestEvent as EventProbe
 from availcsp.testing import TestReady as ReadyProbe
 from availcsp.testing import test_from_trace as probe_of
+from oracle import enumerate_universe
 
 AB = Alphabet(["a", "b"])
 FA = frozenset("a")

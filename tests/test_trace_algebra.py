@@ -1,8 +1,9 @@
-"""Trace-level operators: projection, merging, hiding, renaming, restriction.
+"""Trace-level operators: merging, hiding, renaming, restriction.
 
-Shuffles are pinned against ``oracle.shuffle_oracle``; merge behaviour that
-only makes sense up to closure (offer skipping, prefixing) is compared via
-``close_healthy`` rather than literal set equality.
+Interleavings are pinned against ``oracle.shuffle_oracle``; merge behaviour
+that only makes sense up to closure (offer skipping, prefixing) is compared
+via ``close_healthy`` rather than literal set equality.  Bounds are applied
+the way the denotational engine applies them, by ``finalize``.
 """
 from __future__ import annotations
 
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from availcsp import Alphabet, ModelParams
-from availcsp.healthiness import close_healthy, covers_equal
+from availcsp.healthiness import TraceSet, close_healthy, covers_equal, finalize
+from availcsp.kernel import check_universe, is_event, normalize_trace
 from availcsp.trace_algebra import (
-    concat_traces, hide_set, hide_trace, hide_trace_set, interleave_merge,
-    merge_offer, merge_traces, offers_only, project_trace, rename_trace,
-    respects_params, restrict_trace, split_first_event, sync_merge,
+    concat_traces, hide_set, hide_trace, merge_offer, merge_traces,
+    offers_only, rename_trace, restrict_trace, split_first_event,
 )
 from oracle import shuffle_oracle
 
@@ -24,23 +25,15 @@ FB = frozenset("b")
 FC = frozenset("c")
 FAB = frozenset("ab")
 FBC = frozenset("bc")
-SIGMA = frozenset("ab")
 
 SINGLE = ModelParams(run_bound=None, set_bound=1)
 SETS2 = ModelParams(run_bound=None, set_bound=2)
-FREE = ModelParams(run_bound=None, set_bound=None)
-
-
-def test_project_strips_offers_and_filters_events():
-    assert project_trace((FA, "b"), SIGMA) == ("b",)
-    assert project_trace((FA,), SIGMA) == ()
-    assert project_trace(("a", "b"), frozenset("a")) == ("a",)
 
 
 def test_interleave_examples():
-    assert interleave_merge(("a",), ("b",)) == frozenset({("a", "b"), ("b", "a")})
-    assert interleave_merge((), (FA, "a")) == frozenset({(FA, "a")})
-    assert interleave_merge((FA,), ("b",)) == frozenset({(FA, "b"), ("b", FA)})
+    assert shuffle_oracle(("a",), ("b",)) == frozenset({("a", "b"), ("b", "a")})
+    assert shuffle_oracle((), (FA, "a")) == frozenset({(FA, "a")})
+    assert shuffle_oracle((FA,), ("b",)) == frozenset({(FA, "b"), ("b", FA)})
 
 
 small_actions = st.sampled_from(["a", "b", FA, FB, FAB])
@@ -50,9 +43,10 @@ small_traces = st.lists(small_actions, max_size=3).map(tuple)
 @settings(max_examples=80, deadline=None)
 @given(small_traces, small_traces)
 def test_interleave_matches_brute_force_and_is_symmetric(t1, t2):
-    out = interleave_merge(t1, t2)
-    assert out == shuffle_oracle(t1, t2)
-    assert out == interleave_merge(t2, t1)
+    out = shuffle_oracle(t1, t2)
+    assert out == shuffle_oracle(t2, t1)
+    # every interleaving, offers taken one side at a time, is a free merge
+    assert {normalize_trace(tr) for tr in out} <= merge_traces(t1, t2, frozenset())
 
 
 def test_merge_offer_formula():
@@ -76,23 +70,23 @@ def test_merge_offer_laws(o1, o2, sync):
 
 
 def test_sync_merge_blocks_lone_synchronised_offers():
-    both = sync_merge((FA,), (FA,), frozenset("a"), SINGLE)
+    both = merge_traces((FA,), (FA,), frozenset("a"))
     assert (FA,) in both
-    alone = sync_merge((FA,), (), frozenset("a"), SINGLE)
+    alone = merge_traces((FA,), (), frozenset("a"))
     assert alone == frozenset({()})
 
 
 def test_sync_merge_unions_free_offers_at_k2():
-    out = sync_merge((FA,), (FB,), frozenset(), SETS2)
+    out = merge_traces((FA,), (FB,), frozenset())
     assert (FAB,) in out
-    capped = sync_merge((FA,), (FB,), frozenset(), SINGLE)
+    capped = finalize(out, SINGLE, 2)
     assert (FAB,) not in capped
     assert (FA, FB) in capped
 
 
 def test_sync_merge_forces_shared_events():
-    assert sync_merge(("a",), ("a",), frozenset("a"), SINGLE) == frozenset({("a",)})
-    assert sync_merge(("a",), (), frozenset("a"), SINGLE) == frozenset()
+    assert merge_traces(("a",), ("a",), frozenset("a")) == frozenset({("a",)})
+    assert merge_traces(("a",), (), frozenset("a")) == frozenset()
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,8 +99,8 @@ def test_merge_is_symmetric(t1, t2, sync):
 @given(small_traces, small_traces, st.frozensets(st.sampled_from("ab"), max_size=2))
 def test_sync_merge_results_respect_params(t1, t2, sync):
     for params in (SINGLE, ModelParams(2, 2)):
-        for tr in sync_merge(t1, t2, sync, params):
-            assert respects_params(tr, params)
+        for tr in finalize(merge_traces(t1, t2, sync), params, 6):
+            check_universe(tr, params, 6)
 
 
 event_traces = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)
@@ -115,12 +109,15 @@ event_traces = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)
 @settings(max_examples=60, deadline=None)
 @given(event_traces, event_traces)
 def test_free_merge_of_event_traces_is_interleaving(t1, t2):
-    assert sync_merge(t1, t2, frozenset(), SINGLE) == shuffle_oracle(t1, t2)
+    assert merge_traces(t1, t2, frozenset()) == shuffle_oracle(t1, t2)
 
 
 def test_free_merge_of_offer_traces_is_interleaving_up_to_closure():
-    merged = sync_merge((FA, "a"), (FB,), frozenset(), SINGLE)
-    shuffled = interleave_merge((FA, "a"), (FB,))
+    merged = [
+        tr for tr in merge_traces((FA, "a"), (FB,), frozenset())
+        if all(is_event(a) or len(a) == 1 for a in tr)
+    ]
+    shuffled = shuffle_oracle((FA, "a"), (FB,))
     left = close_healthy(merged, SINGLE, 3, AB)
     right = close_healthy(shuffled, SINGLE, 3, AB)
     assert covers_equal(left, right)
@@ -139,16 +136,23 @@ def test_hide_trace_deletes_events_and_shrinks_offers():
     assert hide_set({("a",), ("b",)}, frozenset("a")) == {(), ("b",)}
 
 
+def hide_closed(ts, hidden):
+    """Hiding lifted to a closed set the way the denotational clause does
+    it: hide every core member, then re-establish the universe."""
+    core = finalize(hide_set(ts.canon, hidden), ts.params, ts.len_bound)
+    return TraceSet(core, ts.params, ts.len_bound)
+
+
 def test_hide_trace_set_excludes_offers_of_hidden_events():
     t = close_healthy([(FA, "a")], SINGLE, 3, AB)
-    hidden = hide_trace_set(t, frozenset("a"))
+    hidden = hide_closed(t, frozenset("a"))
     assert covers_equal(hidden, close_healthy([()], SINGLE, 3, AB))
 
 
 def test_hide_trace_set_identity_and_untouched_offers():
     t = close_healthy([(FB, "a")], SINGLE, 3, AB)
-    assert covers_equal(hide_trace_set(t, frozenset()), t)
-    hidden = hide_trace_set(t, frozenset("a"))
+    assert covers_equal(hide_closed(t, frozenset()), t)
+    hidden = hide_closed(t, frozenset("a"))
     assert hidden.member((FB,), AB)
     assert not hidden.member(("a",), AB)
 
@@ -156,25 +160,19 @@ def test_hide_trace_set_identity_and_untouched_offers():
 def test_rename_event_and_offer_images():
     assert rename_trace(("a",), [("a", "b")]) == {("b",)}
     assert rename_trace(("a",), []) == set()
-    images = rename_trace((FA,), [("a", "b"), ("a", "c")], SETS2)
-    assert images == {(FBC,), (FB,), (FC,), ()}
     maximal = rename_trace((FA,), [("a", "b"), ("a", "c")])
     assert maximal == {(FBC,)}
+    # the subsets of the image are members by covering
+    images = TraceSet({(), (FBC,)}, SETS2, 1)
+    for tr in ((FBC,), (FB,), (FC,), ()):
+        assert images.member(tr)
 
 
 def test_rename_filters_by_params():
-    capped = rename_trace((FA,), [("a", "b"), ("a", "c")], SINGLE)
+    capped = finalize(rename_trace((FA,), [("a", "b"), ("a", "c")]), SINGLE, 1)
     assert capped == {(FB,), (FC,), ()}
-    tight = rename_trace(("a", "a"), [("a", "b")], ModelParams(0, 1))
+    tight = finalize(rename_trace(("a", "a"), [("a", "b")]), ModelParams(0, 1), 2)
     assert tight == {("b", "b")}
-
-
-def test_respects_params_checks_runs_and_sizes():
-    assert respects_params((FA, "a", FA), ModelParams(1, 1))
-    assert not respects_params((FA, FB, "a"), ModelParams(1, 1))
-    assert not respects_params((FAB,), SINGLE)
-    assert respects_params((FAB,), SETS2)
-    assert respects_params((FAB, FA, FB), FREE)
 
 
 def test_concat_normalises_junction():
