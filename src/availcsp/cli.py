@@ -108,6 +108,15 @@ def _resolve(expr: str, env: SpecEnv):
     return parse_process(expr, env)
 
 
+def _check_bounds(args) -> None:
+    if args.len < 0:
+        _usage("--len must not be negative")
+    if args.tau < 1:
+        _usage("--tau must be at least 1")
+    if args.internal_len is not None and args.internal_len < args.len:
+        _usage("--internal-len must not be below --len")
+
+
 def _bounds(args) -> Bounds:
     return Bounds(
         trace_len=args.len,
@@ -388,6 +397,7 @@ def _cmd_congruence(args) -> int:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
+    _check_bounds(args)
     handlers = {
         "traces": _cmd_traces,
         "equiv": lambda a: _compare(a, "equal"),

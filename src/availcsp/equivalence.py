@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .denotational import denote_traces
 from .errors import StateLimitError
-from .healthiness import TraceSet, _resample_run, _subsets, _uncovered, cond4_reduce
+from .healthiness import TraceSet, _resample_run, _subsets, _uncovered
 from .kernel import Alphabet, Bounds, ModelParams, compose, decompose, show_trace
 from .operational import avail_traces, build_lts
 from .process import SpecEnv
@@ -108,8 +108,7 @@ def _minimal_witness(alphabet: Alphabet, tp: TraceSet, tq: TraceSet,
     ):
         for c in disagreeing:
             for var in _covered_variants(c, mine.params, mine.len_bound):
-                red = cond4_reduce(var)
-                if mine._member_normalized(red) and not other._member_normalized(red):
+                if mine._member_normalized(var) and not other._member_normalized(var):
                     key = alphabet.trace_key(var)
                     if best_key is None or key < best_key:
                         best = var

@@ -3,14 +3,18 @@
 A closed availability-trace set is represented by a finite canonical core:
 normalised traces (no empty offers, no adjacent duplicate offers) holding
 maximal offered sets.  Everything the closure properties imply is recovered
-at query time instead of being stored:
+at query time by one routine, ``TraceSet._member_normalized``, which every
+membership answer (``member``, equality, refinement, the minimal witness,
+the condition checks) goes through.  It takes a normalised query and
 
-* offer removal and duplication, subset closure, and empty-offer insertion
-  are absorbed by a covering check: a query trace is a member when its
-  events match a stored trace exactly and each of its offer runs embeds
-  order-preservingly into the stored run, pointwise by subset;
-* the insertability of a singleton offer directly before its own event is
-  absorbed by deleting such offers from the query before covering.
+* probes the core for it, and otherwise deletes, in one pass, each
+  singleton offer directly before its own event: such offers are
+  insertable in every model;
+* probes the core for the result, and otherwise decomposes it once and
+  scans the core members with its events, indexed as their offer runs:
+  it is a member when each of its runs embeds order-preservingly into the
+  stored run, pointwise by subset (``covered``), which absorbs offer
+  removal and duplication, subset closure, and empty-offer insertion.
 
 The canonical core itself is kept explicitly closed under prefixes and
 under replacing a final offer by one of its events, because those rules
@@ -21,8 +25,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import OutOfUniverseError
 from .kernel import (
     Alphabet, ModelParams, check_universe, compose, decompose, in_obs,
     is_event, is_offer, normalize_trace, show_trace, trace_to_json,
@@ -49,45 +53,31 @@ def cond4_reduce(trace):
     """Delete singleton offers that immediately precede their own event.
 
     Such offers are freely insertable in every model, so deleting them
-    from a query preserves membership in any closed set.
+    from a query preserves membership in any closed set.  On a normalised
+    trace one pass suffices and the result stays normalised: the action
+    before a deleted offer differs from it and now precedes an event, so
+    a deletion neither exposes another nor makes two offers adjacent.
     """
-    while True:
-        out = []
-        changed = False
-        for i, a in enumerate(trace):
-            if (
-                is_offer(a)
-                and len(a) == 1
-                and i + 1 < len(trace)
-                and is_event(trace[i + 1])
-                and trace[i + 1] in a
-            ):
-                changed = True
-                continue
-            out.append(a)
-        trace = normalize_trace(tuple(out))
-        if not changed:
-            return trace
+    last = len(trace) - 1
+    return tuple(
+        a for i, a in enumerate(trace)
+        if not (is_offer(a) and len(a) == 1 and i < last and trace[i + 1] in a)
+    )
 
 
-def _run_covered(qrun, crun) -> bool:
-    j = 0
-    for b in qrun:
-        while j < len(crun) and not b <= crun[j]:
-            j += 1
-        if j == len(crun):
-            return False
+def covered(qruns, cruns) -> bool:
+    """Is a query derivable, by offer removal/duplication, subset closure
+    and empty-offer insertion, from a candidate with the same events?
+    Both are given as offer runs: each query run must embed
+    order-preservingly into the candidate's run, pointwise by subset."""
+    for qrun, crun in zip(qruns, cruns):
+        j = 0
+        for b in qrun:
+            while j < len(crun) and not b <= crun[j]:
+                j += 1
+            if j == len(crun):
+                return False
     return True
-
-
-def covered(query, candidate) -> bool:
-    """Is the normalised query derivable from the candidate by offer
-    removal/duplication, subset closure, and empty-offer insertion?"""
-    qruns, qevents = decompose(query)
-    cruns, cevents = decompose(candidate)
-    if qevents != cevents:
-        return False
-    return all(_run_covered(q, c) for q, c in zip(qruns, cruns))
 
 
 def saturate(traces, run_bound: int | None = None, len_bound: int | None = None):
@@ -155,7 +145,6 @@ class TraceSet:
         self.params = params
         self.len_bound = len_bound
         self.meta = meta if meta is not None else EvalMeta()
-        self._index = None
 
     def __len__(self) -> int:
         return len(self.canon)
@@ -163,32 +152,29 @@ class TraceSet:
     def __iter__(self):
         return iter(self.canon)
 
-    def _skeleton_index(self):
-        if self._index is None:
-            idx = {}
-            for tr in self.canon:
-                _, events = decompose(tr)
-                idx.setdefault(events, []).append(tr)
-            self._index = idx
-        return self._index
+    @cached_property
+    def _skeleton_index(self) -> dict:
+        """Core members by event sequence, each kept as its offer runs."""
+        idx = {}
+        for tr in self.canon:
+            runs, events = decompose(tr)
+            idx.setdefault(events, []).append(runs)
+        return idx
 
     def member(self, trace, alphabet: Alphabet | None = None) -> bool:
         """Closure-aware membership.  Raises OutOfUniverseError for queries
         outside the bounded universe rather than answering False."""
         check_universe(trace, self.params, self.len_bound, alphabet)
-        return self._member_normalized(cond4_reduce(normalize_trace(trace)))
+        return self._member_normalized(normalize_trace(trace))
 
-    def _member_normalized(self, reduced) -> bool:
-        if reduced in self.canon:
+    def _member_normalized(self, trace) -> bool:
+        """Closure-aware membership of a normalised trace: the one routine
+        every membership answer goes through.  A core member is answered
+        before the reduction, which costs more than the probe."""
+        if trace in self.canon or (reduced := cond4_reduce(trace)) in self.canon:
             return True
-        reduced = cond4_reduce(reduced)
-        if reduced in self.canon:
-            return True
-        _, events = decompose(reduced)
-        for cand in self._skeleton_index().get(events, ()):
-            if covered(reduced, cand):
-                return True
-        return False
+        runs, events = decompose(reduced)
+        return any(covered(runs, cand) for cand in self._skeleton_index.get(events, ()))
 
     def members_sorted(self, alphabet: Alphabet):
         return sorted(self.canon, key=alphabet.trace_key)
@@ -455,21 +441,17 @@ def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
     conditions absorbed by the representation hold by construction and the
     substantive checks are prefix closure and offer-implies-event) or a
     plain collection of traces checked literally as an explicit set.  A
-    failing condition's witness is the first member, shortest first, that
-    lacks a trace the condition requires.
+    failing condition's witness is the first member, shortest first and
+    then by its text, that lacks a trace the condition requires.
     """
     if isinstance(subject, TraceSet):
-        members = sorted(subject.canon, key=lambda t: (len(t), repr(t)))
         canon = subject.canon
-        # many requirements (prefixes above all) are core members, which
-        # the covering query would accept anyway
-        contains = lambda tr: len(tr) <= len_bound and (
-            tr in canon or subject._member_normalized(cond4_reduce(normalize_trace(tr)))
-        )
+        member = subject._member_normalized
+        contains = lambda tr: len(tr) <= len_bound and member(normalize_trace(tr))
     else:
-        explicit = frozenset(tuple(t) for t in subject)
-        members = sorted(explicit, key=lambda t: (len(t), repr(t)))
-        contains = lambda tr: tr in explicit
+        canon = frozenset(tuple(t) for t in subject)
+        contains = canon.__contains__
+    members = sorted(canon, key=lambda t: (len(t), show_trace(t)))
 
     def within(tr) -> bool:
         return len(tr) <= len_bound and in_obs(tr, params.run_bound)

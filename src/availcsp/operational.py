@@ -274,17 +274,24 @@ def is_divergent(term, env: SpecEnv, state_cap: int = 4096) -> bool:
     for i, lab, j in transitions:
         if lab is TAU:
             tau_succ.setdefault(i, []).append(j)
+    # depth-first search with an explicit stack: 1 marks a state on the
+    # current path, 2 one whose internal runs are all finite
     color = {}
-
-    def has_cycle(i):
-        color[i] = 1
-        for j in tau_succ.get(i, ()):
-            c = color.get(j)
-            if c == 1:
-                return True
-            if c is None and has_cycle(j):
-                return True
-        color[i] = 2
-        return False
-
-    return any(color.get(i) is None and has_cycle(i) for i in range(len(states)))
+    for root in range(len(states)):
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, iter(tau_succ.get(root, ())))]
+        while stack:
+            i, succs = stack[-1]
+            for j in succs:
+                if color.get(j) == 1:
+                    return True
+                if j not in color:
+                    color[j] = 1
+                    stack.append((j, iter(tau_succ.get(j, ()))))
+                    break
+            else:
+                color[i] = 2
+                stack.pop()
+    return False

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, SpecError
-from .kernel import EVENT_RE, Alphabet
+from .kernel import Alphabet
 from .process import (
     Call, Definition, Div, ExtChoice, Hide, InputPrefix, IntChoice,
     IntChoiceMany, Interleave, Mu, Parallel, Prefix, Rename, SpecEnv, Stop,

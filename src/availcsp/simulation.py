@@ -18,8 +18,8 @@ from .healthiness import _subsets
 from .kernel import TAU, Alphabet, ModelParams, normalize_trace
 from .operational import StepEngine, build_lts
 from .process import (
-    Call, Definition, ExtChoice, IntChoiceMany, Prefix, SpecEnv, Stop,
-    Timeout, pretty,
+    Call, Definition, ExtChoice, IntChoiceMany, Prefix, SpecEnv, Timeout,
+    pretty,
 )
 
 OFFER_PREFIX = "Offer."

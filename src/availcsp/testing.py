@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, SpecError
-from .kernel import TAU, is_event, is_offer
+from .kernel import TAU, is_event, is_offer, show_trace
 from .operational import StepEngine
 from .process import Div, InputPrefix, IntChoiceMany, Prefix, SpecEnv, Stop, Timeout
 
@@ -187,10 +187,11 @@ def process_from_trace(trace, binder: str = "x"):
     return p
 
 
-def realize(traces, env: SpecEnv | None = None):
+def realize(traces):
     """A process whose availability traces are exactly the closure of the
-    given canonical traces: the internal choice of their probes."""
-    members = sorted(traces, key=lambda t: (len(t), repr(t)))
+    given canonical traces: the internal choice of their probes, shortest
+    first and then by their text."""
+    members = sorted(traces, key=lambda t: (len(t), show_trace(t)))
     if not members:
         raise SpecError("cannot realize an empty trace collection")
     branches = tuple(process_from_trace(tr) for tr in members)

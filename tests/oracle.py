@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, SpecEnv
-from availcsp.healthiness import TraceSet, cond4_reduce
+from availcsp.healthiness import TraceSet
 from availcsp.kernel import TAU, in_obs, is_offer, normalize_trace
 from availcsp.operational import StepEngine
 
@@ -163,7 +163,7 @@ def expand_cover(ts: TraceSet, alphabet: Alphabet, cap: int = 2_000_000):
     return frozenset(
         tr
         for tr in enumerate_universe(alphabet, ts.params, ts.len_bound, cap)
-        if ts._member_normalized(cond4_reduce(normalize_trace(tr)))
+        if ts._member_normalized(normalize_trace(tr))
     )
 
 

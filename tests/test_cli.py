@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,7 @@ from availcsp import ModelParams
 from availcsp.cli import main, parse_grid, parse_model
 
 SPEC = os.path.join(os.path.dirname(__file__), "data", "group_ab.csp")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SLOW_CHAIN = """\
 alphabet {a}
@@ -244,6 +247,22 @@ def test_realize_emits_process_text(capsys, tmp_path):
     assert "# round trip: exact" in out
 
 
+def test_realize_output_does_not_depend_on_the_hash_seed():
+    # joint offers are frozensets, whose iteration order follows the
+    # string-hash seed
+    argv = [sys.executable, "-m", "availcsp.cli", "realize",
+            os.path.join(ROOT, "bench", "data", "corpus", "group_abc.csp"),
+            os.path.join(ROOT, "bench", "data", "seeds", "joint.tr"),
+            "--model", "n=2,k=2", "--len", "4"]
+    outs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 # --- simulate ----------------------------------------------------------------
 
 
@@ -317,6 +336,19 @@ def test_bad_model_flag_exits_two(capsys):
         main(["traces", SPEC, "EXT", "--model", "m=1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--len", "-1"], "--len"),
+    (["--tau", "0"], "--tau"),
+    (["--len", "3", "--internal-len", "2"], "--internal-len"),
+])
+def test_bad_bounds_are_usage_errors_naming_the_flag(capsys, flags, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["traces", SPEC, "EXT", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"availcsp: {flag} ") and "Error" not in err
 
 
 # --- crashes exit 2, never 1 (which reads as "refuted") --------------------

@@ -15,6 +15,7 @@ from availcsp.healthiness import (
     cond4_reduce, condition_names, covered, covers_equal, finalize,
     max_offers, restrict_params, saturate,
 )
+from availcsp.kernel import decompose, normalize_trace
 from oracle import closure_oracle, enumerate_universe, expand_cover, resample_oracle
 
 AB = Alphabet(["a", "b"])
@@ -36,12 +37,30 @@ def test_cond4_reduce_deletes_self_offers():
     assert cond4_reduce((FB, FA, "a", "b")) == (FB, "a", "b")
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", FA, FB, FAB, frozenset()]), max_size=8))
+def test_cond4_reduce_is_one_pass_on_normalised_traces(actions):
+    tr = normalize_trace(tuple(actions))
+    red = cond4_reduce(tr)
+    assert normalize_trace(red) == red
+    assert not any(
+        isinstance(a, frozenset) and len(a) == 1 and b in a for a, b in zip(red, red[1:])
+    )
+    assert cond4_reduce(red) == red
+
+
 def test_covered_requires_same_events_and_embedded_runs():
-    assert covered((FA, "a"), (FAB, "a"))
-    assert covered((FA, FB), (FAB,))
-    assert not covered(("a",), ("b",))
-    assert not covered((FA, "a"), ("a",))
-    assert not covered((FB, FA), (FA, FB))
+    def runs(tr):
+        return decompose(tr)[0]
+
+    assert covered(runs((FA, "a")), runs((FAB, "a")))
+    assert covered(runs((FA, FB)), runs((FAB,)))
+    assert not covered(runs((FA, "a")), runs(("a",)))
+    assert not covered(runs((FB, FA)), runs((FA, FB)))
+    # covering only compares traces with the same events
+    ts = TraceSet({(), ("b",)}, SINGLE, 1)
+    assert ts.member(("b",), AB)
+    assert not ts.member(("a",), AB)
 
 
 def test_saturate_adds_prefixes_and_final_offer_events():

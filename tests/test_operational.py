@@ -173,3 +173,11 @@ def test_divergence_detection(env):
     assert is_divergent(proc(env, "CYCLE"), env)
     assert not is_divergent(proc(env, "SEQ"), env)
     assert not is_divergent(proc(env, "PUMP"), env)
+
+
+@pytest.mark.parametrize("last, divergent", [("a -> STOP", False), ("P0", True)])
+def test_divergence_on_a_long_internal_chain(last, divergent):
+    # 2,000 internal steps in a row, deeper than the interpreter's stack
+    lines = ["alphabet {a}"] + [f"P{i} = P{i + 1}" for i in range(2000)]
+    env = parse_spec("\n".join(lines + [f"P2000 = {last}"]) + "\n")
+    assert is_divergent(Call("P0", ()), env) is divergent
