@@ -3,9 +3,12 @@
 Each operator clause builds the canonical core of the composite trace set
 from the cores of its arguments, re-establishing the bounded universe
 afterwards.  Recursion is solved by iteration from the least trace set
-{⟨⟩}: named definitions through a vector of reachable instantiations,
-inline recursion through a nested local fixpoint.  Both converge because
-the bounded universe is finite and every clause is monotone.
+{⟨⟩}.  Named definitions are solved over a vector of reachable
+instantiations with a worklist: an instantiation is evaluated when it is
+first called and again only when the value of one of its callees changed,
+so one that calls no other is evaluated once.  Inline recursion is solved
+by a nested local fixpoint.  Both converge because the bounded universe is
+finite and every clause is monotone.
 
 Hiding consumes performed events, so when a term can reach a hiding
 operator the evaluation runs at the longer internal length bound and the
@@ -73,6 +76,7 @@ class DenotationalEngine:
         self.params = params
         self.eval_len = eval_len
         self.vector: dict = {}
+        self.calls: list = []
 
     def _finalize(self, traces) -> frozenset:
         return finalize(traces, self.params, self.eval_len)
@@ -81,21 +85,41 @@ class DenotationalEngine:
         return covers_equal(TraceSet(c1, self.params, self.eval_len),
                             TraceSet(c2, self.params, self.eval_len))
 
+    def _evaluate(self, term):
+        """Denote a closed term; also return the instantiations it called."""
+        self.calls = []
+        return self.denote(term, {}), self.calls
+
     def solve(self, term) -> frozenset:
-        """Evaluate a closed term, iterating the instantiation vector of
-        named definitions to its least fixpoint."""
-        for _ in range(MAX_ROUNDS):
-            before = dict(self.vector)
-            result = self.denote(term, {})
-            for key in list(self.vector):
-                name, args = key
-                body = self.env.instantiate(name, args)
-                self.vector[key] = self.denote(body, {})
-            if set(before) == set(self.vector) and all(
-                self._canon_equal(before[k], self.vector[k]) for k in before
-            ):
-                return result
-        raise BudgetError("recursion failed to stabilise within the round limit")
+        """Evaluate a closed term at the least fixpoint of the instantiation
+        vector of named definitions.  The term is evaluated once to find the
+        instantiations it calls.  A worklist then evaluates each of those,
+        and each one they call, when it is first found, and again whenever
+        a callee's value stops being canonically equal to what it was.  The
+        term is evaluated once more on the stable vector, unless it called
+        nothing.  Each instantiation is evaluated at most MAX_ROUNDS times."""
+        result, calls = self._evaluate(term)
+        if not calls:
+            return result
+        callers = {key: {} for key in calls}    # callee -> its callers, in order
+        work = dict.fromkeys(calls)             # an ordered set, taken from the front
+        evaluations = {}
+        while work:
+            key = next(iter(work))
+            del work[key]
+            evaluations[key] = evaluations.get(key, 0) + 1
+            if evaluations[key] > MAX_ROUNDS:
+                raise BudgetError("recursion failed to stabilise within the round limit")
+            old = self.vector[key]
+            self.vector[key], calls = self._evaluate(self.env.instantiate(*key))
+            for callee in calls:
+                if callee not in callers:
+                    callers[callee] = {}
+                    work[callee] = None
+                callers[callee][key] = None
+            if not self._canon_equal(old, self.vector[key]):
+                work.update(callers[key])
+        return self._evaluate(term)[0]
 
     def denote(self, term, vmap: dict) -> frozenset:
         if isinstance(term, Stop) or isinstance(term, Div):
@@ -166,6 +190,7 @@ class DenotationalEngine:
             return val
         if isinstance(term, Call):
             key = (term.name, term.args)
+            self.calls.append(key)
             val = self.vector.get(key)
             if val is None:
                 if len(self.vector) >= MAX_INSTANTIATIONS:

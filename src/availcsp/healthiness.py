@@ -235,28 +235,37 @@ def trim_runs(trace, run_bound: int | None):
 
 
 def trim_length(traces, len_bound: int):
-    """Canonical cover of the restriction of a set to traces of bounded
-    length.  Overlong traces are replaced by every maximal way of keeping a
-    prefix of their events and a selection of their offers."""
+    """Canonical cover of the restriction of a set of normalised traces to
+    traces of bounded length.  An overlong trace is replaced by every
+    maximal way of keeping a prefix of its events and a selection of their
+    offers: for each count w of kept events, the longest prefix holding w
+    events when that fits, else every normalised trace made of those w
+    events and exactly len_bound - w of the offers in that prefix.
+
+    A prefix of a normalised trace is normalised, so one that fits is kept
+    as a slice.  The selections are built in one pass over the trace,
+    keeping each distinct pair of a normalised selection so far and the
+    number of offers it chose: selections that agree on both end alike."""
     out = set()
     for tr in traces:
         if len(tr) <= len_bound:
             out.add(tr)
             continue
-        runs, events = decompose(tr)
-        max_events = min(len(events), len_bound)
-        for w in range(max_events + 1):
-            budget = len_bound - w
-            kept_runs = runs[: w + 1]
-            positions = [(i, j) for i, r in enumerate(kept_runs) for j in range(len(r))]
-            if len(positions) <= budget:
-                out.add(normalize_trace(compose(kept_runs, events[:w])))
+        chosen = {((), 0)}
+        w = 0
+        for i, a in enumerate(tr + (None,)):    # None: the end of the trace
+            if is_offer(a):
+                chosen |= {(sel if sel[-1:] == (a,) else sel + (a,), n + 1)
+                           for sel, n in chosen if n < len_bound - w}
                 continue
-            for chosen in itertools.combinations(positions, budget):
-                new_runs = [[] for _ in kept_runs]
-                for i, j in chosen:
-                    new_runs[i].append(kept_runs[i][j])
-                out.add(normalize_trace(compose([tuple(r) for r in new_runs], events[:w])))
+            if i <= len_bound:
+                out.add(tr[:i])
+            else:
+                out.update(sel for sel, n in chosen if n == len_bound - w)
+            if a is None or w == len_bound:
+                break
+            w += 1
+            chosen = {(sel + (a,), n) for sel, n in chosen if n <= len_bound - w}
     return out
 
 

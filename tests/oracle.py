@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 
 from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, SpecEnv
+from availcsp.denotational import MAX_ROUNDS
+from availcsp.errors import BudgetError
 from availcsp.healthiness import TraceSet
-from availcsp.kernel import TAU, in_obs, is_offer, normalize_trace
+from availcsp.kernel import TAU, compose, decompose, in_obs, is_offer, normalize_trace
 from availcsp.operational import StepEngine
 
 
@@ -177,4 +179,41 @@ def resample_oracle(choices, run_bound, len_bound: int) -> set:
         for jmap in itertools.combinations_with_replacement(range(len(choices)), length):
             for pick in itertools.product(*[choices[j] for j in jmap]):
                 out.add(tuple(o for i, o in enumerate(pick) if i == 0 or pick[i - 1] != o))
+    return out
+
+
+def solve_rounds_oracle(engine, term) -> frozenset:
+    """``DenotationalEngine.solve`` by plain rounds: re-denote the term and
+    every instantiation found so far, in place, until a round finds no new
+    instantiation and changes no value up to canonical equality."""
+    for _ in range(MAX_ROUNDS):
+        before = dict(engine.vector)
+        result = engine.denote(term, {})
+        for key in list(engine.vector):
+            engine.vector[key] = engine.denote(engine.env.instantiate(*key), {})
+        if set(before) == set(engine.vector) and all(
+            engine._canon_equal(before[k], engine.vector[k]) for k in before
+        ):
+            return result
+    raise BudgetError("recursion failed to stabilise within the round limit")
+
+
+def trim_length_oracle(traces, len_bound: int) -> set:
+    """``trim_length`` with every kept part rebuilt from an explicit list of
+    offer positions, whether or not it fits the bound."""
+    out = set()
+    for tr in traces:
+        if len(tr) <= len_bound:
+            out.add(tr)
+            continue
+        runs, events = decompose(tr)
+        for w in range(min(len(events), len_bound) + 1):
+            budget = len_bound - w
+            kept_runs = runs[: w + 1]
+            positions = [(i, j) for i, r in enumerate(kept_runs) for j in range(len(r))]
+            for chosen in itertools.combinations(positions, min(budget, len(positions))):
+                new_runs = [[] for _ in kept_runs]
+                for i, j in chosen:
+                    new_runs[i].append(kept_runs[i][j])
+                out.add(normalize_trace(compose([tuple(r) for r in new_runs], events[:w])))
     return out

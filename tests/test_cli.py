@@ -316,6 +316,20 @@ def test_congruence_flags_budget_cuts(capsys, quiet_spec):
     assert "tau-budget-hit" in out
 
 
+def test_traces_stops_at_the_instantiation_budget(capsys, tmp_path):
+    # ROT reaches 7^3 = 343 instantiations, more than the engine keeps
+    path = tmp_path / "rot.csp"
+    path.write_text(
+        "alphabet {a,b,c,d,e,f,g}\n"
+        "ROT(x,y,z) = ? w : {a,b,c,d,e,f,g} -> ROT(y,z,w)\n"
+        "START = ROT(a,a,a)\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "traces", str(path), "START", "--engine", "den", "--len", "1")
+    assert code == 2
+    assert err == "availcsp: more than 256 recursion instantiations\n"
+
+
 # --- error surfaces ----------------------------------------------------------
 
 

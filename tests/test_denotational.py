@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import PARAM_POINTS
+
 from availcsp import Alphabet, Bounds, ModelParams, parse_spec
-from availcsp.denotational import denote_traces, mentions_hiding
+from availcsp.denotational import DenotationalEngine, denote_traces, mentions_hiding
 from availcsp.healthiness import close_healthy, covers_equal, restrict_params
 from availcsp.operational import avail_traces
 from availcsp.process import Call
+from oracle import solve_rounds_oracle
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -172,3 +175,32 @@ def test_engines_agree_with_bounded_runs_and_unbounded_offers(corpus, params):
         op = avail_traces(term, env, params, bounds)
         den = denote_traces(term, env, params, bounds)
         assert covers_equal(op, den), (group, name, params.show())
+
+
+@pytest.mark.parametrize("params", PARAM_POINTS, ids=lambda p: p.show())
+def test_worklist_fixpoint_matches_the_rounds_oracle(corpus, params, monkeypatch):
+    # the corpus has parameterised (BUF(x)) and mutual (EVEN/ODD) recursion
+    bounds = Bounds(trace_len=3)
+    got = [denote_traces(term, env, params, bounds).canon for _, _, term, env in corpus]
+    monkeypatch.setattr(DenotationalEngine, "solve", solve_rounds_oracle)
+    for (group, name, term, env), core in zip(corpus, got):
+        assert core == denote_traces(term, env, params, bounds).canon, (group, name)
+
+
+def test_a_definition_without_calls_is_denoted_once_per_solve(env, monkeypatch):
+    body = env.lookup("SEQ").body
+    seen = []
+    denote = DenotationalEngine.denote
+
+    def counting(self, term, vmap):
+        if term is body:
+            seen.append(term)
+        return denote(self, term, vmap)
+
+    monkeypatch.setattr(DenotationalEngine, "denote", counting)
+    den(env, "SEQ", ModelParams(None, 1), 3)
+    assert len(seen) == 1
+    monkeypatch.setattr(DenotationalEngine, "solve", solve_rounds_oracle)
+    seen.clear()
+    den(env, "SEQ", ModelParams(None, 1), 3)
+    assert len(seen) == 2

@@ -13,10 +13,12 @@ from availcsp import Alphabet, ModelParams, OutOfUniverseError
 from availcsp.healthiness import (
     TraceSet, _resample_run, cap_offers, check_healthy, close_healthy,
     cond4_reduce, condition_names, covered, covers_equal, finalize,
-    max_offers, restrict_params, saturate,
+    max_offers, restrict_params, saturate, trim_length,
 )
 from availcsp.kernel import decompose, normalize_trace
-from oracle import closure_oracle, enumerate_universe, expand_cover, resample_oracle
+from oracle import (
+    closure_oracle, enumerate_universe, expand_cover, resample_oracle, trim_length_oracle,
+)
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -145,6 +147,18 @@ def test_finalize_clips_runs_and_length():
     long = finalize({("a", "b", "a", "b")}, SINGLE, 2)
     assert ("a", "b") in long
     assert all(len(tr) <= 2 for tr in long)
+
+
+
+normalised_traces = st.lists(st.sampled_from(["a", "b", FA, FB, FAB]), max_size=9).map(
+    normalize_trace
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(normalised_traces, min_size=1, max_size=3), st.integers(0, 6))
+def test_trim_length_matches_position_enumeration(traces, len_bound):
+    assert trim_length(traces, len_bound) == trim_length_oracle(traces, len_bound)
 
 
 SEED_CASES = [
