@@ -10,6 +10,12 @@ so one that calls no other is evaluated once.  Inline recursion is solved
 by a nested local fixpoint.  Both converge because the bounded universe is
 finite and every clause is monotone.
 
+Re-establishing the universe (``finalize``) maps each trace on its own and
+unions the images, so finalize(S ∪ D) = finalize(S) ∪ finalize(D).  Every
+clause's term node keeps a record of its last input and that input's
+finalized output; a fixpoint round that hands the node a superset of that
+input finalizes only the traces the round added (semi-naive evaluation).
+
 Hiding consumes performed events, so when a term can reach a hiding
 operator the evaluation runs at the longer internal length bound and the
 result is trimmed back at the end.
@@ -77,9 +83,25 @@ class DenotationalEngine:
         self.eval_len = eval_len
         self.vector: dict = {}
         self.calls: list = []
+        self.finalized: dict = {}
 
-    def _finalize(self, traces) -> frozenset:
-        return finalize(traces, self.params, self.eval_len)
+    def _finalize(self, term, traces) -> frozenset:
+        """``finalize`` at this engine's bounds, for the clause of ``term``.
+        ``finalize`` is a union of per-trace images, so for S ⊆ T,
+        finalize(T) = finalize(S) ∪ finalize(T − S).  Each term node keeps
+        one record, keyed by identity (hashing a term is recursive): the
+        node itself, so that no other node takes its id while the record
+        lives, its last input, and that input's finalized output.  When a
+        later call at the node gets a superset of that input, as fixpoint
+        rounds do, only the traces it added are finalized; otherwise the
+        whole input is, and the record is replaced."""
+        rec = self.finalized.get(id(term))
+        if rec is not None and rec[0] is term and rec[1] <= traces:
+            out = rec[2] | finalize(traces - rec[1], self.params, self.eval_len)
+        else:
+            out = finalize(traces, self.params, self.eval_len)
+        self.finalized[id(term)] = (term, traces, out)
+        return out
 
     def _canon_equal(self, c1: frozenset, c2: frozenset) -> bool:
         return covers_equal(TraceSet(c1, self.params, self.eval_len),
@@ -126,7 +148,7 @@ class DenotationalEngine:
             return BOTTOM
         if isinstance(term, Prefix):
             return self._prefix_clause(
-                [term.event], {term.event: self.denote(term.body, vmap)}
+                term, [term.event], {term.event: self.denote(term.body, vmap)}
             )
         if isinstance(term, InputPrefix):
             events = sorted(term.events)
@@ -134,20 +156,20 @@ class DenotationalEngine:
                 a: self.denote(subst_events(term.body, {term.binder: a}), vmap)
                 for a in events
             }
-            return self._prefix_clause(events, conts)
+            return self._prefix_clause(term, events, conts)
         if isinstance(term, ExtChoice):
             return self._ext_clause(
-                self.denote(term.left, vmap), self.denote(term.right, vmap)
+                term, self.denote(term.left, vmap), self.denote(term.right, vmap)
             )
         if isinstance(term, IntChoice):
             return self._finalize(
-                self.denote(term.left, vmap) | self.denote(term.right, vmap)
+                term, self.denote(term.left, vmap) | self.denote(term.right, vmap)
             )
         if isinstance(term, IntChoiceMany):
             out = set()
             for b in term.branches:
                 out |= self.denote(b, vmap)
-            return self._finalize(out)
+            return self._finalize(term, out)
         if isinstance(term, Timeout):
             left = self.denote(term.left, vmap)
             right = self.denote(term.right, vmap)
@@ -155,14 +177,15 @@ class DenotationalEngine:
             for p in offers_only(left):
                 for q in right:
                     out.add(concat_traces(p, q))
-            return self._finalize(out)
+            return self._finalize(term, out)
         if isinstance(term, Parallel):
             left = restrict_set(self.denote(term.left, vmap), term.left_events)
             right = restrict_set(self.denote(term.right, vmap), term.right_events)
             sync = term.left_events & term.right_events
-            return self._finalize(merge_sets(left, right, sync))
+            return self._finalize(term, merge_sets(left, right, sync))
         if isinstance(term, Interleave):
             return self._finalize(
+                term,
                 merge_sets(
                     self.denote(term.left, vmap),
                     self.denote(term.right, vmap),
@@ -170,9 +193,9 @@ class DenotationalEngine:
                 )
             )
         if isinstance(term, Hide):
-            return self._finalize(hide_set(self.denote(term.body, vmap), term.events))
+            return self._finalize(term, hide_set(self.denote(term.body, vmap), term.events))
         if isinstance(term, Rename):
-            return self._finalize(rename_set(self.denote(term.body, vmap), term.pairs))
+            return self._finalize(term, rename_set(self.denote(term.body, vmap), term.pairs))
         if isinstance(term, Mu):
             cur = BOTTOM
             for _ in range(MAX_ROUNDS):
@@ -202,7 +225,7 @@ class DenotationalEngine:
             return val
         raise SpecError(f"unknown process construct {type(term).__name__}")
 
-    def _prefix_clause(self, events, conts: dict) -> frozenset:
+    def _prefix_clause(self, term, events, conts: dict) -> frozenset:
         choices = max_offers(events, self.params.set_bound)
         runs = state_runs(choices, self.params.run_bound, self.eval_len)
         out = set(runs)
@@ -210,9 +233,9 @@ class DenotationalEngine:
             for run in runs:
                 for t in cont:
                     out.add(run + (a,) + t)
-        return self._finalize(out)
+        return self._finalize(term, out)
 
-    def _ext_clause(self, left: frozenset, right: frozenset) -> frozenset:
+    def _ext_clause(self, term, left: frozenset, right: frozenset) -> frozenset:
         """Composite of an external choice: both sides' offers accumulate
         until the first performed event resolves it."""
         lofs = offers_only(left)
@@ -230,7 +253,7 @@ class DenotationalEngine:
                 for q in other:
                     for pm in merge_traces(pre, q, frozenset()):
                         out.add(pm + (a,) + suf)
-        return self._finalize(out)
+        return self._finalize(term, out)
 
 
 def denote_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds,

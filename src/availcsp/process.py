@@ -305,10 +305,15 @@ def _pretty(p):
         # as an operand is always parenthesised by its context
         return f"mu {p.var} @ {pretty(p.body, 4)}", 2
     if isinstance(p, (ExtChoice, IntChoice, Timeout)):
-        op = _CHOICE_OPS[type(p)]
-        left = _pretty_choice_operand(p.left, type(p))
-        right = pretty(p.right, 2)
-        return f"{left} {op} {right}", 3
+        # a chain of one operator nests down its left spine, which can be
+        # deeper than the recursion limit, so the spine is walked in a loop
+        kind = type(p)
+        rights = []
+        while type(p) is kind:
+            rights.append(pretty(p.right, 2))
+            p = p.left
+        parts = [_pretty_choice_operand(p, kind)] + rights[::-1]
+        return f" {_CHOICE_OPS[kind]} ".join(parts), 3
     if isinstance(p, IntChoiceMany):
         parts = [_pretty_choice_operand(b, IntChoice) if isinstance(b, (ExtChoice, IntChoice, Timeout, IntChoiceMany)) else pretty(b, 2) for b in p.branches]
         if len(parts) == 1:

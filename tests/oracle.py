@@ -12,7 +12,7 @@ import itertools
 from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, SpecEnv
 from availcsp.denotational import MAX_ROUNDS
 from availcsp.errors import BudgetError
-from availcsp.healthiness import TraceSet
+from availcsp.healthiness import TraceSet, finalize
 from availcsp.kernel import TAU, compose, decompose, in_obs, is_offer, normalize_trace
 from availcsp.operational import StepEngine
 
@@ -196,6 +196,12 @@ def solve_rounds_oracle(engine, term) -> frozenset:
         ):
             return result
     raise BudgetError("recursion failed to stabilise within the round limit")
+
+
+def finalize_whole_oracle(engine, term, traces) -> frozenset:
+    """``DenotationalEngine._finalize`` with no per-node record: every call
+    finalizes its whole input."""
+    return finalize(traces, engine.params, engine.eval_len)
 
 
 def trim_length_oracle(traces, len_bound: int) -> set:

@@ -382,10 +382,25 @@ def assert_crash_exit(code, out, err):
     assert len(lines) == 1 and lines[0].startswith("availcsp: RecursionError: "), err
 
 
-def test_simulate_of_a_wide_input_prefix_exits_two(capsys, wide_spec):
-    # 1,024 subset offers build a choice nested too deep to print
-    term = "? x : {a,b,c,d,e,f,g,h,i,j} -> STOP"
-    assert_crash_exit(*run(capsys, "simulate", wide_spec, term, "--model", "n=F,k=F"))
+WIDE_PREFIX = "? x : {a,b,c,d,e,f,g,h,i,j} -> STOP"
+
+
+def test_simulate_prints_a_wide_input_prefix(capsys, wide_spec):
+    # 1,024 subset offers and 10 events build a choice 1,033 levels deep
+    code, out, err = run(capsys, "simulate", wide_spec, WIDE_PREFIX, "--model", "n=F,k=F")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert lines[2].startswith("S0 = ") and lines[2].count(" [] ") + 1 == 1034
+    assert lines[3] == "S1 = Offer.0 -> S1"
+
+
+def test_simulate_check_of_a_wide_input_prefix_exits_two(capsys, wide_spec):
+    # the script prints; the step engine then recurses down the deep choice
+    code, out, err = run(capsys, "simulate", wide_spec, WIDE_PREFIX, "--model", "n=F,k=F",
+                         "--check", "--len", "1")
+    assert len(out.splitlines()) == 4
+    assert_crash_exit(code, "", err)
 
 
 def test_traces_of_a_long_inline_prefix_chain_exits_two(capsys, wide_spec):

@@ -10,12 +10,12 @@ import pytest
 
 from conftest import PARAM_POINTS
 
-from availcsp import Alphabet, Bounds, ModelParams, parse_spec
+from availcsp import Alphabet, Bounds, ModelParams, denotational, parse_spec
 from availcsp.denotational import DenotationalEngine, denote_traces, mentions_hiding
 from availcsp.healthiness import close_healthy, covers_equal, restrict_params
 from availcsp.operational import avail_traces
 from availcsp.process import Call
-from oracle import solve_rounds_oracle
+from oracle import finalize_whole_oracle, solve_rounds_oracle
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -204,3 +204,30 @@ def test_a_definition_without_calls_is_denoted_once_per_solve(env, monkeypatch):
     seen.clear()
     den(env, "SEQ", ModelParams(None, 1), 3)
     assert len(seen) == 2
+
+
+@pytest.mark.parametrize("params", PARAM_POINTS, ids=lambda p: p.show())
+def test_delta_finalize_matches_whole_set_finalize(corpus, params, monkeypatch):
+    cases = [(name, term, env, 3) for _, name, term, env in corpus]
+    cases += [(name, term, env, 4) for name, term, env, _ in cases
+              if name in ("MASKLOOP", "PUMPCHOICE")]
+    got = [denote_traces(term, env, params, Bounds(trace_len=L)).canon
+           for _, term, env, L in cases]
+    monkeypatch.setattr(DenotationalEngine, "_finalize", finalize_whole_oracle)
+    for (name, term, env, L), core in zip(cases, got):
+        assert core == denote_traces(term, env, params, Bounds(trace_len=L)).canon, (name, L)
+
+
+def test_fixpoint_rounds_finalize_only_the_traces_they_add(envs, monkeypatch):
+    # each round of MASKLOOP's inline loop, (mu X @ a -> X) \ {a} at the
+    # internal length, adds a few traces to a large set
+    handed = []
+    finalize = denotational.finalize
+
+    def counting(traces, params, len_bound):
+        handed.append(len(traces))
+        return finalize(traces, params, len_bound)
+
+    monkeypatch.setattr(denotational, "finalize", counting)
+    den(envs["group_abc"], "MASKLOOP", ModelParams(2, 1), 4)
+    assert sum(handed) <= 2_100    # 10,350 when every call finalizes its whole input

@@ -161,6 +161,22 @@ def test_trim_length_matches_position_enumeration(traces, len_bound):
     assert trim_length(traces, len_bound) == trim_length_oracle(traces, len_bound)
 
 
+# offers of up to three events overflow k=1 and k=2; seven actions overflow
+# every run and length bound drawn
+wide_traces = st.lists(st.sampled_from(["a", "b", "c", FA, FB, FAB, FBC, FABC]),
+                       max_size=7).map(normalize_trace)
+bound_or_free = st.sampled_from([1, 2, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(wide_traces, max_size=3), st.frozensets(wide_traces, max_size=3),
+       bound_or_free, bound_or_free, st.integers(0, 5))
+def test_finalize_is_a_union_of_per_trace_images(a, b, n, k, len_bound):
+    # the denotational engine finalizes only what a fixpoint round added
+    p = ModelParams(run_bound=n, set_bound=k)
+    assert finalize(a | b, p, len_bound) == finalize(a, p, len_bound) | finalize(b, p, len_bound)
+
+
 SEED_CASES = [
     ([(FA, "a")], SINGLE, 3),
     ([(FA, "a")], ModelParams(1, 1), 3),
