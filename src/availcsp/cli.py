@@ -53,7 +53,10 @@ def parse_model(text: str) -> ModelParams:
         if "=" not in piece:
             _usage(f"bad --model piece {piece!r}")
         key, _, val = piece.partition("=")
-        parts[key.strip()] = val.strip()
+        key = key.strip()
+        if key in parts:
+            _usage(f"repeated --model key {key!r}")
+        parts[key] = val.strip()
     unknown = set(parts) - {"n", "k"}
     if unknown:
         _usage(f"unknown --model keys {sorted(unknown)}")
@@ -70,11 +73,14 @@ def _parse_grid_axis(text: str, flag: str) -> list:
         if ".." in piece:
             lo, _, hi = piece.partition("..")
             try:
-                values.extend(range(int(lo), int(hi) + 1))
+                lo, hi = int(lo), int(hi)
             except ValueError:
-                _usage(f"bad {flag} range {piece!r}")
+                _usage(f"bad --grid {flag} range {piece!r}")
+            if not 0 <= lo <= hi:
+                _usage(f"empty or negative --grid {flag} range {piece!r} (expected 0 <= lo <= hi)")
+            values.extend(range(lo, hi + 1))
         else:
-            values.append(_parse_bound(piece, flag))
+            values.append(_parse_bound(piece, f"--grid {flag}"))
     return values
 
 

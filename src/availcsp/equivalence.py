@@ -4,8 +4,9 @@ Two processes are compared by mutual closure-aware membership of their
 canonical trace cores.  A disagreement is reported with a minimal witness
 (shortest, then alphabet order) found among the in-universe traces covered
 by the disagreeing canonical members; covering is transitive and
-down-closed, so every separating trace lies under some disagreeing member
-and the enumeration is exhaustive.
+down-closed, so every separating trace lies under some disagreeing member.
+The search goes shortest first: it tries the covered traces of one length
+at a time and stops at the first length that separates.
 """
 from __future__ import annotations
 
@@ -82,39 +83,44 @@ def refine_in(p, q, env: SpecEnv, params: ModelParams, bounds: Bounds,
     return _verdict(env, params, tp, tq, [], REFINED, REFINED_WITHIN_BOUNDS)
 
 
-def _covered_variants(trace, params: ModelParams, len_bound: int):
-    """Every in-universe trace covered by a canonical trace: per run, all
-    short-enough monotone re-samplings into nonempty subsets."""
+def _covered_variants(trace, params: ModelParams, length: int):
+    """Every in-universe trace of exactly ``length`` covered by a canonical
+    trace: per run, the monotone re-samplings into nonempty subsets, with
+    run lengths that add up to what the events leave over."""
     runs, events = decompose(trace)
-    options = [
-        _resample_run([_subsets(o, 1, params.set_bound) for o in r],
-                      params.run_bound, len_bound)
-        for r in runs
-    ]
-    for combo in itertools.product(*options):
-        out = compose(combo, events)
-        if len(out) <= len_bound:
-            yield out
+    free = length - len(events)
+    if free < 0:
+        return
+    by_len = []
+    for r in runs:
+        groups = {}
+        for run in _resample_run([_subsets(o, 1, params.set_bound) for o in r],
+                                 params.run_bound, free):
+            groups.setdefault(len(run), []).append(run)
+        by_len.append(groups)
+    for sizes in itertools.product(*by_len):
+        if sum(sizes) == free:
+            for combo in itertools.product(*(g[n] for g, n in zip(by_len, sizes))):
+                yield compose(combo, events)
 
 
 def _minimal_witness(alphabet: Alphabet, tp: TraceSet, tq: TraceSet,
                      only_p, only_q):
-    best = None
-    best_key = None
-    best_side = None
-    for disagreeing, mine, other, side in (
-        (only_p, tp, tq, "left"),
-        (only_q, tq, tp, "right"),
-    ):
-        for c in disagreeing:
-            for var in _covered_variants(c, mine.params, mine.len_bound):
-                if mine._member_normalized(var) and not other._member_normalized(var):
-                    key = alphabet.trace_key(var)
-                    if best_key is None or key < best_key:
-                        best = var
-                        best_key = key
-                        best_side = side
-    return best, best_side
+    """The least separating trace by ``Alphabet.trace_key`` and its side.
+    The key orders by length first, so lengths are tried in turn and the
+    first one with a separating variant holds the witness."""
+    sides = ((only_p, tp, tq, "left"), (only_q, tq, tp, "right"))
+    for length in range(tp.len_bound + 1):
+        found = [
+            (var, side)
+            for disagreeing, mine, other, side in sides
+            for c in disagreeing
+            for var in _covered_variants(c, mine.params, length)
+            if mine._member_normalized(var) and not other._member_normalized(var)
+        ]
+        if found:
+            return min(found, key=lambda hit: alphabet.trace_key(hit[0]))
+    return None, None
 
 
 def distinguish(p, q, env: SpecEnv, grid, bounds: Bounds,

@@ -169,6 +169,18 @@ def expand_cover(ts: TraceSet, alphabet: Alphabet, cap: int = 2_000_000):
     )
 
 
+def minimal_witness_oracle(alphabet: Alphabet, tp: TraceSet, tq: TraceSet):
+    """The least trace by ``Alphabet.trace_key`` among the normalised
+    universe traces that are members of exactly one side, with that side
+    ("left" for ``tp``), or (None, None) when the sets agree."""
+    universe = {normalize_trace(tr) for tr in enumerate_universe(alphabet, tp.params, tp.len_bound)}
+    for tr in sorted(universe, key=alphabet.trace_key):
+        in_p, in_q = tp._member_normalized(tr), tq._member_normalized(tr)
+        if in_p != in_q:
+            return tr, "left" if in_p else "right"
+    return None, None
+
+
 def resample_oracle(choices, run_bound, len_bound: int) -> set:
     """Every offer run of at most min(run bound, length bound) steps read
     at non-decreasing positions of ``choices``, adjacent repeats merged, by

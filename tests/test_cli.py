@@ -65,11 +65,11 @@ def test_parse_model_forms():
 
 
 def test_parse_model_rejects_junk(capsys):
-    for bad in ("n=x,k=1", "m=1", "n=-1,k=1", "nonsense"):
+    for bad in ("n=x,k=1", "m=1", "n=-1,k=1", "nonsense", "n=F,k=1,k=2"):
         with pytest.raises(SystemExit) as exc:
             parse_model(bad)
         assert exc.value.code == 2
-    capsys.readouterr()
+    assert "repeated --model key 'k'" in capsys.readouterr().err
 
 
 def test_parse_grid_forms():
@@ -79,11 +79,11 @@ def test_parse_grid_forms():
 
 
 def test_parse_grid_rejects_junk(capsys):
-    for bad in ("k=1", "n=1", "n=a..b,k=1"):
+    for bad in ("k=1", "n=1", "n=a..b,k=1", "n=3..1,k=1", "n=-1..1,k=1"):
         with pytest.raises(SystemExit) as exc:
             parse_grid(bad)
         assert exc.value.code == 2
-    capsys.readouterr()
+        assert "--grid" in capsys.readouterr().err, bad
 
 
 # --- traces ------------------------------------------------------------------

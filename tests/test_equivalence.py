@@ -5,14 +5,20 @@ diagnostic reproducibility is part of the contract.
 """
 from __future__ import annotations
 
-import pytest
+import itertools
 
-from availcsp import Bounds, ModelParams
+import pytest
+from conftest import PARAM_POINTS, group_processes
+
+from availcsp import Bounds, ModelParams, parse_process
 from availcsp.equivalence import (
-    INDETERMINATE, NOT_SIMILAR, SIMILAR, distinguish, equal_in,
+    INDETERMINATE, NOT_SIMILAR, SIMILAR, _minimal_witness, distinguish, equal_in,
     mutually_similar, refine_in, sim_preorder,
 )
+from availcsp.healthiness import TraceSet, _uncovered
+from availcsp.operational import avail_traces
 from availcsp.process import Call, ExtChoice, Prefix, Stop, Timeout
+from oracle import minimal_witness_oracle
 
 FA = frozenset("a")
 FB = frozenset("b")
@@ -161,3 +167,57 @@ def test_sim_asymmetric_pair_is_availability_equal(abcd):
 def test_state_cap_yields_indeterminate(ab):
     assert sim_preorder(P("CYCLE"), P("CYCLE"), ab, state_cap=2) == INDETERMINATE
     assert mutually_similar(P("CYCLE"), P("CYCLE"), ab, state_cap=2) == INDETERMINATE
+
+
+def _witness(env, tp, tq):
+    return _minimal_witness(env.alphabet, tp, tq, list(_uncovered(tp, tq)),
+                            list(_uncovered(tq, tp)))
+
+
+def test_minimal_witness_matches_the_brute_force_oracle(envs):
+    """Every disagreeing pair of corpus processes, at the six points and
+    n=0: the shortest-first search finds the least separating universe
+    trace, on the same side."""
+    pairs = 0
+    for group, length in (("group_ab", 3), ("group_abc", 2), ("group_xyz", 2)):
+        env = envs[group]
+        for params in PARAM_POINTS + (ModelParams(0, 1),):
+            sets = [avail_traces(term, env, params, Bounds(trace_len=length))
+                    for _, term in group_processes(env)]
+            for tp, tq in itertools.combinations(sets, 2):
+                want = minimal_witness_oracle(env.alphabet, tp, tq)
+                if want == (None, None):
+                    continue
+                pairs += 1
+                assert _witness(env, tp, tq) == want, (group, params.show())
+    assert pairs > 1000
+
+
+def test_witness_can_be_the_empty_trace(ab):
+    params = ModelParams(None, 1)
+    empty = TraceSet(frozenset(), params, 2)
+    doa = avail_traces(P("DOA"), ab, params, Bounds(trace_len=2))
+    assert _witness(ab, empty, doa) == ((), "right")
+    assert minimal_witness_oracle(ab.alphabet, empty, doa) == ((), "right")
+
+
+def test_witness_search_stops_at_the_first_separating_length(abc, monkeypatch):
+    """An input prefix against an internal choice at k=2, len 4: the witness
+    is a single offer, so the search stops at length 1, after a few hundred
+    membership queries."""
+    params = ModelParams(None, 2)
+    tp, tq = (avail_traces(parse_process(text, abc), abc, params, Bounds(trace_len=4))
+              for text in ("? x : {a, b, c} -> STOP", "|~| x : {a, b, c} @ x -> STOP"))
+    only_p, only_q = list(_uncovered(tp, tq)), list(_uncovered(tq, tp))
+    queries = 0
+    member = TraceSet._member_normalized
+
+    def counted(self, trace):
+        nonlocal queries
+        queries += 1
+        return member(self, trace)
+
+    monkeypatch.setattr(TraceSet, "_member_normalized", counted)
+    assert _minimal_witness(abc.alphabet, tp, tq, only_p, only_q) == \
+        ((frozenset("ab"),), "left")
+    assert queries <= 2000
