@@ -108,14 +108,15 @@ def _minimal_witness(alphabet: Alphabet, tp: TraceSet, tq: TraceSet,
                      only_p, only_q):
     """The least separating trace by ``Alphabet.trace_key`` and its side.
     The key orders by length first, so lengths are tried in turn and the
-    first one with a separating variant holds the witness."""
+    first one with a separating variant holds the witness.  Disagreeing
+    members share variants, so each side asks about each variant once."""
     sides = ((only_p, tp, tq, "left"), (only_q, tq, tp, "right"))
     for length in range(tp.len_bound + 1):
         found = [
             (var, side)
             for disagreeing, mine, other, side in sides
-            for c in disagreeing
-            for var in _covered_variants(c, mine.params, length)
+            for var in dict.fromkeys(
+                v for c in disagreeing for v in _covered_variants(c, mine.params, length))
             if mine._member_normalized(var) and not other._member_normalized(var)
         ]
         if found:

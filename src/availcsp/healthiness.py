@@ -19,6 +19,12 @@ the condition checks) goes through.  It takes a normalised query and
 The canonical core itself is kept explicitly closed under prefixes and
 under replacing a final offer by one of its events, because those rules
 change the event skeleton that covering keys on.
+
+So ``check_healthy`` asks only what a core can violate.  The other four
+conditions keep or shrink a member's offers: by the covering lemma, each
+trace they require of a member is covered by it.  That makes it a member
+whenever every core member fits the length bound; only a core that does
+not fit, or an explicit set, has those four enumerated.
 """
 from __future__ import annotations
 
@@ -423,15 +429,16 @@ def _empty_offers(tr, within):
             yield ins
 
 
-# Each condition with the traces a member requires; the last two only
+# Each condition with the traces a member requires, and whether it is one
+# of the four that covering absorbs (see check_healthy); the last two only
 # apply above the singleton-offer model.
 _CONDITIONS = (
-    ("nonempty-prefix-closed", _prefixes),
-    ("offer-remove-duplicate", _offer_removals_and_duplicates),
-    ("offer-implies-event", _final_offer_events),
-    ("event-implies-offer", _offers_before_events),
-    ("offer-subset-closed", _offer_subsets),
-    ("empty-offer-free", _empty_offers),
+    ("nonempty-prefix-closed", _prefixes, False),
+    ("offer-remove-duplicate", _offer_removals_and_duplicates, True),
+    ("offer-implies-event", _final_offer_events, False),
+    ("event-implies-offer", _offers_before_events, True),
+    ("offer-subset-closed", _offer_subsets, True),
+    ("empty-offer-free", _empty_offers, True),
 )
 
 
@@ -440,40 +447,46 @@ def _conditions(params: ModelParams):
 
 
 def condition_names(params: ModelParams):
-    return [name for name, _ in _conditions(params)]
+    return [name for name, _, _ in _conditions(params)]
 
 
 def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
     """Verify the healthiness conditions.
 
-    ``subject`` may be a TraceSet (membership is closure-aware, so the
-    conditions absorbed by the representation hold by construction and the
-    substantive checks are prefix closure and offer-implies-event) or a
+    ``subject`` may be a TraceSet, whose membership is closure-aware, or a
     plain collection of traces checked literally as an explicit set.  A
-    failing condition's witness is the first member, shortest first and
-    then by its text, that lacks a trace the condition requires.
+    failing condition's witness is its least failing member, shortest first
+    and then by its text.
+
+    The covering lemma: what the four absorbed conditions require of a
+    member keeps or shrinks its offers, so normalised and reduced it has
+    the member's events, is covered by its runs, and is no longer than the
+    member unless a guard keeps it within the bound.  So when every core
+    member fits the bound those four hold unasked; a core that does not,
+    and an explicit set, is enumerated in full.
     """
     if isinstance(subject, TraceSet):
         canon = subject.canon
         member = subject._member_normalized
         contains = lambda tr: len(tr) <= len_bound and member(normalize_trace(tr))
+        fits = all(len(tr) <= len_bound for tr in canon)
     else:
         canon = frozenset(tuple(t) for t in subject)
         contains = canon.__contains__
-    members = sorted(canon, key=lambda t: (len(t), show_trace(t)))
+        fits = False
 
     def within(tr) -> bool:
         return len(tr) <= len_bound and in_obs(tr, params.run_bound)
 
     report = HealthReport()
-    for name, required in _conditions(params):
+    for name, required, absorbed in _conditions(params):
         # nonemptiness and <> itself are required by no member: an empty
         # set fails without a witness, a set lacking <> with witness <>
-        if required is _prefixes and not (members and contains(())):
-            report.conditions.append(ConditionReport(name, False, () if members else None))
+        if required is _prefixes and not (canon and contains(())):
+            report.conditions.append(ConditionReport(name, False, () if canon else None))
             continue
-        witness = next(
-            (tr for tr in members if not all(map(contains, required(tr, within)))), None
-        )
+        failing = () if absorbed and fits else (
+            tr for tr in canon if not all(map(contains, required(tr, within))))
+        witness = min(failing, key=lambda t: (len(t), show_trace(t)), default=None)
         report.conditions.append(ConditionReport(name, witness is None, witness))
     return report

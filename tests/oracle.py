@@ -12,8 +12,12 @@ import itertools
 from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, SpecEnv
 from availcsp.denotational import MAX_ROUNDS
 from availcsp.errors import BudgetError
-from availcsp.healthiness import TraceSet, finalize
-from availcsp.kernel import TAU, compose, decompose, in_obs, is_offer, normalize_trace
+from availcsp.healthiness import (
+    ConditionReport, HealthReport, TraceSet, _conditions, _prefixes, finalize,
+)
+from availcsp.kernel import (
+    TAU, compose, decompose, in_obs, is_offer, normalize_trace, show_trace,
+)
 from availcsp.operational import StepEngine
 
 
@@ -235,3 +239,33 @@ def trim_length_oracle(traces, len_bound: int) -> set:
                     new_runs[i].append(kept_runs[i][j])
                 out.add(normalize_trace(compose([tuple(r) for r in new_runs], events[:w])))
     return out
+
+
+def check_healthy_oracle(subject, params: ModelParams, len_bound: int) -> HealthReport:
+    """``check_healthy`` by enumeration: every condition asks every trace
+    each member requires, whatever the subject, and members are scanned
+    shortest first, then by their text."""
+    if isinstance(subject, TraceSet):
+        canon = subject.canon
+        member = subject._member_normalized
+        contains = lambda tr: len(tr) <= len_bound and member(normalize_trace(tr))
+    else:
+        canon = frozenset(tuple(t) for t in subject)
+        contains = canon.__contains__
+    members = sorted(canon, key=lambda t: (len(t), show_trace(t)))
+
+    def within(tr) -> bool:
+        return len(tr) <= len_bound and in_obs(tr, params.run_bound)
+
+    report = HealthReport()
+    for name, required, _ in _conditions(params):
+        # nonemptiness and <> itself are required by no member: an empty
+        # set fails without a witness, a set lacking <> with witness <>
+        if required is _prefixes and not (members and contains(())):
+            report.conditions.append(ConditionReport(name, False, () if members else None))
+            continue
+        witness = next(
+            (tr for tr in members if not all(map(contains, required(tr, within)))), None
+        )
+        report.conditions.append(ConditionReport(name, witness is None, witness))
+    return report

@@ -7,17 +7,21 @@ applies the literal closure rules to a materialised set.
 from __future__ import annotations
 
 import pytest
+from conftest import PARAM_POINTS
 from hypothesis import given, settings, strategies as st
 
-from availcsp import Alphabet, ModelParams, OutOfUniverseError
+from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, parse_process
+from availcsp.denotational import denote_traces
 from availcsp.healthiness import (
-    TraceSet, _resample_run, cap_offers, check_healthy, close_healthy,
+    _CONDITIONS, TraceSet, _resample_run, cap_offers, check_healthy, close_healthy,
     cond4_reduce, condition_names, covered, covers_equal, finalize,
     max_offers, restrict_params, saturate, trim_length,
 )
-from availcsp.kernel import decompose, normalize_trace
+from availcsp.kernel import decompose, in_obs, normalize_trace
+from availcsp.operational import avail_traces
 from oracle import (
-    closure_oracle, enumerate_universe, expand_cover, resample_oracle, trim_length_oracle,
+    check_healthy_oracle, closure_oracle, enumerate_universe, expand_cover,
+    resample_oracle, trim_length_oracle,
 )
 
 AB = Alphabet(["a", "b"])
@@ -331,3 +335,85 @@ def test_trace_set_json_lines_shape():
     assert head["count"] == len(t.canon)
     assert head["params"] == {"n": "F", "k": 1}
     assert json.loads(lines[1]) == []
+
+
+# --- check_healthy against the enumerating oracle --------------------------
+
+
+def report_rows(report):
+    return [(c.condition, c.ok, c.witness) for c in report.conditions]
+
+
+def test_check_healthy_matches_oracle_on_engine_sets(corpus):
+    for group, name, term, env in corpus:
+        for params in PARAM_POINTS:
+            for engine in (avail_traces, denote_traces):
+                ts = engine(term, env, params, Bounds(trace_len=3))
+                assert report_rows(check_healthy(ts, params, 3)) == report_rows(
+                    check_healthy_oracle(ts, params, 3)), (group, name, params.show())
+
+
+FC = frozenset("c")
+ABC_ACTIONS = ["a", "b", "c", frozenset(), FA, FB, FC, FAB, FBC, FABC]
+
+
+@st.composite
+def health_subjects(draw):
+    """0-6 traces over {a,b,c}, normalised or raw, at a drawn (n, k, len):
+    in half the draws some traces may be two actions longer than the
+    bound."""
+    len_bound = draw(st.integers(0, 4))
+    params = ModelParams(run_bound=draw(bound_or_free), set_bound=draw(bound_or_free))
+    longest = len_bound + draw(st.sampled_from([0, 2]))
+    traces = draw(st.lists(
+        st.lists(st.sampled_from(ABC_ACTIONS), max_size=longest).map(tuple), max_size=6))
+    if draw(st.booleans()):
+        traces = [normalize_trace(tr) for tr in traces]
+    return traces, params, len_bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(health_subjects())
+def test_check_healthy_matches_oracle_on_generated_sets(subject):
+    traces, params, len_bound = subject
+    for given_as in (TraceSet(traces, params, len_bound), traces):
+        assert report_rows(check_healthy(given_as, params, len_bound)) == report_rows(
+            check_healthy_oracle(given_as, params, len_bound))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(ABC_ACTIONS), max_size=5).map(tuple), st.booleans(),
+       bound_or_free, st.integers(0, 2))
+def test_absorbed_requirements_are_covered_by_their_member(tr, normalise, n, slack):
+    # the covering lemma check_healthy relies on, for a member that fits
+    if normalise:
+        tr = normalize_trace(tr)
+    len_bound = len(tr) + slack
+    runs, events = decompose(tr)
+
+    def within(r) -> bool:
+        return len(r) <= len_bound and in_obs(r, n)
+
+    for name, required, absorbed in _CONDITIONS:
+        for r in required(tr, within) if absorbed else ():
+            qruns, qevents = decompose(cond4_reduce(normalize_trace(r)))
+            assert len(r) <= len_bound, name
+            assert qevents == events, name
+            assert covered(qruns, runs), name
+
+
+def test_check_healthy_on_quad_asks_no_absorbed_condition(abcd, monkeypatch):
+    # enumerating every condition asks about 209,000 membership queries
+    params = ModelParams(None, 2)
+    ts = avail_traces(parse_process("QUAD", abcd), abcd, params, Bounds(trace_len=5))
+    calls = 0
+    ask = TraceSet._member_normalized
+
+    def counting(self, trace):
+        nonlocal calls
+        calls += 1
+        return ask(self, trace)
+
+    monkeypatch.setattr(TraceSet, "_member_normalized", counting)
+    assert check_healthy(ts, params, 5).ok
+    assert calls <= 60_000
