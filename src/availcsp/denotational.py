@@ -1,14 +1,17 @@
 """Denotational semantics: compositional trace-set evaluation.
 
-Each operator clause builds the canonical core of the composite trace set
-from the cores of its arguments, re-establishing the bounded universe
-afterwards.  Recursion is solved by iteration from the least trace set
-{⟨⟩}.  Named definitions are solved over a vector of reachable
-instantiations with a worklist: an instantiation is evaluated when it is
-first called and again only when the value of one of its callees changed,
-so one that calls no other is evaluated once.  Inline recursion is solved
-by a nested local fixpoint.  Both converge because the bounded universe is
-finite and every clause is monotone.
+Each operator clause builds the composite trace set from the cores of its
+arguments with no regard to the run and set bounds: a prefix offers all
+its events as one run, and merging may widen offers and join runs.  The
+clause's output then passes through ``finalize``, the one place the
+(n, k, len) bounds are applied, which makes it a canonical core.
+Recursion is solved by iteration from the least trace set {⟨⟩}.  Named
+definitions are solved over a vector of reachable instantiations with a
+worklist: an instantiation is evaluated when it is first called and again
+only when the value of one of its callees changed, so one that calls no
+other is evaluated once.  Inline recursion is solved by a nested local
+fixpoint.  Both converge because the bounded universe is finite and every
+clause is monotone.
 
 Re-establishing the universe (``finalize``) maps each trace on its own and
 unions the images, so finalize(S ∪ D) = finalize(S) ∪ finalize(D).  Every
@@ -23,7 +26,7 @@ result is trimmed back at the end.
 from __future__ import annotations
 
 from .errors import BudgetError, SpecError
-from .healthiness import EvalMeta, TraceSet, covers_equal, finalize, max_offers
+from .healthiness import EvalMeta, TraceSet, covers_equal, finalize
 from .kernel import Bounds, ModelParams
 from .process import (
     Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, IntChoiceMany,
@@ -39,24 +42,6 @@ BOTTOM = frozenset({()})
 
 MAX_INSTANTIATIONS = 256
 MAX_ROUNDS = 10_000
-
-
-def state_runs(choices, run_bound: int | None, len_bound: int) -> set:
-    """Offer runs observable while sitting at one stable state: sequences
-    over the maximal offer choices without adjacent repeats."""
-    cap = len_bound if run_bound is None else min(run_bound, len_bound)
-    runs = {()}
-    frontier = [()]
-    for _ in range(cap):
-        nxt = []
-        for r in frontier:
-            for o in choices:
-                if r and r[-1] == o:
-                    continue
-                nxt.append(r + (o,))
-        runs.update(nxt)
-        frontier = nxt
-    return runs
 
 
 def mentions_hiding(term, env: SpecEnv) -> bool:
@@ -226,13 +211,15 @@ class DenotationalEngine:
         raise SpecError(f"unknown process construct {type(term).__name__}")
 
     def _prefix_clause(self, term, events, conts: dict) -> frozenset:
-        choices = max_offers(events, self.params.set_bound)
-        runs = state_runs(choices, self.params.run_bound, self.eval_len)
-        out = set(runs)
+        """Composite of a prefix: the stable state offers all its events
+        as one run, which ``_finalize`` resamples into the runs the model
+        can observe (offers capped, repeats up to the run bound)."""
+        offer = (frozenset(events),)
+        out = {(), offer}
         for a, cont in conts.items():
-            for run in runs:
-                for t in cont:
-                    out.add(run + (a,) + t)
+            for t in cont:
+                out.add((a,) + t)
+                out.add(offer + (a,) + t)
         return self._finalize(term, out)
 
     def _ext_clause(self, term, left: frozenset, right: frozenset) -> frozenset:

@@ -114,7 +114,10 @@ def _skeleton_consequences(tr, run_bound, len_bound):
     if is_offer(last):
         for a in last:
             yield tr[:-1] + (a,)
-        if _may_duplicate_last(tr, run_bound, len_bound):
+        # duplicating the final offer must keep the trace inside both bounds;
+        # in_obs of the whole trace measures only the final run because
+        # every rule keeps the other runs inside the run bound
+        if (len_bound is None or len(tr) < len_bound) and in_obs(tr + (last,), run_bound):
             for a in last:
                 yield tr + (a,)
     for i, a in enumerate(tr):
@@ -126,21 +129,6 @@ def _skeleton_consequences(tr, run_bound, len_bound):
         cut = normalize_trace(tr[:i] + (frozenset([a]),))
         if in_obs(cut, run_bound):
             yield cut
-
-
-def _may_duplicate_last(tr, run_bound, len_bound):
-    """Duplicating the final offer must keep the trace inside both
-    bounds; the duplicate extends the final offer run by one."""
-    if len_bound is not None and len(tr) + 1 > len_bound:
-        return False
-    if run_bound is None:
-        return True
-    run = 0
-    for action in reversed(tr):
-        if is_event(action):
-            break
-        run += 1
-    return run + 1 <= run_bound
 
 
 class TraceSet:
@@ -222,24 +210,6 @@ def covers_equal(a: TraceSet, b: TraceSet) -> bool:
 # --- trimming into a bounded universe --------------------------------------
 
 
-def trim_runs(trace, run_bound: int | None):
-    """Canonical variants of a trace with every offer run clipped to the
-    run bound (each clipped run keeps every possible position selection)."""
-    if run_bound is None or in_obs(trace, run_bound):
-        return {trace}
-    runs, events = decompose(trace)
-    options = []
-    for r in runs:
-        if len(r) <= run_bound:
-            options.append([r])
-        else:
-            options.append(set(itertools.combinations(r, run_bound)))
-    out = set()
-    for combo in itertools.product(*options):
-        out.add(normalize_trace(compose(combo, events)))
-    return out
-
-
 def trim_length(traces, len_bound: int):
     """Canonical cover of the restriction of a set of normalised traces to
     traces of bounded length.  An overlong trace is replaced by every
@@ -318,35 +288,40 @@ def _resample_run(choices, run_bound: int | None, len_bound: int) -> set:
     return out
 
 
-def cap_offers(trace, params: ModelParams, len_bound: int):
-    """Canonical variants of a normalised trace with every offer capped at
-    the set bound.  A member of the restricted universe may map several
+def _fit_runs(trace, params: ModelParams, len_bound: int):
+    """Canonical variants of a normalised trace with every offer run fitted
+    to the model.  A member of the restricted universe may map several
     capped offers onto one oversized offer (duplication plus subset
     closure), so a run holding an oversized offer is replaced by every run
-    of capped subsets resampled from it; the empty run keeps the
-    surrounding trace even when no offer is expressible."""
-    k = params.set_bound
-    if k is None or all(not is_offer(a) or len(a) <= k for a in trace):
+    of capped subsets resampled from it, which also keeps it inside the run
+    bound.  A run longer than the run bound is replaced by every selection
+    of that many of its offers, with repeats that become adjacent merged.
+    The empty run keeps the surrounding trace even when no offer is
+    expressible."""
+    n, k = params.run_bound, params.set_bound
+    if (k is None or all(not is_offer(a) or len(a) <= k for a in trace)) and in_obs(trace, n):
         return {trace}
     runs, events = decompose(trace)
-    options = [
-        [r] if all(len(o) <= k for o in r)
-        else _resample_run([max_offers(o, k) for o in r], params.run_bound, len_bound)
-        for r in runs
-    ]
+    options = []
+    for r in runs:
+        if k is not None and any(len(o) > k for o in r):
+            options.append(_resample_run([max_offers(o, k) for o in r], n, len_bound))
+        elif n is not None and len(r) > n:
+            options.append({normalize_trace(c) for c in itertools.combinations(r, n)})
+        else:
+            options.append((r,))
     return {compose(combo, events) for combo in itertools.product(*options)}
 
 
 def finalize(traces, params: ModelParams, len_bound: int):
-    """Normalise, cap offers, clip runs, and bound length; the result is a
+    """The one place a trace set is fitted to the model: normalise, fit
+    every offer run to the set and run bounds, and bound length.  Clauses
+    may hand it runs of any length and offers of any size; the result is a
     saturated canonical core provided the input was one."""
-    step1 = set()
+    fitted = set()
     for tr in traces:
-        step1.update(cap_offers(normalize_trace(tr), params, len_bound))
-    step2 = set()
-    for tr in step1:
-        step2.update(trim_runs(tr, params.run_bound))
-    return frozenset(trim_length(step2, len_bound))
+        fitted.update(_fit_runs(normalize_trace(tr), params, len_bound))
+    return frozenset(trim_length(fitted, len_bound))
 
 
 def restrict_params(ts: TraceSet, params: ModelParams, len_bound: int | None = None) -> TraceSet:

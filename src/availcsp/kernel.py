@@ -270,18 +270,19 @@ def parse_trace(text: str, alphabet: Alphabet) -> AvailTrace:
 
     i = 0
 
+    def peek():
+        return tokens[i] if i < len(tokens) else "end of input"
+
     def expect(tok):
         nonlocal i
-        if i >= len(tokens) or tokens[i] != tok:
-            got = tokens[i] if i < len(tokens) else "end of input"
-            raise ParseError(f"expected {tok!r} in trace literal, got {got!r}")
+        if peek() != tok:
+            raise ParseError(f"expected {tok!r} in trace literal, got {peek()!r}")
         i += 1
 
     def event():
         nonlocal i
-        if i >= len(tokens) or not EVENT_RE.fullmatch(tokens[i]):
-            got = tokens[i] if i < len(tokens) else "end of input"
-            raise ParseError(f"expected event name in trace literal, got {got!r}")
+        if not EVENT_RE.fullmatch(peek()):
+            raise ParseError(f"expected event name in trace literal, got {peek()!r}")
         name = tokens[i]
         if name not in alphabet:
             raise ParseError(f"unknown event {name!r} in trace literal")
@@ -290,12 +291,12 @@ def parse_trace(text: str, alphabet: Alphabet) -> AvailTrace:
 
     def action():
         nonlocal i
-        if tokens[i] == "offer" and i + 1 < len(tokens) and tokens[i + 1] == "{":
+        if peek() == "offer" and i + 1 < len(tokens) and tokens[i + 1] == "{":
             i += 2
             members = []
-            if tokens[i] != "}":
+            if peek() != "}":
                 members.append(event())
-                while tokens[i] == ",":
+                while peek() == ",":
                     i += 1
                     members.append(event())
             expect("}")
@@ -306,7 +307,7 @@ def parse_trace(text: str, alphabet: Alphabet) -> AvailTrace:
     actions = []
     if i < len(tokens) and tokens[i] != ">":
         actions.append(action())
-        while i < len(tokens) and tokens[i] == ",":
+        while peek() == ",":
             i += 1
             actions.append(action())
     expect(">")

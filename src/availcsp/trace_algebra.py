@@ -1,9 +1,9 @@
 """Trace-level operators used by the denotational semantics.
 
-All functions work on canonical traces (see healthiness).  Outputs may
-temporarily leave the canonical universe (oversized offers from merging,
-joined runs from concatenation, shortened traces from hiding); callers
-re-establish the universe with ``finalize``.
+All functions work on canonical traces (see healthiness) and apply no
+model bound.  Outputs may leave the canonical universe (oversized offers
+from merging, joined runs from concatenation, shortened traces from
+hiding); ``finalize`` alone fits them to the model.
 """
 from __future__ import annotations
 

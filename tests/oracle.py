@@ -13,7 +13,8 @@ from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, SpecEnv
 from availcsp.denotational import MAX_ROUNDS
 from availcsp.errors import BudgetError
 from availcsp.healthiness import (
-    ConditionReport, HealthReport, TraceSet, _conditions, _prefixes, finalize,
+    ConditionReport, HealthReport, TraceSet, _conditions, _prefixes, _resample_run,
+    finalize, max_offers, trim_length,
 )
 from availcsp.kernel import (
     TAU, compose, decompose, in_obs, is_offer, normalize_trace, show_trace,
@@ -218,6 +219,55 @@ def finalize_whole_oracle(engine, term, traces) -> frozenset:
     """``DenotationalEngine._finalize`` with no per-node record: every call
     finalizes its whole input."""
     return finalize(traces, engine.params, engine.eval_len)
+
+
+def finalize_oracle(traces, params: ModelParams, len_bound: int) -> frozenset:
+    """``finalize`` as three passes over the whole set, each decomposing
+    the traces it changes: cap every offer at the set bound (a run holding
+    an oversized offer is resampled from its capped subsets), then clip
+    every run longer than the run bound to each selection of that many
+    positions, then bound the length."""
+    n, k = params.run_bound, params.set_bound
+    capped = set()
+    for tr in map(normalize_trace, traces):
+        if k is None or all(not is_offer(a) or len(a) <= k for a in tr):
+            capped.add(tr)
+            continue
+        runs, events = decompose(tr)
+        options = [
+            [r] if all(len(o) <= k for o in r)
+            else _resample_run([max_offers(o, k) for o in r], n, len_bound)
+            for r in runs
+        ]
+        capped.update(compose(combo, events) for combo in itertools.product(*options))
+    clipped = set()
+    for tr in capped:
+        if n is None or in_obs(tr, n):
+            clipped.add(tr)
+            continue
+        runs, events = decompose(tr)
+        options = [[r] if len(r) <= n else set(itertools.combinations(r, n)) for r in runs]
+        clipped.update(normalize_trace(compose(combo, events))
+                       for combo in itertools.product(*options))
+    return frozenset(trim_length(clipped, len_bound))
+
+
+def prefix_clause_oracle(engine, term, events, conts: dict) -> frozenset:
+    """``DenotationalEngine._prefix_clause`` with the model's bounds applied
+    in the clause: the runs observable at the stable state are built
+    directly, as sequences of at most min(run bound, length bound) maximal
+    capped offers without adjacent repeats, before ``finalize`` is called."""
+    choices = max_offers(events, engine.params.set_bound)
+    n = engine.params.run_bound
+    runs = {()}
+    frontier = [()]
+    for _ in range(engine.eval_len if n is None else min(n, engine.eval_len)):
+        frontier = [r + (o,) for r in frontier for o in choices if not r or r[-1] != o]
+        runs.update(frontier)
+    out = set(runs)
+    for a, cont in conts.items():
+        out.update(run + (a,) + t for run in runs for t in cont)
+    return engine._finalize(term, out)
 
 
 def trim_length_oracle(traces, len_bound: int) -> set:

@@ -15,7 +15,7 @@ from availcsp.denotational import DenotationalEngine, denote_traces, mentions_hi
 from availcsp.healthiness import close_healthy, covers_equal, restrict_params
 from availcsp.operational import avail_traces
 from availcsp.process import Call
-from oracle import finalize_whole_oracle, solve_rounds_oracle
+from oracle import finalize_whole_oracle, prefix_clause_oracle, solve_rounds_oracle
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -214,6 +214,19 @@ def test_delta_finalize_matches_whole_set_finalize(corpus, params, monkeypatch):
     got = [denote_traces(term, env, params, Bounds(trace_len=L)).canon
            for _, term, env, L in cases]
     monkeypatch.setattr(DenotationalEngine, "_finalize", finalize_whole_oracle)
+    for (name, term, env, L), core in zip(cases, got):
+        assert core == denote_traces(term, env, params, Bounds(trace_len=L)).canon, (name, L)
+
+
+@pytest.mark.parametrize("params", PARAM_POINTS + (ModelParams(0, 1),), ids=lambda p: p.show())
+def test_bound_free_prefix_clause_matches_bounded_clause(corpus, params, monkeypatch):
+    # the prefix clause leaves every bound to finalize
+    cases = [(name, term, env, 3) for _, name, term, env in corpus]
+    cases += [(name, term, env, 4) for name, term, env, _ in cases
+              if name in ("PUMPCHOICE", "WEAVE", "MIXPAR")]
+    got = [denote_traces(term, env, params, Bounds(trace_len=L)).canon
+           for _, term, env, L in cases]
+    monkeypatch.setattr(DenotationalEngine, "_prefix_clause", prefix_clause_oracle)
     for (name, term, env, L), core in zip(cases, got):
         assert core == denote_traces(term, env, params, Bounds(trace_len=L)).canon, (name, L)
 

@@ -8,20 +8,20 @@ from __future__ import annotations
 
 import pytest
 from conftest import PARAM_POINTS
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, parse_process
 from availcsp.denotational import denote_traces
 from availcsp.healthiness import (
-    _CONDITIONS, TraceSet, _resample_run, cap_offers, check_healthy, close_healthy,
+    _CONDITIONS, TraceSet, _resample_run, check_healthy, close_healthy,
     cond4_reduce, condition_names, covered, covers_equal, finalize,
     max_offers, restrict_params, saturate, trim_length,
 )
-from availcsp.kernel import decompose, in_obs, normalize_trace
+from availcsp.kernel import decompose, in_obs, is_offer, normalize_trace
 from availcsp.operational import avail_traces
 from oracle import (
     check_healthy_oracle, closure_oracle, enumerate_universe, expand_cover,
-    resample_oracle, trim_length_oracle,
+    finalize_oracle, resample_oracle, trim_length_oracle,
 )
 
 AB = Alphabet(["a", "b"])
@@ -122,7 +122,7 @@ def test_max_offers():
 def test_cap_offers_expands_runs_not_positions():
     # A stored three-event offer at k=2 must cover a run of two different
     # two-event subsets, so capping expands into runs, not just subsets.
-    caps = cap_offers((FABC,), SETS2, 4)
+    caps = finalize({(FABC,)}, SETS2, 4)
     assert (FAB, FBC) in caps
     assert () in caps
     t = TraceSet(finalize(saturate({(FABC,)}), SETS2, 4), SETS2, 4)
@@ -179,6 +179,27 @@ def test_finalize_is_a_union_of_per_trace_images(a, b, n, k, len_bound):
     # the denotational engine finalizes only what a fixpoint round added
     p = ModelParams(run_bound=n, set_bound=k)
     assert finalize(a | b, p, len_bound) == finalize(a, p, len_bound) | finalize(b, p, len_bound)
+
+
+# raw traces whose offers overflow k and whose runs overflow n; dropping
+# every c joins the runs on either side of it, as hiding does.  A run with
+# a three-event offer resamples into about a hundred runs at n=F, L=5 and
+# the variants multiply across runs, so a trace holds at most two offers of
+# more than one event.
+raw_traces = st.lists(st.sampled_from(["a", "b", "c", FA, FB, FAB, FBC, FABC, frozenset()]),
+                      max_size=6).map(tuple).filter(
+    lambda tr: sum(is_offer(a) and len(a) > 1 for a in tr) <= 2)
+joined_traces = raw_traces.map(lambda tr: tuple(x for x in tr if x != "c"))
+any_bound = st.sampled_from([0, 1, 2, None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.frozensets(st.one_of(raw_traces, joined_traces), max_size=3),
+       any_bound, any_bound, st.integers(0, 5))
+@example(frozenset({(FA, FB, FA)}), 2, 1, 2)     # clipping makes two offers adjacent
+def test_finalize_matches_three_pass_oracle(traces, n, k, len_bound):
+    p = ModelParams(run_bound=n, set_bound=k)
+    assert finalize(traces, p, len_bound) == finalize_oracle(traces, p, len_bound)
 
 
 SEED_CASES = [

@@ -127,6 +127,9 @@ def test_trace_literal_errors():
         parse_trace("<a", AB)
     with pytest.raises(ParseError):
         parse_trace("<a> x", AB)
+    for truncated in ("<a,", "<offer{", "<offer{a"):
+        with pytest.raises(ParseError, match="end of input"):
+            parse_trace(truncated, AB)
 
 
 @given(traces)
