@@ -29,9 +29,9 @@ from .errors import BudgetError, SpecError
 from .healthiness import EvalMeta, TraceSet, covers_equal, finalize
 from .kernel import Bounds, ModelParams
 from .process import (
-    Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, IntChoiceMany,
-    Interleave, Mu, Parallel, Prefix, Rename, Stop, SpecEnv, Timeout, Var,
-    _children, subst_events,
+    Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, Interleave, Mu,
+    Parallel, Prefix, Rename, Stop, SpecEnv, Timeout, Var, _children,
+    subst_events,
 )
 from .trace_algebra import (
     concat_traces, hide_set, merge_sets, merge_traces, offers_only,
@@ -56,7 +56,7 @@ def mentions_hiding(term, env: SpecEnv) -> bool:
             seen.add(t.name)
             if walk(env.lookup(t.name).body):
                 return True
-        return any(walk(c) for _, c in _children(t))
+        return any(walk(c) for c in _children(t))
 
     return walk(term)
 
@@ -70,22 +70,24 @@ class DenotationalEngine:
         self.calls: list = []
         self.finalized: dict = {}
 
-    def _finalize(self, term, traces) -> frozenset:
-        """``finalize`` at this engine's bounds, for the clause of ``term``.
-        ``finalize`` is a union of per-trace images, so for S ⊆ T,
-        finalize(T) = finalize(S) ∪ finalize(T − S).  Each term node keeps
-        one record, keyed by identity (hashing a term is recursive): the
-        node itself, so that no other node takes its id while the record
-        lives, its last input, and that input's finalized output.  When a
-        later call at the node gets a superset of that input, as fixpoint
-        rounds do, only the traces it added are finalized; otherwise the
-        whole input is, and the record is replaced."""
-        rec = self.finalized.get(id(term))
+    def _finalize(self, term, traces, step: int = 0) -> frozenset:
+        """``finalize`` at this engine's bounds, for the clause of ``term``
+        (for a choice chain, of its ``step``-th fold).  ``finalize`` is a
+        union of per-trace images, so for S ⊆ T,
+        finalize(T) = finalize(S) ∪ finalize(T − S).  Each clause keeps one
+        record, keyed by the node's identity and the step: the node itself,
+        so that no other node takes its id while the record lives, its last
+        input, and that input's finalized output.  When a later call at the
+        clause gets a superset of that input, as fixpoint rounds do, only
+        the traces it added are finalized; otherwise the whole input is,
+        and the record is replaced."""
+        key = (id(term), step)
+        rec = self.finalized.get(key)
         if rec is not None and rec[0] is term and rec[1] <= traces:
             out = rec[2] | finalize(traces - rec[1], self.params, self.eval_len)
         else:
             out = finalize(traces, self.params, self.eval_len)
-        self.finalized[id(term)] = (term, traces, out)
+        self.finalized[key] = (term, traces, out)
         return out
 
     def _canon_equal(self, c1: frozenset, c2: frozenset) -> bool:
@@ -142,27 +144,19 @@ class DenotationalEngine:
                 for a in events
             }
             return self._prefix_clause(term, events, conts)
-        if isinstance(term, ExtChoice):
-            return self._ext_clause(
-                term, self.denote(term.left, vmap), self.denote(term.right, vmap)
-            )
         if isinstance(term, IntChoice):
-            return self._finalize(
-                term, self.denote(term.left, vmap) | self.denote(term.right, vmap)
-            )
-        if isinstance(term, IntChoiceMany):
             out = set()
             for b in term.branches:
                 out |= self.denote(b, vmap)
             return self._finalize(term, out)
-        if isinstance(term, Timeout):
-            left = self.denote(term.left, vmap)
-            right = self.denote(term.right, vmap)
-            out = set(left)
-            for p in offers_only(left):
-                for q in right:
-                    out.add(concat_traces(p, q))
-            return self._finalize(term, out)
+        if isinstance(term, (ExtChoice, Timeout)):
+            # a chain folds the binary clause left to right, as its nesting
+            # down the left would; each step keeps its own finalize record
+            clause = self._ext_clause if isinstance(term, ExtChoice) else self._timeout_clause
+            acc = self.denote(term.branches[0], vmap)
+            for step, b in enumerate(term.branches[1:]):
+                acc = self._finalize(term, clause(acc, self.denote(b, vmap)), step)
+            return acc
         if isinstance(term, Parallel):
             left = restrict_set(self.denote(term.left, vmap), term.left_events)
             right = restrict_set(self.denote(term.right, vmap), term.right_events)
@@ -222,7 +216,16 @@ class DenotationalEngine:
                 out.add(offer + (a,) + t)
         return self._finalize(term, out)
 
-    def _ext_clause(self, term, left: frozenset, right: frozenset) -> frozenset:
+    def _timeout_clause(self, left: frozenset, right: frozenset) -> set:
+        """Composite of a timeout: the left side's traces, and each of its
+        offer-only traces followed by a trace of the right side."""
+        out = set(left)
+        for p in offers_only(left):
+            for q in right:
+                out.add(concat_traces(p, q))
+        return out
+
+    def _ext_clause(self, left: frozenset, right: frozenset) -> set:
         """Composite of an external choice: both sides' offers accumulate
         until the first performed event resolves it."""
         lofs = offers_only(left)
@@ -240,13 +243,12 @@ class DenotationalEngine:
                 for q in other:
                     for pm in merge_traces(pre, q, frozenset()):
                         out.add(pm + (a,) + suf)
-        return self._finalize(term, out)
+        return out
 
 
-def denote_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds,
-                  len_bound: int | None = None) -> TraceSet:
+def denote_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> TraceSet:
     """Denotational trace set of a term, trimmed to the requested length."""
-    length = bounds.trace_len if len_bound is None else len_bound
+    length = bounds.trace_len
     eval_len = max(length, bounds.internal_len) if mentions_hiding(term, env) else length
     engine = DenotationalEngine(env, params, eval_len)
     canon = engine.solve(term)

@@ -14,9 +14,9 @@ from .errors import SpecError, StateLimitError
 from .healthiness import EvalMeta, TraceSet, max_offers
 from .kernel import TAU, Bounds, ModelParams
 from .process import (
-    Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, IntChoiceMany,
-    Interleave, Mu, Parallel, Prefix, Rename, Stop, SpecEnv, Timeout, Var,
-    subst_events, unfold,
+    Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, Interleave, Mu,
+    Parallel, Prefix, Rename, Stop, SpecEnv, Timeout, Var, subst_events,
+    unfold,
 )
 
 
@@ -49,29 +49,29 @@ class StepEngine:
             for a in sorted(term.events):
                 yield (a, subst_events(term.body, {term.binder: a}))
         elif isinstance(term, ExtChoice):
-            for lab, succ in self.steps(term.left):
-                if lab is TAU:
-                    yield (TAU, ExtChoice(succ, term.right))
-                else:
-                    yield (lab, succ)
-            for lab, succ in self.steps(term.right):
-                if lab is TAU:
-                    yield (TAU, ExtChoice(term.left, succ))
-                else:
-                    yield (lab, succ)
+            # an internal step of one branch leaves the choice unresolved
+            branches = term.branches
+            for i, branch in enumerate(branches):
+                for lab, succ in self.steps(branch):
+                    if lab is TAU:
+                        yield (TAU, ExtChoice(branches[:i] + (succ,) + branches[i + 1:]))
+                    else:
+                        yield (lab, succ)
         elif isinstance(term, IntChoice):
-            yield (TAU, term.left)
-            yield (TAU, term.right)
-        elif isinstance(term, IntChoiceMany):
             for b in term.branches:
                 yield (TAU, b)
         elif isinstance(term, Timeout):
-            for lab, succ in self.steps(term.left):
+            # the first branch runs until it performs an event or the chain
+            # times out to a later branch, itself a timeout to those after it
+            first, rest = term.branches[0], term.branches[1:]
+            for lab, succ in self.steps(first):
                 if lab is TAU:
-                    yield (TAU, Timeout(succ, term.right))
+                    yield (TAU, Timeout((succ,) + rest))
                 else:
                     yield (lab, succ)
-            yield (TAU, term.right)
+            for i in range(1, len(term.branches)):
+                suffix = term.branches[i:]
+                yield (TAU, Timeout(suffix) if len(suffix) > 1 else suffix[0])
         elif isinstance(term, Parallel):
             la, ra = term.left_events, term.right_events
             sync = la & ra
@@ -148,12 +148,11 @@ class StepEngine:
 
 
 def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds,
-                 len_bound: int | None = None, engine: StepEngine | None = None) -> TraceSet:
+                 engine: StepEngine | None = None) -> TraceSet:
     """Canonical availability-trace set extracted from the transition
     system, bounded in length, run length, and offer size."""
     if engine is None:
         engine = StepEngine(env, bounds.tau_budget)
-    length = bounds.trace_len if len_bound is None else len_bound
     meta = EvalMeta(engine="operational")
     memo: dict = {}
 
@@ -186,16 +185,14 @@ def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds,
         memo[key] = result
         return result
 
-    canon = suffixes(term, length, params.run_bound, None)
-    return TraceSet(canon, params, length, meta)
+    canon = suffixes(term, bounds.trace_len, params.run_bound, None)
+    return TraceSet(canon, params, bounds.trace_len, meta)
 
 
-def std_traces(term, env: SpecEnv, max_len: int, tau_budget: int = 100,
-               engine: StepEngine | None = None) -> frozenset:
+def std_traces(term, env: SpecEnv, max_len: int, tau_budget: int = 100) -> frozenset:
     """Ordinary event traces up to a length bound: the availability traces
     of the model that records no offers."""
-    return avail_traces(term, env, ModelParams(run_bound=0), Bounds(max_len, tau_budget),
-                        engine=engine).canon
+    return avail_traces(term, env, ModelParams(run_bound=0), Bounds(max_len, tau_budget)).canon
 
 
 def stable_failures(term, env: SpecEnv, max_len: int, tau_budget: int = 100) -> dict:

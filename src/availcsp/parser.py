@@ -10,7 +10,7 @@ be read back), ``#`` comments, and one definition per line::
 Expression grammar, loosest to tightest:
 
     par    := choice (("|||" | "[{A} || {B}]") choice)*      left-assoc
-    choice := pre (OP pre)*   OP one of "[]", "|~|", "[>"    left-assoc,
+    choice := pre (OP pre)*   OP one of "[]", "|~|", "[>"    one n-ary node,
               mixing different choice operators requires parentheses
     pre    := EVENT "->" pre | "? x : {..} ->" pre
             | "mu X @" par | "|~| x : {..} @" par            body extends right
@@ -29,8 +29,8 @@ from .errors import ParseError, SpecError
 from .kernel import Alphabet
 from .process import (
     Call, Definition, Div, ExtChoice, Hide, InputPrefix, IntChoice,
-    IntChoiceMany, Interleave, Mu, Parallel, Prefix, Rename, SpecEnv, Stop,
-    Timeout, Var, _scoped_events, check_env, check_process, subst_events,
+    Interleave, Mu, Parallel, Prefix, Rename, SpecEnv, Stop, Timeout, Var,
+    _scoped_events, check_env, check_process, subst_events,
 )
 
 _RESERVED = {"STOP", "DIV", "mu", "alphabet", "channel"}
@@ -144,21 +144,24 @@ class _ExprParser:
     _CHOICE = {"[]": ExtChoice, "|~|": IntChoice, "[>": Timeout}
 
     def choice(self):
-        left = self.pre()
+        """One node per chain of one choice operator."""
+        branches = [self.pre()]
         op_seen = None
         while True:
             kind, val, col = self.t.peek()
-            if val in self._CHOICE:
-                if op_seen is not None and val != op_seen:
-                    raise ParseError(
-                        f"mixing {op_seen!r} and {val!r} needs parentheses",
-                        self.t.line, col,
-                    )
-                op_seen = val
-                self.t.next()
-                left = self._CHOICE[val](left, self.pre())
-            else:
-                return left
+            if val not in self._CHOICE:
+                break
+            if op_seen is not None and val != op_seen:
+                raise ParseError(
+                    f"mixing {op_seen!r} and {val!r} needs parentheses",
+                    self.t.line, col,
+                )
+            op_seen = val
+            self.t.next()
+            branches.append(self.pre())
+        if op_seen is None:
+            return branches[0]
+        return self._CHOICE[op_seen](tuple(branches))
 
     def pre(self):
         kind, val, col = self.t.peek()
@@ -186,8 +189,7 @@ class _ExprParser:
             body = self.par()
             if not members:
                 raise ParseError("indexed internal choice over an empty set", self.t.line, col)
-            branches = tuple(subst_events(body, {binder: e}) for e in members)
-            return IntChoiceMany(branches)
+            return IntChoice(tuple(subst_events(body, {binder: e}) for e in members))
         if kind == "ident" and val not in _RESERVED and self.t.peek(1)[1] == "->":
             self.t.next()
             self.t.next()

@@ -13,7 +13,7 @@ ever executed, so the semantic engines only see concrete event names.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import SpecError
 from .kernel import Alphabet
@@ -47,32 +47,31 @@ class InputPrefix:
 
 
 @dataclass(frozen=True)
-class ExtChoice:
-    left: "Process"
-    right: "Process"
-
-
-@dataclass(frozen=True)
-class IntChoice:
-    left: "Process"
-    right: "Process"
-
-
-@dataclass(frozen=True)
-class IntChoiceMany:
-    """Indexed internal choice, already instantiated to a branch list."""
+class _Choice:
+    """A chain of one choice operator, its operands left to right.  A
+    parenthesised operand of the same operator stays its own node."""
 
     branches: tuple
 
     def __post_init__(self):
         if not self.branches:
-            raise ValueError("indexed internal choice needs at least one branch")
+            raise ValueError(f"{type(self).__name__} needs at least one branch")
 
 
 @dataclass(frozen=True)
-class Timeout:
-    left: "Process"
-    right: "Process"
+class ExtChoice(_Choice):
+    pass
+
+
+@dataclass(frozen=True)
+class IntChoice(_Choice):
+    """Internal choice: a ``|~|`` chain, or an indexed choice instantiated
+    to one branch per event."""
+
+
+@dataclass(frozen=True)
+class Timeout(_Choice):
+    """``P [> Q [> R``: each branch may be left for the chain after it."""
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,8 @@ class Call:
 
 
 Process = (
-    Stop | Div | Prefix | InputPrefix | ExtChoice | IntChoice | IntChoiceMany
-    | Timeout | Parallel | Interleave | Hide | Rename | Mu | Var | Call
+    Stop | Div | Prefix | InputPrefix | ExtChoice | IntChoice | Timeout
+    | Parallel | Interleave | Hide | Rename | Mu | Var | Call
 )
 
 
@@ -159,22 +158,26 @@ class SpecEnv:
         return subst_events(d.body, dict(zip(d.params, args)))
 
 
-def _rebuild(p, **changes):
-    kwargs = {f: getattr(p, f) for f in p.__dataclass_fields__}
-    kwargs.update(changes)
-    return type(p)(**kwargs)
-
-
-def _children(p):
-    if isinstance(p, (Prefix, InputPrefix, Mu)):
-        return (("body", p.body),)
-    if isinstance(p, (ExtChoice, IntChoice, Timeout, Parallel, Interleave)):
-        return (("left", p.left), ("right", p.right))
-    if isinstance(p, IntChoiceMany):
-        return tuple((i, b) for i, b in enumerate(p.branches))
-    if isinstance(p, (Hide, Rename)):
-        return (("body", p.body),)
+def _children(p) -> tuple:
+    """The direct subterms of a term, left to right."""
+    if isinstance(p, _Choice):
+        return p.branches
+    if isinstance(p, (Parallel, Interleave)):
+        return (p.left, p.right)
+    if isinstance(p, (Prefix, InputPrefix, Mu, Hide, Rename)):
+        return (p.body,)
     return ()
+
+
+def _map_children(p, f) -> "Process":
+    """The term with ``f`` applied to each direct subterm, left to right."""
+    if isinstance(p, _Choice):
+        return type(p)(tuple(map(f, p.branches)))
+    if isinstance(p, (Parallel, Interleave)):
+        return replace(p, left=f(p.left), right=f(p.right))
+    if isinstance(p, (Prefix, InputPrefix, Mu, Hide, Rename)):
+        return replace(p, body=f(p.body))
+    return p
 
 
 def free_process_vars(p) -> frozenset:
@@ -183,7 +186,7 @@ def free_process_vars(p) -> frozenset:
     if isinstance(p, Mu):
         return free_process_vars(p.body) - {p.var}
     out = frozenset()
-    for _, c in _children(p):
+    for c in _children(p):
         out |= free_process_vars(c)
     return out
 
@@ -211,12 +214,7 @@ def substitute(p, var: str, repl) -> "Process":
             body = substitute(p.body, p.var, Var(fresh))
             return Mu(fresh, substitute(body, var, repl))
         return Mu(p.var, substitute(p.body, var, repl))
-    if isinstance(p, IntChoiceMany):
-        return IntChoiceMany(tuple(substitute(b, var, repl) for b in p.branches))
-    changes = {name: substitute(c, var, repl) for name, c in _children(p) if not isinstance(name, int)}
-    if changes:
-        return _rebuild(p, **changes)
-    return p
+    return _map_children(p, lambda c: substitute(c, var, repl))
 
 
 def unfold(p: Mu) -> "Process":
@@ -251,12 +249,7 @@ def subst_events(p, mapping: dict) -> "Process":
         return Rename(subst_events(p.body, mapping), pairs)
     if isinstance(p, Call):
         return Call(p.name, tuple(_subst_ev(a, mapping) for a in p.args))
-    if isinstance(p, IntChoiceMany):
-        return IntChoiceMany(tuple(subst_events(b, mapping) for b in p.branches))
-    changes = {n: subst_events(c, mapping) for n, c in _children(p) if not isinstance(n, int)}
-    if changes:
-        return _rebuild(p, **changes)
-    return p
+    return _map_children(p, lambda c: subst_events(c, mapping))
 
 
 # --- pretty printing ------------------------------------------------------
@@ -304,21 +297,14 @@ def _pretty(p):
         # the body extends to the end of the enclosing bracket, so a Mu used
         # as an operand is always parenthesised by its context
         return f"mu {p.var} @ {pretty(p.body, 4)}", 2
-    if isinstance(p, (ExtChoice, IntChoice, Timeout)):
-        # a chain of one operator nests down its left spine, which can be
-        # deeper than the recursion limit, so the spine is walked in a loop
-        kind = type(p)
-        rights = []
-        while type(p) is kind:
-            rights.append(pretty(p.right, 2))
-            p = p.left
-        parts = [_pretty_choice_operand(p, kind)] + rights[::-1]
-        return f" {_CHOICE_OPS[kind]} ".join(parts), 3
-    if isinstance(p, IntChoiceMany):
-        parts = [_pretty_choice_operand(b, IntChoice) if isinstance(b, (ExtChoice, IntChoice, Timeout, IntChoiceMany)) else pretty(b, 2) for b in p.branches]
-        if len(parts) == 1:
-            return parts[0], 2
-        return " |~| ".join(parts), 3
+    if isinstance(p, _Choice):
+        # a one-event indexed choice prints as its one branch; a branch that
+        # is itself a choice node was parenthesised in the source, so every
+        # choice-level branch is printed in parentheses
+        if len(p.branches) == 1:
+            return _pretty(p.branches[0])
+        parts = [pretty(b, 2) for b in p.branches]
+        return f" {_CHOICE_OPS[type(p)]} ".join(parts), 3
     if isinstance(p, Interleave):
         return f"{pretty(p.left)} ||| {pretty(p.right, 3)}", 4
     if isinstance(p, Parallel):
@@ -326,16 +312,6 @@ def _pretty(p):
         sync = f"[{_ev_set(p.left_events)} || {_ev_set(p.right_events)}]"
         return f"{left} {sync} {pretty(p.right, 3)}", 4
     raise TypeError(f"not a process: {p!r}")
-
-
-def _pretty_choice_operand(p, op_type):
-    # same operator chains associate left without parentheses; different
-    # choice operators must be parenthesised
-    if isinstance(p, (ExtChoice, IntChoice, Timeout)) and not isinstance(p, op_type):
-        return "(" + _pretty(p)[0] + ")"
-    if isinstance(p, IntChoiceMany) and op_type is not IntChoice:
-        return "(" + _pretty(p)[0] + ")"
-    return pretty(p, 3)
 
 
 def pretty_env(env: SpecEnv) -> str:
@@ -350,7 +326,8 @@ def pretty_env(env: SpecEnv) -> str:
 
 
 _UNARY = frozenset({Prefix, InputPrefix, Mu, Hide, Rename})
-_BINARY = frozenset({ExtChoice, IntChoice, Timeout, Parallel, Interleave})
+_BINARY = frozenset({Parallel, Interleave})
+_CHOICES = frozenset({ExtChoice, IntChoice, Timeout})
 _TERMS = frozenset(Process.__args__)
 
 
@@ -379,7 +356,9 @@ def _scoped_events(p, bound_events=frozenset(), bound_vars=frozenset()):
         if named and bev:
             named = [e for e in named if e not in bev]
         yield t, named, bvars
-        if kind in _BINARY:
+        if kind in _CHOICES:
+            stack.extend([(b, bev, bvars) for b in reversed(t.branches)])
+        elif kind in _BINARY:
             push((t.right, bev, bvars))
             push((t.left, bev, bvars))
         elif kind in _UNARY:
@@ -388,8 +367,6 @@ def _scoped_events(p, bound_events=frozenset(), bound_vars=frozenset()):
             elif kind is Mu:
                 bvars = bvars | {t.var}
             push((t.body, bev, bvars))
-        elif kind is IntChoiceMany:
-            stack.extend([(b, bev, bvars) for b in reversed(t.branches)])
 
 
 def check_process(p, env: SpecEnv, bound_events=frozenset(), bound_vars=frozenset()):

@@ -18,8 +18,7 @@ from .healthiness import _subsets
 from .kernel import TAU, Alphabet, ModelParams, normalize_trace
 from .operational import StepEngine, build_lts
 from .process import (
-    Call, Definition, ExtChoice, IntChoiceMany, Prefix, SpecEnv, Timeout,
-    pretty,
+    Call, Definition, ExtChoice, IntChoice, Prefix, SpecEnv, Timeout, pretty,
 )
 
 OFFER_PREFIX = "Offer."
@@ -100,17 +99,11 @@ def to_simulation(term, env: SpecEnv, params: ModelParams,
             branches.append(Prefix(name, Call(_state_name(i), ())))
         for lab, j in sorted(visible.get(i, ()), key=lambda e: (e[0], e[1])):
             branches.append(Prefix(lab, Call(_state_name(j), ())))
-        body = branches[0]
-        for b in branches[1:]:
-            body = ExtChoice(body, b)
-        targets = internal.get(i, [])
+        body = branches[0] if len(branches) == 1 else ExtChoice(tuple(branches))
+        targets = [Call(_state_name(j), ()) for j in internal.get(i, [])]
         if targets:
-            cont = (
-                Call(_state_name(targets[0]), ())
-                if len(targets) == 1
-                else IntChoiceMany(tuple(Call(_state_name(j), ()) for j in targets))
-            )
-            body = Timeout(body, cont)
+            cont = targets[0] if len(targets) == 1 else IntChoice(tuple(targets))
+            body = Timeout((body, cont))
         definitions[_state_name(i)] = Definition((), body)
 
     events = list(env.alphabet.events) + sorted(offer_names)

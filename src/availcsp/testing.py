@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import ParseError, SpecError
 from .kernel import TAU, is_event, is_offer, show_trace
 from .operational import StepEngine
-from .process import Div, InputPrefix, IntChoiceMany, Prefix, SpecEnv, Stop, Timeout
+from .process import Div, InputPrefix, IntChoice, Prefix, SpecEnv, Stop, Timeout
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def may_pass(term, test, env: SpecEnv, tau_budget: int = 100,
     return MayVerdict(False, None, complete)
 
 
-def process_from_trace(trace, binder: str = "x"):
+def process_from_trace(trace):
     """The most nondeterministic-free process exhibiting exactly the
     closure of one availability trace: events are performed in order and
     each offer is held open (deviating into its events leads nowhere)
@@ -181,7 +181,7 @@ def process_from_trace(trace, binder: str = "x"):
         if is_event(a):
             p = Prefix(a, p)
         elif is_offer(a):
-            p = Timeout(InputPrefix(binder, a, Div()), p)
+            p = Timeout((InputPrefix("x", a, Div()), p))
         else:
             raise SpecError(f"not a trace action: {a!r}")
     return p
@@ -195,9 +195,7 @@ def realize(traces):
     if not members:
         raise SpecError("cannot realize an empty trace collection")
     branches = tuple(process_from_trace(tr) for tr in members)
-    if len(branches) == 1:
-        return branches[0]
-    return IntChoiceMany(branches)
+    return branches[0] if len(branches) == 1 else IntChoice(branches)
 
 
 def show_test(test) -> str:

@@ -14,7 +14,7 @@ from availcsp.denotational import MAX_ROUNDS
 from availcsp.errors import BudgetError
 from availcsp.healthiness import (
     ConditionReport, HealthReport, TraceSet, _conditions, _prefixes, _resample_run,
-    finalize, max_offers, trim_length,
+    finalize, max_offers,
 )
 from availcsp.kernel import (
     TAU, compose, decompose, in_obs, is_offer, normalize_trace, show_trace,
@@ -215,7 +215,7 @@ def solve_rounds_oracle(engine, term) -> frozenset:
     raise BudgetError("recursion failed to stabilise within the round limit")
 
 
-def finalize_whole_oracle(engine, term, traces) -> frozenset:
+def finalize_whole_oracle(engine, term, traces, step=0) -> frozenset:
     """``DenotationalEngine._finalize`` with no per-node record: every call
     finalizes its whole input."""
     return finalize(traces, engine.params, engine.eval_len)
@@ -226,7 +226,7 @@ def finalize_oracle(traces, params: ModelParams, len_bound: int) -> frozenset:
     the traces it changes: cap every offer at the set bound (a run holding
     an oversized offer is resampled from its capped subsets), then clip
     every run longer than the run bound to each selection of that many
-    positions, then bound the length."""
+    positions, then bound the length by ``trim_length_oracle``."""
     n, k = params.run_bound, params.set_bound
     capped = set()
     for tr in map(normalize_trace, traces):
@@ -249,7 +249,7 @@ def finalize_oracle(traces, params: ModelParams, len_bound: int) -> frozenset:
         options = [[r] if len(r) <= n else set(itertools.combinations(r, n)) for r in runs]
         clipped.update(normalize_trace(compose(combo, events))
                        for combo in itertools.product(*options))
-    return frozenset(trim_length(clipped, len_bound))
+    return frozenset(trim_length_oracle(clipped, len_bound))
 
 
 def prefix_clause_oracle(engine, term, events, conts: dict) -> frozenset:

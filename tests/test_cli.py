@@ -386,7 +386,7 @@ WIDE_PREFIX = "? x : {a,b,c,d,e,f,g,h,i,j} -> STOP"
 
 
 def test_simulate_prints_a_wide_input_prefix(capsys, wide_spec):
-    # 1,024 subset offers and 10 events build a choice 1,033 levels deep
+    # 1,024 subset offers and 10 events build one choice of 1,034 branches
     code, out, err = run(capsys, "simulate", wide_spec, WIDE_PREFIX, "--model", "n=F,k=F")
     assert code == 0, err
     lines = out.splitlines()
@@ -395,12 +395,15 @@ def test_simulate_prints_a_wide_input_prefix(capsys, wide_spec):
     assert lines[3] == "S1 = Offer.0 -> S1"
 
 
-def test_simulate_check_of_a_wide_input_prefix_exits_two(capsys, wide_spec):
-    # the script prints; the step engine then recurses down the deep choice
+def test_simulate_check_of_a_wide_input_prefix_round_trips(capsys, wide_spec):
+    # the wide choice is one flat node, so hashing it does not recurse deeply
     code, out, err = run(capsys, "simulate", wide_spec, WIDE_PREFIX, "--model", "n=F,k=F",
                          "--check", "--len", "1")
-    assert len(out.splitlines()) == 4
-    assert_crash_exit(code, "", err)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[2].startswith("S0 = ") and lines[3] == "S1 = Offer.0 -> S1"
+    assert lines[4] == "# round trip: exact"
 
 
 def test_traces_of_a_long_inline_prefix_chain_exits_two(capsys, wide_spec):

@@ -124,7 +124,7 @@ def test_engines_agree_on_verdicts(ab):
 def test_budget_exhaustion_downgrades_the_verdict(ab):
     term = Prefix("a", Stop())
     for _ in range(6):
-        term = Timeout(Stop(), term)
+        term = Timeout((Stop(), term))
     tight = Bounds(trace_len=2, tau_budget=2)
     got = equal_in(term, term, ab, K1, tight)
     assert got.verdict == "equal-within-bounds"
@@ -147,7 +147,7 @@ def test_model_monotonicity_on_sample_pairs(ab):
 def test_simulation_order_examples(ab):
     stop = Stop()
     doa = Prefix("a", stop)
-    ext = ExtChoice(Prefix("a", stop), Prefix("b", stop))
+    ext = ExtChoice((Prefix("a", stop), Prefix("b", stop)))
     assert sim_preorder(doa, ext, ab) == SIMILAR
     assert sim_preorder(ext, doa, ab) == NOT_SIMILAR
     assert sim_preorder(P("CYCLE"), P("CYCLE"), ab) == SIMILAR

@@ -50,19 +50,19 @@ def proc(env, name):
 def test_step_rules_for_choices_and_timeout(env):
     eng = StepEngine(env)
     stop = Stop()
-    ext = ExtChoice(Prefix("a", stop), Prefix("b", stop))
+    ext = ExtChoice((Prefix("a", stop), Prefix("b", stop)))
     assert set(eng.steps(ext)) == {("a", stop), ("b", stop)}
-    intc = IntChoice(Prefix("a", stop), Prefix("b", stop))
+    intc = IntChoice((Prefix("a", stop), Prefix("b", stop)))
     assert set(eng.steps(intc)) == {(TAU, Prefix("a", stop)), (TAU, Prefix("b", stop))}
-    sway = Timeout(Prefix("a", stop), stop)
+    sway = Timeout((Prefix("a", stop), stop))
     assert set(eng.steps(sway)) == {("a", stop), (TAU, stop)}
 
 
 def test_initials_are_visible_labels_only(env):
     eng = StepEngine(env)
     stop = Stop()
-    assert eng.initials(ExtChoice(Prefix("a", stop), Prefix("b", stop))) == ["a", "b"]
-    assert eng.initials(IntChoice(Prefix("a", stop), Prefix("b", stop))) == []
+    assert eng.initials(ExtChoice((Prefix("a", stop), Prefix("b", stop)))) == ["a", "b"]
+    assert eng.initials(IntChoice((Prefix("a", stop), Prefix("b", stop)))) == []
     assert eng.initials(stop) == []
 
 
@@ -126,7 +126,7 @@ def test_tau_cycles_saturate_without_budget_exhaustion(env):
 def test_tau_budget_exhaustion_is_reported(env):
     term = Prefix("a", Stop())
     for _ in range(6):
-        term = Timeout(Stop(), term)
+        term = Timeout((Stop(), term))
     bounds = Bounds(trace_len=2, tau_budget=3)
     got = avail_traces(term, env, ModelParams(None, 1), bounds)
     assert got.meta.tau_budget_hit is True

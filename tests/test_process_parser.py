@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from availcsp import (
-    Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, IntChoiceMany,
+    Call, Div, ExtChoice, Hide, InputPrefix, IntChoice,
     Interleave, Mu, Parallel, ParseError, Prefix, Rename, SpecError, Stop,
     Timeout, Var, parse_process, parse_spec, pretty,
 )
@@ -33,7 +33,7 @@ def test_definitions_and_alphabet(env):
 def test_operator_shapes(env):
     p = env.definitions["P"].body
     assert isinstance(p, ExtChoice)
-    assert isinstance(p.left, Prefix) and p.left.event == "a"
+    assert isinstance(p.branches[0], Prefix) and p.branches[0].event == "a"
     q = env.definitions["Q"].body
     assert isinstance(q, IntChoice)
     loop = env.definitions["LOOP"].body
@@ -44,7 +44,7 @@ def test_operator_shapes(env):
 def test_precedence_prefix_binds_tighter_than_choice(env):
     p = parse_process("a -> b -> STOP [] c -> STOP", env)
     assert isinstance(p, ExtChoice)
-    assert isinstance(p.left, Prefix) and isinstance(p.left.body, Prefix)
+    assert isinstance(p.branches[0], Prefix) and isinstance(p.branches[0].body, Prefix)
 
 
 def test_parallel_binds_looser_than_choice(env):
@@ -64,7 +64,7 @@ def test_input_prefix_and_indexed_choice(env):
     assert isinstance(p, InputPrefix)
     assert p.events == frozenset("ab")
     q = parse_process("|~| x : {a, b} @ x -> STOP", env)
-    assert isinstance(q, IntChoiceMany)
+    assert isinstance(q, IntChoice)
     assert len(q.branches) == 2
 
 

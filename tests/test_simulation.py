@@ -6,7 +6,7 @@ import pytest
 from availcsp import Bounds, ModelParams, parse_spec
 from availcsp.errors import SpecError
 from availcsp.operational import avail_traces, std_traces
-from availcsp.process import Call, IntChoiceMany, Prefix, Stop, Timeout
+from availcsp.process import Call, IntChoice, Prefix, Stop, Timeout
 from availcsp.simulation import (
     decode_offer_event, decode_trace, emit_script, offer_event_name,
     to_simulation,
@@ -78,10 +78,10 @@ def test_internal_moves_become_timeouts(ab):
     sim = to_simulation(Call("INT", ()), ab, ModelParams(None, 1))
     bodies = [d.body for d in sim.env.definitions.values()]
     assert any(isinstance(b, Timeout) for b in bodies)
-    # the |~| state has two internal successors, so its continuation is a
-    # many-way pick between the state calls
+    # the |~| state has two internal successors, so its continuation is an
+    # internal choice between the state calls
     assert any(
-        isinstance(b, Timeout) and isinstance(b.right, IntChoiceMany)
+        isinstance(b, Timeout) and isinstance(b.branches[-1], IntChoice)
         for b in bodies
     )
 

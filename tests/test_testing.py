@@ -89,7 +89,7 @@ def test_may_verdict_witness_replays_the_run(env):
 def test_budget_exhaustion_is_incomplete_not_refused(env):
     term = Prefix("a", Stop())
     for _ in range(6):
-        term = Timeout(Stop(), term)
+        term = Timeout((Stop(), term))
     v = may_pass(term, probe_of(("a",)), env, tau_budget=2)
     assert not v.may
     assert not v.complete
@@ -112,7 +112,7 @@ def test_probe_process_shapes():
     assert process_from_trace(()) == Stop()
     assert process_from_trace(("a",)) == Prefix("a", Stop())
     built = process_from_trace((FAB, "a"))
-    assert built == Timeout(InputPrefix("x", FAB, Div()), Prefix("a", Stop()))
+    assert built == Timeout((InputPrefix("x", FAB, Div()), Prefix("a", Stop())))
 
 
 def test_realize_collapses_and_rejects(env):
