@@ -19,8 +19,8 @@ from .kernel import (
 )
 from .process import (
     Call, Definition, Div, ExtChoice, Hide, InputPrefix, IntChoice,
-    Interleave, Mu, Parallel, Prefix, Rename, SpecEnv, Stop, Timeout, Var,
-    pretty, pretty_env,
+    Interleave, Parallel, Prefix, Rename, SpecEnv, Stop, Timeout, pretty,
+    pretty_env,
 )
 from .parser import parse_process, parse_spec
 from .healthiness import (

@@ -21,7 +21,7 @@ from .operational import avail_traces, std_traces
 from .parser import parse_process, parse_spec
 from .process import Call, SpecEnv, pretty
 from .simulation import decode_trace, emit_script, to_simulation
-from .testing import may_pass, parse_test, realize, show_test, test_from_trace
+from .testing import may_pass, parse_test, realize, test_from_trace
 
 USAGE_ERROR = 2
 
@@ -289,7 +289,7 @@ def _cmd_test(args) -> int:
             "may": verdict.may,
             "complete": verdict.complete,
             "witness": verdict.witness,
-            "test": show_test(test),
+            "test": test.show(),
         }, sort_keys=True))
     else:
         print(verdict.describe())

@@ -5,13 +5,12 @@ arguments with no regard to the run and set bounds: a prefix offers all
 its events as one run, and merging may widen offers and join runs.  The
 clause's output then passes through ``finalize``, the one place the
 (n, k, len) bounds are applied, which makes it a canonical core.
-Recursion is solved by iteration from the least trace set {⟨⟩}.  Named
-definitions are solved over a vector of reachable instantiations with a
-worklist: an instantiation is evaluated when it is first called and again
-only when the value of one of its callees changed, so one that calls no
-other is evaluated once.  Inline recursion is solved by a nested local
-fixpoint.  Both converge because the bounded universe is finite and every
-clause is monotone.
+Recursion is solved by iteration from the least trace set {⟨⟩}, over a
+vector of reachable instantiations of named definitions (the parser makes
+each ``mu`` term one), with a worklist: an instantiation is evaluated when
+it is first called and again only when the value of one of its callees
+changed, so one that calls no other is evaluated once.  This converges
+because the bounded universe is finite and every clause is monotone.
 
 Re-establishing the universe (``finalize``) maps each trace on its own and
 unions the images, so finalize(S ∪ D) = finalize(S) ∪ finalize(D).  Every
@@ -29,8 +28,8 @@ from .errors import BudgetError, SpecError
 from .healthiness import EvalMeta, TraceSet, covers_equal, finalize
 from .kernel import Bounds, ModelParams
 from .process import (
-    Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, Interleave, Mu,
-    Parallel, Prefix, Rename, Stop, SpecEnv, Timeout, Var, _children,
+    Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, Interleave,
+    Parallel, Prefix, Rename, Stop, SpecEnv, Timeout, _children,
     subst_events,
 )
 from .trace_algebra import (
@@ -97,25 +96,26 @@ class DenotationalEngine:
     def _evaluate(self, term):
         """Denote a closed term; also return the instantiations it called."""
         self.calls = []
-        return self.denote(term, {}), self.calls
+        return self.denote(term), self.calls
 
     def solve(self, term) -> frozenset:
         """Evaluate a closed term at the least fixpoint of the instantiation
         vector of named definitions.  The term is evaluated once to find the
         instantiations it calls.  A worklist then evaluates each of those,
         and each one they call, when it is first found, and again whenever
-        a callee's value stops being canonically equal to what it was.  The
-        term is evaluated once more on the stable vector, unless it called
-        nothing.  Each instantiation is evaluated at most MAX_ROUNDS times."""
+        a callee's value stops being canonically equal to what it was,
+        latest added first, so that a recursion settles before the callers
+        it changes are evaluated again.  The term is evaluated once more on
+        the stable vector, unless it called nothing.  Each instantiation is
+        evaluated at most MAX_ROUNDS times."""
         result, calls = self._evaluate(term)
         if not calls:
             return result
         callers = {key: {} for key in calls}    # callee -> its callers, in order
-        work = dict.fromkeys(calls)             # an ordered set, taken from the front
+        work = dict.fromkeys(calls)             # an ordered set
         evaluations = {}
         while work:
-            key = next(iter(work))
-            del work[key]
+            key, _ = work.popitem()
             evaluations[key] = evaluations.get(key, 0) + 1
             if evaluations[key] > MAX_ROUNDS:
                 raise BudgetError("recursion failed to stabilise within the round limit")
@@ -130,66 +130,51 @@ class DenotationalEngine:
                 work.update(callers[key])
         return self._evaluate(term)[0]
 
-    def denote(self, term, vmap: dict) -> frozenset:
+    def denote(self, term) -> frozenset:
         if isinstance(term, Stop) or isinstance(term, Div):
             return BOTTOM
         if isinstance(term, Prefix):
             return self._prefix_clause(
-                term, [term.event], {term.event: self.denote(term.body, vmap)}
+                term, [term.event], {term.event: self.denote(term.body)}
             )
         if isinstance(term, InputPrefix):
             events = sorted(term.events)
             conts = {
-                a: self.denote(subst_events(term.body, {term.binder: a}), vmap)
+                a: self.denote(subst_events(term.body, {term.binder: a}))
                 for a in events
             }
             return self._prefix_clause(term, events, conts)
         if isinstance(term, IntChoice):
             out = set()
             for b in term.branches:
-                out |= self.denote(b, vmap)
+                out |= self.denote(b)
             return self._finalize(term, out)
         if isinstance(term, (ExtChoice, Timeout)):
             # a chain folds the binary clause left to right, as its nesting
             # down the left would; each step keeps its own finalize record
             clause = self._ext_clause if isinstance(term, ExtChoice) else self._timeout_clause
-            acc = self.denote(term.branches[0], vmap)
+            acc = self.denote(term.branches[0])
             for step, b in enumerate(term.branches[1:]):
-                acc = self._finalize(term, clause(acc, self.denote(b, vmap)), step)
+                acc = self._finalize(term, clause(acc, self.denote(b)), step)
             return acc
         if isinstance(term, Parallel):
-            left = restrict_set(self.denote(term.left, vmap), term.left_events)
-            right = restrict_set(self.denote(term.right, vmap), term.right_events)
+            left = restrict_set(self.denote(term.left), term.left_events)
+            right = restrict_set(self.denote(term.right), term.right_events)
             sync = term.left_events & term.right_events
             return self._finalize(term, merge_sets(left, right, sync))
         if isinstance(term, Interleave):
             return self._finalize(
                 term,
                 merge_sets(
-                    self.denote(term.left, vmap),
-                    self.denote(term.right, vmap),
+                    self.denote(term.left),
+                    self.denote(term.right),
                     frozenset(),
                 )
             )
         if isinstance(term, Hide):
-            return self._finalize(term, hide_set(self.denote(term.body, vmap), term.events))
+            return self._finalize(term, hide_set(self.denote(term.body), term.events))
         if isinstance(term, Rename):
-            return self._finalize(term, rename_set(self.denote(term.body, vmap), term.pairs))
-        if isinstance(term, Mu):
-            cur = BOTTOM
-            for _ in range(MAX_ROUNDS):
-                inner = dict(vmap)
-                inner[term.var] = cur
-                nxt = self.denote(term.body, inner)
-                if self._canon_equal(cur, nxt):
-                    return cur
-                cur = nxt
-            raise BudgetError("inline recursion failed to stabilise")
-        if isinstance(term, Var):
-            val = vmap.get(term.name)
-            if val is None:
-                raise SpecError(f"unbound process variable {term.name!r}")
-            return val
+            return self._finalize(term, rename_set(self.denote(term.body), term.pairs))
         if isinstance(term, Call):
             key = (term.name, term.args)
             self.calls.append(key)

@@ -421,10 +421,6 @@ def _conditions(params: ModelParams):
     return _CONDITIONS if params.set_bound != 1 else _CONDITIONS[:4]
 
 
-def condition_names(params: ModelParams):
-    return [name for name, _, _ in _conditions(params)]
-
-
 def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
     """Verify the healthiness conditions.
 

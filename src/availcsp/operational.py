@@ -14,9 +14,8 @@ from .errors import SpecError, StateLimitError
 from .healthiness import EvalMeta, TraceSet, max_offers
 from .kernel import TAU, Bounds, ModelParams
 from .process import (
-    Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, Interleave, Mu,
-    Parallel, Prefix, Rename, Stop, SpecEnv, Timeout, Var, subst_events,
-    unfold,
+    Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, Interleave,
+    Parallel, Prefix, Rename, Stop, SpecEnv, Timeout, subst_events,
 )
 
 
@@ -110,12 +109,8 @@ class StepEngine:
                     for frm, to in sorted(term.pairs):
                         if frm == lab:
                             yield (to, Rename(succ, term.pairs))
-        elif isinstance(term, Mu):
-            yield (TAU, unfold(term))
         elif isinstance(term, Call):
             yield (TAU, self.env.instantiate(term.name, term.args))
-        elif isinstance(term, Var):
-            raise SpecError(f"unbound process variable {term.name!r}")
         else:
             raise SpecError(f"unknown process construct {type(term).__name__}")
 

@@ -20,6 +20,10 @@ Expression grammar, loosest to tightest:
 ``STOP``, ``DIV``, ``mu``, ``alphabet``, and ``channel`` are reserved words.
 Renaming is relational and not implicitly completed with identity: an event
 with no image is blocked.
+
+``mu X @ P`` is read as a call of a definition of its own, kept in the
+spec's ``recursions``: its parameters are the enclosing event binders ``P``
+mentions, and ``X`` inside ``P`` reads as that same call.
 """
 from __future__ import annotations
 
@@ -29,8 +33,8 @@ from .errors import ParseError, SpecError
 from .kernel import Alphabet
 from .process import (
     Call, Definition, Div, ExtChoice, Hide, InputPrefix, IntChoice,
-    Interleave, Mu, Parallel, Prefix, Rename, SpecEnv, Stop, Timeout, Var,
-    _scoped_events, check_env, check_process, subst_events,
+    Interleave, Parallel, Prefix, Rename, SpecEnv, Stop, Timeout,
+    _scoped_events, check_env, check_process, pretty, subst_events,
 )
 
 _RESERVED = {"STOP", "DIV", "mu", "alphabet", "channel"}
@@ -90,9 +94,11 @@ class _Tokens:
 
 
 class _ExprParser:
-    def __init__(self, tokens: _Tokens, mu_vars=()):
+    def __init__(self, tokens: _Tokens, recursions=None, binders=()):
         self.t = tokens
-        self.mu_vars = list(mu_vars)
+        self.recursions = recursions    # filled in; None on a first reading
+        self.binders = list(binders)    # event binders in scope, outermost first
+        self.rec_vars = {}              # recursion variable -> the call it reads as
 
     def ident(self, what: str = "name") -> str:
         kind, val, col = self.t.peek()
@@ -171,22 +177,19 @@ class _ExprParser:
             self.t.expect(":")
             events = self.event_set()
             self.t.expect("->")
-            return InputPrefix(binder, events, self.pre())
+            return InputPrefix(binder, events, self.in_scope(binder, self.pre))
         if val == "mu":
             self.t.next()
             var = self.ident("recursion variable")
             self.t.expect("@")
-            self.mu_vars.append(var)
-            body = self.par()
-            self.mu_vars.pop()
-            return Mu(var, body)
+            return self.recursion(var)
         if val == "|~|":
             self.t.next()
             binder = self.event_name()
             self.t.expect(":")
             members = self._ordered_event_list()
             self.t.expect("@")
-            body = self.par()
+            body = self.in_scope(binder, self.par)
             if not members:
                 raise ParseError("indexed internal choice over an empty set", self.t.line, col)
             return IntChoice(tuple(subst_events(body, {binder: e}) for e in members))
@@ -195,6 +198,40 @@ class _ExprParser:
             self.t.next()
             return Prefix(val, self.pre())
         return self.post()
+
+    def in_scope(self, binder: str, parse):
+        self.binders.append(binder)
+        body = parse()
+        self.binders.pop()
+        return body
+
+    def recursion(self, var: str) -> Call:
+        """``mu X @ P`` as a call of a definition.  A first reading of P,
+        with X a bare name, gives the parameters (the binders in scope that
+        P mentions) and the name: the term's text with parameter i shown as
+        the hole ``$i``.  That text is closed, so it names one process, and
+        no definition name can equal it.  A second reading, with X a call
+        passing binders of its own (``$X.i``, which no binder in P can
+        shadow), gives the body; a ``mu`` nested in it that names X is then
+        closed too."""
+        start, rec_vars, recursions = self.t.i, self.rec_vars, self.recursions
+        self.rec_vars, self.recursions = {**rec_vars, var: Call(var)}, None
+        draft = self.par()
+        self.recursions = recursions
+        free = {e for _, named in _scoped_events(draft) for e in named}
+        params = tuple(dict.fromkeys(b for b in self.binders if b in free))
+        holes = {b: f"${i}" for i, b in enumerate(params)}
+        name = f"mu {var} @ {pretty(subst_events(draft, holes))}"
+        if recursions is not None:
+            own = tuple(f"${var}.{i}" for i in range(len(params)))
+            self.t.i, outer = start, self.binders
+            self.rec_vars[var] = Call(name, own)
+            self.binders = outer + list(own)
+            body = subst_events(self.par(), {**holes, **dict(zip(own, holes.values()))})
+            self.binders = outer
+            recursions[name] = Definition(tuple(holes.values()), body)
+        self.rec_vars = rec_vars
+        return Call(name, params)
 
     def _ordered_event_list(self):
         self.t.expect("{")
@@ -252,8 +289,8 @@ class _ExprParser:
             if val in _RESERVED:
                 raise ParseError(f"{val!r} is a reserved word", self.t.line, col)
             self.t.next()
-            if val in self.mu_vars:
-                return Var(val)
+            if val in self.rec_vars:
+                return self.rec_vars[val]
             if self.t.peek()[1] == "(":
                 self.t.next()
                 args = [self.event_name()]
@@ -269,6 +306,7 @@ class _ExprParser:
 def parse_spec(text: str) -> SpecEnv:
     declared = None
     raw_defs = []
+    recursions = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -305,7 +343,7 @@ def parse_spec(text: str) -> SpecEnv:
             if len(set(params)) != len(params):
                 raise ParseError(f"duplicate parameter in {name}", lineno, col)
         toks.expect("=")
-        body = _ExprParser(toks).parse()
+        body = _ExprParser(toks, recursions, params).parse()
         raw_defs.append((lineno, name, params, body))
 
     definitions = {}
@@ -314,12 +352,21 @@ def parse_spec(text: str) -> SpecEnv:
             raise ParseError(f"duplicate definition of {name}", lineno, 1)
         definitions[name] = Definition(params, body)
 
-    mentioned = []
-    for _, name, params, body in raw_defs:
-        for _, named, _ in _scoped_events(body, params):
+    # events in order of first mention; a recursion's body is read where
+    # its ``mu`` stood
+    mentioned, walked = [], set()
+
+    def mention(body, bound):
+        for t, named in _scoped_events(body, bound):
             for e in named:
                 if e not in mentioned:
                     mentioned.append(e)
+            if type(t) is Call and t.name in recursions and t.name not in walked:
+                walked.add(t.name)
+                mention(recursions[t.name].body, recursions[t.name].params)
+
+    for _, name, params, body in raw_defs:
+        mention(body, params)
     if declared is not None:
         extra = [e for e in mentioned if e not in declared]
         if extra:
@@ -333,14 +380,19 @@ def parse_spec(text: str) -> SpecEnv:
         raise SpecError(
             "empty alphabet: declare events in an alphabet header or use them"
         )
-    env = SpecEnv(Alphabet(events), definitions)
+    env = SpecEnv(Alphabet(events), definitions, recursions)
     check_env(env)
     return env
 
 
 def parse_process(text: str, env: SpecEnv):
-    """Parse a standalone process expression in the context of a spec."""
-    toks = _Tokens(text, 1)
-    p = _ExprParser(toks).parse()
-    check_process(p, env)
+    """Parse a standalone process expression in the context of a spec.
+    The definitions of its ``mu`` terms join the spec's recursions."""
+    recursions = {}
+    p = _ExprParser(_Tokens(text, 1), recursions).parse()
+    scope = SpecEnv(env.alphabet, env.definitions, env.recursions | recursions)
+    for d in recursions.values():
+        check_process(d.body, scope, frozenset(d.params))
+    check_process(p, scope)
+    env.recursions.update(recursions)
     return p

@@ -3,8 +3,8 @@
 Terms are immutable dataclasses compared structurally; the operational
 engine uses them directly as states.  Two kinds of name occur inside terms:
 
-* process variables, bound by ``Mu`` or referring to spec definitions
-  (``Var`` / ``Call``),
+* process names, called by ``Call``: a spec's definitions and the
+  definitions the parser makes of ``mu`` terms, so recursion has one form,
 * event variables, bound by ``InputPrefix`` binders or definition
   parameters, standing in any position where an event name may appear.
 
@@ -13,6 +13,7 @@ ever executed, so the semantic engines only see concrete event names.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 from .errors import SpecError
@@ -105,17 +106,6 @@ class Rename:
 
 
 @dataclass(frozen=True)
-class Mu:
-    var: str
-    body: "Process"
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
 class Call:
     name: str
     args: tuple = ()
@@ -123,7 +113,7 @@ class Call:
 
 Process = (
     Stop | Div | Prefix | InputPrefix | ExtChoice | IntChoice | Timeout
-    | Parallel | Interleave | Hide | Rename | Mu | Var | Call
+    | Parallel | Interleave | Hide | Rename | Call
 )
 
 
@@ -136,16 +126,18 @@ class Definition:
 @dataclass
 class SpecEnv:
     """A parsed spec: an alphabet plus named (possibly parameterised,
-    possibly mutually recursive) definitions."""
+    possibly mutually recursive) definitions, and apart from them the
+    definitions the parser made of ``mu`` terms, named by their text."""
 
     alphabet: Alphabet
     definitions: dict = field(default_factory=dict)
+    recursions: dict = field(default_factory=dict)
 
     def lookup(self, name: str) -> Definition:
-        try:
-            return self.definitions[name]
-        except KeyError:
-            raise SpecError(f"undefined process name: {name}") from None
+        d = self.definitions.get(name) or self.recursions.get(name)
+        if d is None:
+            raise SpecError(f"undefined process name: {name}")
+        return d
 
     def instantiate(self, name: str, args=()) -> "Process":
         d = self.lookup(name)
@@ -164,7 +156,7 @@ def _children(p) -> tuple:
         return p.branches
     if isinstance(p, (Parallel, Interleave)):
         return (p.left, p.right)
-    if isinstance(p, (Prefix, InputPrefix, Mu, Hide, Rename)):
+    if isinstance(p, (Prefix, InputPrefix, Hide, Rename)):
         return (p.body,)
     return ()
 
@@ -175,50 +167,9 @@ def _map_children(p, f) -> "Process":
         return type(p)(tuple(map(f, p.branches)))
     if isinstance(p, (Parallel, Interleave)):
         return replace(p, left=f(p.left), right=f(p.right))
-    if isinstance(p, (Prefix, InputPrefix, Mu, Hide, Rename)):
+    if isinstance(p, (Prefix, InputPrefix, Hide, Rename)):
         return replace(p, body=f(p.body))
     return p
-
-
-def free_process_vars(p) -> frozenset:
-    if isinstance(p, Var):
-        return frozenset([p.name])
-    if isinstance(p, Mu):
-        return free_process_vars(p.body) - {p.var}
-    out = frozenset()
-    for c in _children(p):
-        out |= free_process_vars(c)
-    return out
-
-
-_fresh_counter = [0]
-
-
-def _fresh(base: str, avoid) -> str:
-    while True:
-        _fresh_counter[0] += 1
-        cand = f"{base}_{_fresh_counter[0]}"
-        if cand not in avoid:
-            return cand
-
-
-def substitute(p, var: str, repl) -> "Process":
-    """Capture-avoiding substitution of a process term for a process variable."""
-    if isinstance(p, Var):
-        return repl if p.name == var else p
-    if isinstance(p, Mu):
-        if p.var == var:
-            return p
-        if p.var in free_process_vars(repl):
-            fresh = _fresh(p.var, free_process_vars(repl) | free_process_vars(p.body) | {var})
-            body = substitute(p.body, p.var, Var(fresh))
-            return Mu(fresh, substitute(body, var, repl))
-        return Mu(p.var, substitute(p.body, var, repl))
-    return _map_children(p, lambda c: substitute(c, var, repl))
-
-
-def unfold(p: Mu) -> "Process":
-    return substitute(p.body, p.var, p)
 
 
 def _subst_ev(name: str, mapping: dict) -> str:
@@ -278,9 +229,11 @@ def _pretty(p):
         return "STOP", 0
     if isinstance(p, Div):
         return "DIV", 0
-    if isinstance(p, Var):
-        return p.name, 0
     if isinstance(p, Call):
+        if p.name.startswith("mu "):
+            # a recursion's text with its parameters as holes; its body
+            # extends to the end of its context, so it is always bracketed
+            return "(" + re.sub(r"\$(\d+)", lambda m: p.args[int(m[1])], p.name) + ")", 0
         if p.args:
             return f"{p.name}({', '.join(p.args)})", 0
         return p.name, 0
@@ -293,10 +246,6 @@ def _pretty(p):
         return f"{p.event} -> {pretty(p.body, 2)}", 2
     if isinstance(p, InputPrefix):
         return f"? {p.binder} : {_ev_set(p.events)} -> {pretty(p.body, 2)}", 2
-    if isinstance(p, Mu):
-        # the body extends to the end of the enclosing bracket, so a Mu used
-        # as an operand is always parenthesised by its context
-        return f"mu {p.var} @ {pretty(p.body, 4)}", 2
     if isinstance(p, _Choice):
         # a one-event indexed choice prints as its one branch; a branch that
         # is itself a choice node was parenthesised in the source, so every
@@ -325,21 +274,21 @@ def pretty_env(env: SpecEnv) -> str:
 # --- well-formedness ------------------------------------------------------
 
 
-_UNARY = frozenset({Prefix, InputPrefix, Mu, Hide, Rename})
+_UNARY = frozenset({Prefix, InputPrefix, Hide, Rename})
 _BINARY = frozenset({Parallel, Interleave})
 _CHOICES = frozenset({ExtChoice, IntChoice, Timeout})
 _TERMS = frozenset(Process.__args__)
 
 
-def _scoped_events(p, bound_events=frozenset(), bound_vars=frozenset()):
+def _scoped_events(p, bound_events=frozenset()):
     """Walk a term in pre-order, yielding each node with the events it
-    names that no enclosing binder binds (in sorted order, repeats kept)
-    and the process variables in scope there.  Iterative, and dispatched
-    on the exact node type: parsing runs it twice over every definition."""
-    stack = [(p, frozenset(bound_events), frozenset(bound_vars))]
+    names that no enclosing binder binds (in sorted order, repeats kept).
+    Iterative, and dispatched on the exact node type: parsing runs it
+    twice over every definition."""
+    stack = [(p, frozenset(bound_events))]
     push = stack.append
     while stack:
-        t, bev, bvars = stack.pop()
+        t, bev = stack.pop()
         kind = type(t)
         if kind is Prefix:
             named = (t.event,)
@@ -355,27 +304,21 @@ def _scoped_events(p, bound_events=frozenset(), bound_vars=frozenset()):
             named = ()
         if named and bev:
             named = [e for e in named if e not in bev]
-        yield t, named, bvars
+        yield t, named
         if kind in _CHOICES:
-            stack.extend([(b, bev, bvars) for b in reversed(t.branches)])
+            stack.extend([(b, bev) for b in reversed(t.branches)])
         elif kind in _BINARY:
-            push((t.right, bev, bvars))
-            push((t.left, bev, bvars))
+            push((t.right, bev))
+            push((t.left, bev))
         elif kind in _UNARY:
-            if kind is InputPrefix:
-                bev = bev | {t.binder}
-            elif kind is Mu:
-                bvars = bvars | {t.var}
-            push((t.body, bev, bvars))
+            push((t.body, bev | {t.binder} if kind is InputPrefix else bev))
 
 
-def check_process(p, env: SpecEnv, bound_events=frozenset(), bound_vars=frozenset()):
+def check_process(p, env: SpecEnv, bound_events=frozenset()):
     """Verify names resolve and every concrete event lies in the alphabet."""
-    for t, named, bvars in _scoped_events(p, bound_events, bound_vars):
+    for t, named in _scoped_events(p, bound_events):
         if type(t) not in _TERMS:
             raise SpecError(f"not a process term: {t!r}")
-        if isinstance(t, Var) and t.name not in bvars:
-            raise SpecError(f"unbound process variable: {t.name}")
         if isinstance(t, Call):
             d = env.lookup(t.name)
             if len(t.args) != len(d.params):
@@ -388,5 +331,5 @@ def check_process(p, env: SpecEnv, bound_events=frozenset(), bound_vars=frozense
 
 
 def check_env(env: SpecEnv):
-    for name, d in env.definitions.items():
+    for d in (*env.definitions.values(), *env.recursions.values()):
         check_process(d.body, env, bound_events=frozenset(d.params))

@@ -196,7 +196,3 @@ def realize(traces):
         raise SpecError("cannot realize an empty trace collection")
     branches = tuple(process_from_trace(tr) for tr in members)
     return branches[0] if len(branches) == 1 else IntChoice(branches)
-
-
-def show_test(test) -> str:
-    return test.show()

@@ -205,9 +205,9 @@ def solve_rounds_oracle(engine, term) -> frozenset:
     instantiation and changes no value up to canonical equality."""
     for _ in range(MAX_ROUNDS):
         before = dict(engine.vector)
-        result = engine.denote(term, {})
+        result = engine.denote(term)
         for key in list(engine.vector):
-            engine.vector[key] = engine.denote(engine.env.instantiate(*key), {})
+            engine.vector[key] = engine.denote(engine.env.instantiate(*key))
         if set(before) == set(engine.vector) and all(
             engine._canon_equal(before[k], engine.vector[k]) for k in before
         ):

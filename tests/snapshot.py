@@ -7,6 +7,8 @@ The snapshot holds:
   ``availcsp.cli.main``;
 * the op and den cores of every corpus process (``tests/data``) at the six
   congruence points, at len 3 and 4;
+* ``emit_script(to_simulation(...))`` of every corpus process at n=F,k=1 and
+  n=F,k=F, which spells out the shape of its transition system;
 * ``pretty_env`` of every spec file under ``tests/data`` and ``bench/data``.
 
 Two checkouts give byte-identical output when their snapshots do not
@@ -71,6 +73,21 @@ def corpus_cores() -> dict:
     return out
 
 
+def simulation_scripts() -> dict:
+    from availcsp import ModelParams, emit_script, to_simulation
+    from conftest import GROUP_NAMES, group_processes, load_group
+
+    out = {}
+    for group in GROUP_NAMES:
+        env = load_group(group)
+        for name, term in group_processes(env):
+            for k in (1, None):
+                params = ModelParams(run_bound=None, set_bound=k)
+                out[f"{group} {name} {params.show()}"] = emit_script(
+                    to_simulation(term, env, params))
+    return out
+
+
 def spec_texts() -> dict:
     from availcsp import parse_spec, pretty_env
 
@@ -96,7 +113,8 @@ def main() -> None:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench"),
                     os.path.join(ROOT, "tests")]
     snapshot = {"seed": args.seed, "jobs": run_jobs(args.seed),
-                "cores": corpus_cores(), "pretty": spec_texts()}
+                "cores": corpus_cores(), "simulations": simulation_scripts(),
+                "pretty": spec_texts()}
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -192,10 +192,10 @@ def test_a_definition_without_calls_is_denoted_once_per_solve(env, monkeypatch):
     seen = []
     denote = DenotationalEngine.denote
 
-    def counting(self, term, vmap):
+    def counting(self, term):
         if term is body:
             seen.append(term)
-        return denote(self, term, vmap)
+        return denote(self, term)
 
     monkeypatch.setattr(DenotationalEngine, "denote", counting)
     den(env, "SEQ", ModelParams(None, 1), 3)

@@ -14,7 +14,7 @@ from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, parse_pr
 from availcsp.denotational import denote_traces
 from availcsp.healthiness import (
     _CONDITIONS, TraceSet, _resample_run, check_healthy, close_healthy,
-    cond4_reduce, condition_names, covered, covers_equal, finalize,
+    cond4_reduce, covered, covers_equal, finalize,
     max_offers, restrict_params, saturate, trim_length,
 )
 from availcsp.kernel import decompose, in_obs, is_offer, normalize_trace
@@ -266,11 +266,14 @@ def test_restrict_params_projects_membership():
 
 
 def test_condition_names_depend_on_set_bound():
-    assert condition_names(SINGLE) == [
+    def names(params):
+        return [c.condition for c in check_healthy({()}, params, 2).conditions]
+
+    assert names(SINGLE) == [
         "nonempty-prefix-closed", "offer-remove-duplicate",
         "offer-implies-event", "event-implies-offer",
     ]
-    assert condition_names(SETS2)[-2:] == [
+    assert names(SETS2)[-2:] == [
         "offer-subset-closed", "empty-offer-free",
     ]
 

@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from availcsp import (
     Call, Div, ExtChoice, Hide, InputPrefix, IntChoice,
-    Interleave, Mu, Parallel, ParseError, Prefix, Rename, SpecError, Stop,
-    Timeout, Var, parse_process, parse_spec, pretty,
+    Interleave, Parallel, ParseError, Prefix, Rename, SpecError, Stop,
+    parse_process, parse_spec, pretty,
 )
-from availcsp.process import substitute, unfold
 
 SRC = """
 alphabet {a, b, c}
@@ -36,9 +36,12 @@ def test_operator_shapes(env):
     assert isinstance(p.branches[0], Prefix) and p.branches[0].event == "a"
     q = env.definitions["Q"].body
     assert isinstance(q, IntChoice)
+    # ``mu X @ a -> X`` is a call of a definition of its own, named by its
+    # text, in whose body X is that same call
     loop = env.definitions["LOOP"].body
-    assert isinstance(loop, Mu) and isinstance(loop.body, Prefix)
-    assert isinstance(loop.body.body, Var)
+    assert loop == Call("mu X @ a -> X")
+    assert env.lookup(loop.name).body == Prefix("a", loop)
+    assert set(env.recursions) == {loop.name}
 
 
 def test_precedence_prefix_binds_tighter_than_choice(env):
@@ -143,8 +146,53 @@ def test_pretty_round_trips(env):
         assert parse_process(pretty(term), env) == term
 
 
-def test_substitute_and_unfold():
-    body = Prefix("a", Var("X"))
-    mu = Mu("X", body)
-    assert substitute(body, "X", Stop()) == Prefix("a", Stop())
-    assert unfold(mu) == Prefix("a", mu)
+def _operand(text: str) -> str:
+    return f"({text})"
+
+
+@st.composite
+def process_texts(draw, depth=3, rec_vars=(), binders=()):
+    """Fully bracketed process text over {a, b, c}, so the parse fixes the
+    structure and the printer alone decides where brackets go."""
+    if depth == 0:
+        return draw(st.sampled_from(("STOP", *rec_vars)))
+    events = ("a", "b", "c", *binders)
+
+    def sub(rec_vars=rec_vars, binders=binders):
+        return draw(process_texts(depth - 1, rec_vars, binders))
+
+    sets = st.sets(st.sampled_from(events), min_size=1, max_size=2).map(
+        lambda es: "{" + ", ".join(sorted(es)) + "}")
+    kind = draw(st.sampled_from(("prefix", "input", "choice", "hide", "rename",
+                                 "interleave", "parallel", "mu", "mu")))
+    if kind == "prefix":
+        return f"{draw(st.sampled_from(events))} -> {_operand(sub())}"
+    if kind == "input":
+        x = draw(st.sampled_from(("x", "y")))
+        return f"? {x} : {draw(sets)} -> {_operand(sub(binders=(*binders, x)))}"
+    if kind == "choice":
+        op = draw(st.sampled_from(("[]", "|~|", "[>")))
+        n = draw(st.integers(2, 3))
+        return f" {op} ".join(_operand(sub()) for _ in range(n))
+    if kind == "hide":
+        return f"{_operand(sub())} \\ {draw(sets)}"
+    if kind == "rename":
+        a, b = draw(st.sampled_from(events)), draw(st.sampled_from(events))
+        return f"{_operand(sub())}[[{a} <- {b}]]"
+    if kind == "interleave":
+        return f"{_operand(sub())} ||| {_operand(sub())}"
+    if kind == "parallel":
+        return f"{_operand(sub())} [{draw(sets)} || {draw(sets)}] {_operand(sub())}"
+    var = draw(st.sampled_from(("X", "Y")))
+    return _operand(f"mu {var} @ {sub(rec_vars=(*rec_vars, var))}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(process_texts())
+@example("(mu X @ a -> X) [] b -> STOP")
+@example("(mu X @ a -> X) ||| b -> STOP")
+@example("a -> (mu X @ b -> X) [{a} || {b}] STOP")
+@example("? x : {a, b} -> (mu X @ x -> ? x : {c} -> x -> X) [] c -> STOP")
+def test_pretty_round_trips_generated_terms(env, text):
+    term = parse_process(text, env)
+    assert parse_process(pretty(term), env) == term

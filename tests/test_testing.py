@@ -14,9 +14,7 @@ from availcsp.errors import ParseError, SpecError
 from availcsp.healthiness import close_healthy, covers_equal
 from availcsp.operational import StepEngine, avail_traces
 from availcsp.process import Call, Div, InputPrefix, Prefix, Stop, Timeout
-from availcsp.testing import (
-    SUCCESS, may_pass, parse_test, process_from_trace, realize, show_test,
-)
+from availcsp.testing import SUCCESS, may_pass, parse_test, process_from_trace, realize
 from availcsp.testing import TestEvent as EventProbe
 from availcsp.testing import TestReady as ReadyProbe
 from availcsp.testing import test_from_trace as probe_of
@@ -50,7 +48,7 @@ def test_probe_construction_follows_the_three_equations():
 def test_literal_syntax_round_trips():
     for text in ("SUCCESS", "a . SUCCESS", "ready {a,b} & SUCCESS",
                  "a . ready {b} & b . SUCCESS"):
-        assert show_test(parse_test(text)) == text
+        assert parse_test(text).show() == text
 
 
 def test_literal_syntax_errors():
