@@ -16,7 +16,9 @@ from .equivalence import (
 )
 from .errors import AvailCspError
 from .healthiness import check_healthy, close_healthy, covers_equal
-from .kernel import Bounds, ModelParams, parse_trace, show_trace, trace_from_json
+from .kernel import (
+    Bounds, ModelParams, check_universe, parse_trace, show_trace, trace_from_json,
+)
 from .operational import avail_traces, std_traces
 from .parser import parse_process, parse_spec
 from .process import Call, SpecEnv, pretty
@@ -100,11 +102,6 @@ def parse_grid(text: str) -> list:
     ]
 
 
-def _load_env(args) -> SpecEnv:
-    with open(args.spec, encoding="utf-8") as fh:
-        return parse_spec(fh.read())
-
-
 def _resolve(expr: str, env: SpecEnv):
     """A process term for a CLI argument: a defined name from the spec
     file or an inline expression over its alphabet."""
@@ -123,14 +120,6 @@ def _check_bounds(args) -> None:
         _usage("--internal-len must not be below --len")
 
 
-def _bounds(args) -> Bounds:
-    return Bounds(
-        trace_len=args.len,
-        tau_budget=args.tau,
-        internal_len=args.internal_len,
-    )
-
-
 def _read_trace_lines(path: str, alphabet) -> list:
     traces = []
     with open(path, encoding="utf-8") as fh:
@@ -147,91 +136,52 @@ def _read_trace_lines(path: str, alphabet) -> list:
     return traces
 
 
-def _add_common(sub, engine: bool = True):
-    sub.add_argument("--model", default="n=F,k=1", help="model parameters, e.g. n=F,k=2")
-    sub.add_argument("--len", type=int, default=5, help="trace length bound")
-    sub.add_argument("--tau", type=int, default=100, help="internal-step budget")
-    sub.add_argument(
-        "--internal-len", type=int, default=None,
-        help="length bound under hiding (default: 3x --len)",
-    )
-    if engine:
-        sub.add_argument(
-            "--engine", choices=("op", "den"), default="op",
-            help="semantics used to compute trace sets",
-        )
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
+# The parser depends on nothing in argv, so it is built once, at import,
+# from the ``_command`` declarations below.  Handlers call library
+# functions through this module's globals at call time, never through
+# objects stored with a declaration, so that a wrapper set on a global
+# after import (as bench/tracer.py does) sees every call.
+PARSER = argparse.ArgumentParser(
+    prog="availcsp",
+    description="Availability-trace semantics for CSP processes.",
+)
+_SUBCOMMANDS = PARSER.add_subparsers(dest="command", required=True)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="availcsp",
-        description="Availability-trace semantics for CSP processes.",
-    )
-    subs = top.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("traces", help="dump the trace set of a process")
-    s.add_argument("spec", help="spec file declaring the alphabet and definitions")
-    s.add_argument("process")
-    _add_common(s)
-
-    s = subs.add_parser("equiv", help="compare two processes for equality")
-    s.add_argument("spec")
-    s.add_argument("left")
-    s.add_argument("right")
-    _add_common(s)
-
-    s = subs.add_parser("refine", help="check that the second process refines the first")
-    s.add_argument("spec")
-    s.add_argument("spec_process")
-    s.add_argument("impl_process")
-    _add_common(s)
-
-    s = subs.add_parser("test", help="run a may test against a process")
-    s.add_argument("spec")
-    s.add_argument("process")
-    s.add_argument("--test", dest="test_literal", help="test literal, e.g. 'a . ready {b} & SUCCESS'")
-    s.add_argument("--from-trace", dest="from_trace", help="derive the test from a trace literal")
-    _add_common(s, engine=False)
-
-    s = subs.add_parser("health", help="verify the closure conditions")
-    s.add_argument("spec")
-    s.add_argument("process", nargs="?")
-    s.add_argument("--traces-file", help="explicit trace set, one literal or JSON trace per line")
-    _add_common(s)
-
-    s = subs.add_parser("realize", help="build a process from a trace set")
-    s.add_argument("spec", help="spec file (the alphabet header is enough)")
-    s.add_argument("traces_file")
-    s.add_argument("--check", action="store_true", help="verify the realization round trip")
-    _add_common(s, engine=False)
-
-    s = subs.add_parser("simulate", help="emit the offer-event simulation script")
-    s.add_argument("spec")
-    s.add_argument("process")
-    s.add_argument("--state-cap", type=int, default=4096)
-    s.add_argument("--check", action="store_true", help="verify the decoded round trip")
-    _add_common(s, engine=False)
-
-    s = subs.add_parser("distinguish", help="compare two processes across a parameter grid")
-    s.add_argument("spec")
-    s.add_argument("left")
-    s.add_argument("right")
-    s.add_argument("--grid", default="n=1..3,k=1..2", help="e.g. n=1..3,k=1,2,F")
-    _add_common(s)
-
-    s = subs.add_parser("congruence", help="compare the two semantic engines on one process")
-    s.add_argument("spec")
-    s.add_argument("process")
-    _add_common(s, engine=False)
-    return top
+def _arg(*names, **options):
+    return names, options
 
 
-def _cmd_traces(args) -> int:
-    env = _load_env(args)
+_ENGINE = _arg("--engine", choices=("op", "den"), default="op",
+               help="semantics used to compute trace sets")
+
+
+def _command(name: str, help: str, *arguments, spec_help: str | None = None):
+    """Declare the decorated handler as subcommand ``name``: the spec file,
+    then ``arguments`` (each an ``_arg``), then the model, bound and output
+    flags.  ``main`` calls ``handler(args, env, bounds)``."""
+    def declare(handler):
+        sub = _SUBCOMMANDS.add_parser(name, help=help)
+        sub.add_argument("spec", help=spec_help)
+        for names, options in arguments:
+            sub.add_argument(*names, **options)
+        sub.add_argument("--model", type=parse_model, default="n=F,k=1",
+                         help="model parameters, e.g. n=F,k=2")
+        sub.add_argument("--len", type=int, default=5, help="trace length bound")
+        sub.add_argument("--tau", type=int, default=100, help="internal-step budget")
+        sub.add_argument("--internal-len", type=int, default=None,
+                         help="length bound under hiding (default: 3x --len)")
+        sub.add_argument("--json", action="store_true", help="machine-readable output")
+        sub.set_defaults(handler=handler)
+        return handler
+    return declare
+
+
+@_command("traces", "dump the trace set of a process", _arg("process"), _ENGINE,
+          spec_help="spec file declaring the alphabet and definitions")
+def _cmd_traces(args, env: SpecEnv, bounds: Bounds) -> int:
     term = _resolve(args.process, env)
-    ts = _trace_set(term, env, parse_model(args.model), _bounds(args),
-                    ENGINE_NAMES[args.engine])
+    ts = _trace_set(term, env, args.model, bounds, ENGINE_NAMES[args.engine])
     if args.json:
         for line in ts.json_lines(env.alphabet):
             print(line)
@@ -242,40 +192,46 @@ def _cmd_traces(args) -> int:
         if ts.meta.len_bound_hit:
             flags.append("length-bound-hit")
         note = (" [" + ", ".join(flags) + "]") if flags else ""
-        print(f"# {ts.meta.engine} {parse_model(args.model).show()} len={ts.len_bound} "
+        print(f"# {ts.meta.engine} {args.model.show()} len={ts.len_bound} "
               f"count={len(ts)}{note}")
         for tr in ts.members_sorted(env.alphabet):
             print(show_trace(tr, env.alphabet))
     return 0
 
 
-def _compare(args, kind: str) -> int:
-    env = _load_env(args)
-    if kind == "equal":
-        lterm = _resolve(args.left, env)
-        rterm = _resolve(args.right, env)
-        result = equal_in(lterm, rterm, env, parse_model(args.model), _bounds(args),
-                          ENGINE_NAMES[args.engine])
-        good = EQUAL
-    else:
-        lterm = _resolve(args.spec_process, env)
-        rterm = _resolve(args.impl_process, env)
-        result = refine_in(lterm, rterm, env, parse_model(args.model), _bounds(args),
-                           ENGINE_NAMES[args.engine])
-        good = REFINED
+def _compare(args, env: SpecEnv, bounds: Bounds, check, holds: str, left: str, right: str) -> int:
+    """Run ``check`` (``equal_in`` or ``refine_in``) on two process
+    arguments; exit 0 on its holding verdict ``holds``."""
+    lterm = _resolve(left, env)
+    rterm = _resolve(right, env)
+    result = check(lterm, rterm, env, args.model, bounds, ENGINE_NAMES[args.engine])
     if args.json:
         print(json.dumps(result.json_obj(env.alphabet), sort_keys=True))
     else:
         print(result.describe(env.alphabet))
-    if result.verdict == good:
+    if result.verdict == holds:
         return 0
     if result.verdict == DISTINGUISHED:
         return 1
     return 2
 
 
-def _cmd_test(args) -> int:
-    env = _load_env(args)
+@_command("equiv", "compare two processes for equality", _arg("left"), _arg("right"), _ENGINE)
+def _cmd_equiv(args, env: SpecEnv, bounds: Bounds) -> int:
+    return _compare(args, env, bounds, equal_in, EQUAL, args.left, args.right)
+
+
+@_command("refine", "check that the second process refines the first",
+          _arg("spec_process"), _arg("impl_process"), _ENGINE)
+def _cmd_refine(args, env: SpecEnv, bounds: Bounds) -> int:
+    return _compare(args, env, bounds, refine_in, REFINED, args.spec_process, args.impl_process)
+
+
+@_command("test", "run a may test against a process", _arg("process"),
+          _arg("--test", dest="test_literal",
+               help="test literal, e.g. 'a . ready {b} & SUCCESS'"),
+          _arg("--from-trace", dest="from_trace", help="derive the test from a trace literal"))
+def _cmd_test(args, env: SpecEnv, bounds: Bounds) -> int:
     term = _resolve(args.process, env)
     if bool(args.test_literal) == bool(args.from_trace):
         _usage("give exactly one of --test or --from-trace")
@@ -298,17 +254,20 @@ def _cmd_test(args) -> int:
     return 1 if verdict.complete else 2
 
 
-def _cmd_health(args) -> int:
-    env = _load_env(args)
-    params = parse_model(args.model)
+@_command("health", "verify the closure conditions", _arg("process", nargs="?"),
+          _arg("--traces-file", help="explicit trace set, one literal or JSON trace per line"),
+          _ENGINE)
+def _cmd_health(args, env: SpecEnv, bounds: Bounds) -> int:
     if bool(args.process) == bool(args.traces_file):
         _usage("give exactly one of a process or --traces-file")
     if args.traces_file:
         subject = _read_trace_lines(args.traces_file, env.alphabet)
+        for tr in subject:
+            check_universe(tr, args.model, args.len, env.alphabet)
     else:
         term = _resolve(args.process, env)
-        subject = _trace_set(term, env, params, _bounds(args), ENGINE_NAMES[args.engine])
-    report = check_healthy(subject, params, args.len)
+        subject = _trace_set(term, env, args.model, bounds, ENGINE_NAMES[args.engine])
+    report = check_healthy(subject, args.model, args.len)
     if args.json:
         print(json.dumps(report.json_objs(env.alphabet), sort_keys=True))
     else:
@@ -320,17 +279,16 @@ def _cmd_health(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_realize(args) -> int:
-    env = _load_env(args)
-    params = parse_model(args.model)
-    bounds = _bounds(args)
+@_command("realize", "build a process from a trace set", _arg("traces_file"),
+          _arg("--check", action="store_true", help="verify the realization round trip"),
+          spec_help="spec file (the alphabet header is enough)")
+def _cmd_realize(args, env: SpecEnv, bounds: Bounds) -> int:
     traces = _read_trace_lines(args.traces_file, env.alphabet)
-    closed = close_healthy(traces, params, args.len, env.alphabet)
+    closed = close_healthy(traces, args.model, args.len, env.alphabet)
     term = realize(closed.canon)
     print(pretty(term))
     if args.check:
-        check_env = SpecEnv(env.alphabet, {})
-        back = avail_traces(term, check_env, params, bounds)
+        back = avail_traces(term, SpecEnv(env.alphabet, {}), args.model, bounds)
         if covers_equal(back, closed):
             print("# round trip: exact")
         else:
@@ -339,20 +297,20 @@ def _cmd_realize(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    env = _load_env(args)
+@_command("simulate", "emit the offer-event simulation script", _arg("process"),
+          _arg("--state-cap", type=int, default=4096),
+          _arg("--check", action="store_true", help="verify the decoded round trip"))
+def _cmd_simulate(args, env: SpecEnv, bounds: Bounds) -> int:
     term = _resolve(args.process, env)
-    params = parse_model(args.model)
-    sim = to_simulation(term, env, params, args.state_cap)
+    sim = to_simulation(term, env, args.model, args.state_cap)
     sys.stdout.write(emit_script(sim))
     if args.check:
-        bounds = _bounds(args)
         decoded = {
             decode_trace(tr)
             for tr in std_traces(sim.root_term(), sim.env, args.len, args.tau)
         }
         reference = avail_traces(
-            term, env, ModelParams(run_bound=None, set_bound=params.set_bound), bounds
+            term, env, ModelParams(run_bound=None, set_bound=args.model.set_bound), bounds
         )
         ok = all(
             reference.member(tr, env.alphabet) for tr in decoded
@@ -362,13 +320,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_distinguish(args) -> int:
-    env = _load_env(args)
+@_command("distinguish", "compare two processes across a parameter grid",
+          _arg("left"), _arg("right"),
+          _arg("--grid", type=parse_grid, default="n=1..3,k=1..2", help="e.g. n=1..3,k=1,2,F"),
+          _ENGINE)
+def _cmd_distinguish(args, env: SpecEnv, bounds: Bounds) -> int:
     lterm = _resolve(args.left, env)
     rterm = _resolve(args.right, env)
-    grid = parse_grid(args.grid)
-    rows = distinguish(lterm, rterm, env, grid, _bounds(args),
-                       ENGINE_NAMES[args.engine])
+    rows = distinguish(lterm, rterm, env, args.grid, bounds, ENGINE_NAMES[args.engine])
     if args.json:
         print(json.dumps([r.json_obj(env.alphabet) for r in rows], sort_keys=True))
     else:
@@ -377,13 +336,11 @@ def _cmd_distinguish(args) -> int:
     return 0 if all(r.verdict != DISTINGUISHED for r in rows) else 1
 
 
-def _cmd_congruence(args) -> int:
-    env = _load_env(args)
+@_command("congruence", "compare the two semantic engines on one process", _arg("process"))
+def _cmd_congruence(args, env: SpecEnv, bounds: Bounds) -> int:
     term = _resolve(args.process, env)
-    params = parse_model(args.model)
-    bounds = _bounds(args)
-    op = avail_traces(term, env, params, bounds)
-    den = denote_traces(term, env, params, bounds)
+    op = avail_traces(term, env, args.model, bounds)
+    den = denote_traces(term, env, args.model, bounds)
     agree = covers_equal(op, den)
     if args.json:
         print(json.dumps({
@@ -394,7 +351,7 @@ def _cmd_congruence(args) -> int:
         }, sort_keys=True))
     else:
         note = " [tau-budget-hit]" if op.meta.tau_budget_hit else ""
-        print(f"engines {'agree' if agree else 'DISAGREE'} at {params.show()} "
+        print(f"engines {'agree' if agree else 'DISAGREE'} at {args.model.show()} "
               f"len={args.len}{note}")
     if not agree:
         return 1
@@ -402,21 +359,13 @@ def _cmd_congruence(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     _check_bounds(args)
-    handlers = {
-        "traces": _cmd_traces,
-        "equiv": lambda a: _compare(a, "equal"),
-        "refine": lambda a: _compare(a, "refine"),
-        "test": _cmd_test,
-        "health": _cmd_health,
-        "realize": _cmd_realize,
-        "simulate": _cmd_simulate,
-        "distinguish": _cmd_distinguish,
-        "congruence": _cmd_congruence,
-    }
+    bounds = Bounds(trace_len=args.len, tau_budget=args.tau, internal_len=args.internal_len)
     try:
-        return handlers[args.command](args)
+        with open(args.spec, encoding="utf-8") as fh:
+            env = parse_spec(fh.read())
+        return args.handler(args, env, bounds)
     except (AvailCspError, OSError) as exc:
         print(f"availcsp: {exc}", file=sys.stderr)
     except Exception as exc:

@@ -25,7 +25,7 @@ result is trimmed back at the end.
 from __future__ import annotations
 
 from .errors import BudgetError, SpecError
-from .healthiness import EvalMeta, TraceSet, covers_equal, finalize
+from .healthiness import EvalMeta, TraceSet, finalize
 from .kernel import Bounds, ModelParams
 from .process import (
     Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, Interleave,
@@ -89,10 +89,6 @@ class DenotationalEngine:
         self.finalized[key] = (term, traces, out)
         return out
 
-    def _canon_equal(self, c1: frozenset, c2: frozenset) -> bool:
-        return covers_equal(TraceSet(c1, self.params, self.eval_len),
-                            TraceSet(c2, self.params, self.eval_len))
-
     def _evaluate(self, term):
         """Denote a closed term; also return the instantiations it called."""
         self.calls = []
@@ -103,11 +99,13 @@ class DenotationalEngine:
         vector of named definitions.  The term is evaluated once to find the
         instantiations it calls.  A worklist then evaluates each of those,
         and each one they call, when it is first found, and again whenever
-        a callee's value stops being canonically equal to what it was,
-        latest added first, so that a recursion settles before the callers
-        it changes are evaluated again.  The term is evaluated once more on
-        the stable vector, unless it called nothing.  Each instantiation is
-        evaluated at most MAX_ROUNDS times."""
+        a callee's value changed, latest added first, so that a recursion
+        settles before the callers it changes are evaluated again.  Every
+        clause and ``finalize`` is a union of per-trace images and every
+        value holds ⟨⟩, so a re-evaluation returns a superset of the last
+        value, and set inequality says exactly that it grew.  The term is
+        evaluated once more on the stable vector, unless it called nothing.
+        Each instantiation is evaluated at most MAX_ROUNDS times."""
         result, calls = self._evaluate(term)
         if not calls:
             return result
@@ -126,7 +124,7 @@ class DenotationalEngine:
                     callers[callee] = {}
                     work[callee] = None
                 callers[callee][key] = None
-            if not self._canon_equal(old, self.vector[key]):
+            if old != self.vector[key]:
                 work.update(callers[key])
         return self._evaluate(term)[0]
 

@@ -113,16 +113,16 @@ class _ExprParser:
             raise ParseError(f"{name!r} is a reserved word", self.t.line, 0)
         return name
 
+    def comma_list(self, item) -> list:
+        """``item ("," item)*``."""
+        out = [item()]
+        while self.t.peek()[1] == ",":
+            self.t.next()
+            out.append(item())
+        return out
+
     def event_set(self) -> frozenset:
-        self.t.expect("{")
-        out = []
-        if self.t.peek()[1] != "}":
-            out.append(self.event_name())
-            while self.t.peek()[1] == ",":
-                self.t.next()
-                out.append(self.event_name())
-        self.t.expect("}")
-        return frozenset(out)
+        return frozenset(self._ordered_event_list())
 
     def parse(self):
         p = self.par()
@@ -233,18 +233,11 @@ class _ExprParser:
         self.rec_vars = rec_vars
         return Call(name, params)
 
-    def _ordered_event_list(self):
+    def _ordered_event_list(self) -> list:
         self.t.expect("{")
-        out = []
-        if self.t.peek()[1] != "}":
-            out.append(self.event_name())
-            while self.t.peek()[1] == ",":
-                self.t.next()
-                name = self.event_name()
-                if name not in out:
-                    out.append(name)
+        names = [] if self.t.peek()[1] == "}" else self.comma_list(self.event_name)
         self.t.expect("}")
-        return out
+        return list(dict.fromkeys(names))
 
     def post(self):
         p = self.atom()
@@ -255,12 +248,7 @@ class _ExprParser:
                 p = Hide(p, self.event_set())
             elif val == "[[":
                 self.t.next()
-                pairs = []
-                if self.t.peek()[1] != "]]":
-                    pairs.append(self._rename_pair())
-                    while self.t.peek()[1] == ",":
-                        self.t.next()
-                        pairs.append(self._rename_pair())
+                pairs = [] if self.t.peek()[1] == "]]" else self.comma_list(self._rename_pair)
                 self.t.expect("]]")
                 p = Rename(p, frozenset(pairs))
             else:
@@ -293,12 +281,9 @@ class _ExprParser:
                 return self.rec_vars[val]
             if self.t.peek()[1] == "(":
                 self.t.next()
-                args = [self.event_name()]
-                while self.t.peek()[1] == ",":
-                    self.t.next()
-                    args.append(self.event_name())
+                args = tuple(self.comma_list(self.event_name))
                 self.t.expect(")")
-                return Call(val, tuple(args))
+                return Call(val, args)
             return Call(val)
         self.t.error("expected a process")
 
@@ -334,12 +319,8 @@ def parse_spec(text: str) -> SpecEnv:
         if toks.peek()[1] == "(":
             toks.next()
             parser = _ExprParser(toks)
-            ps = [parser.event_name()]
-            while toks.peek()[1] == ",":
-                toks.next()
-                ps.append(parser.event_name())
+            params = tuple(parser.comma_list(parser.event_name))
             toks.expect(")")
-            params = tuple(ps)
             if len(set(params)) != len(params):
                 raise ParseError(f"duplicate parameter in {name}", lineno, col)
         toks.expect("=")

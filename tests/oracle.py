@@ -14,7 +14,7 @@ from availcsp.denotational import MAX_ROUNDS
 from availcsp.errors import BudgetError
 from availcsp.healthiness import (
     ConditionReport, HealthReport, TraceSet, _conditions, _prefixes, _resample_run,
-    finalize, max_offers,
+    covers_equal, finalize, max_offers,
 )
 from availcsp.kernel import (
     TAU, compose, decompose, in_obs, is_offer, normalize_trace, show_trace,
@@ -209,7 +209,9 @@ def solve_rounds_oracle(engine, term) -> frozenset:
         for key in list(engine.vector):
             engine.vector[key] = engine.denote(engine.env.instantiate(*key))
         if set(before) == set(engine.vector) and all(
-            engine._canon_equal(before[k], engine.vector[k]) for k in before
+            covers_equal(TraceSet(before[k], engine.params, engine.eval_len),
+                         TraceSet(engine.vector[k], engine.params, engine.eval_len))
+            for k in before
         ):
             return result
     raise BudgetError("recursion failed to stabilise within the round limit")

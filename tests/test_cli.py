@@ -1,6 +1,7 @@
 """End-to-end exercises of the command surface via main(argv)."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from availcsp import ModelParams
+from availcsp import cli
 from availcsp.cli import main, parse_grid, parse_model
 
 SPEC = os.path.join(os.path.dirname(__file__), "data", "group_ab.csp")
@@ -227,6 +229,16 @@ def test_health_on_explicit_traces(capsys, tmp_path):
     assert "witness" in out
 
 
+def test_health_rejects_a_trace_file_outside_the_universe(capsys, tmp_path):
+    # no trace of n=0 has an offer, as realize's closure also checks
+    path = tmp_path / "offers.txt"
+    path.write_text("<>\n<a>\n<offer{a}>\n<offer{a}, a>\n", encoding="utf-8")
+    code, out, err = run(capsys, "health", SPEC, "--traces-file", str(path),
+                         "--model", "n=0,k=1", "--len", "2")
+    assert (code, out) == (2, "")
+    assert err == "availcsp: trace has an offer run longer than the run bound 0\n"
+
+
 def test_health_needs_exactly_one_subject(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["health", SPEC])
@@ -349,7 +361,14 @@ def test_bad_model_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["traces", SPEC, "EXT", "--model", "m=1"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "availcsp: unknown --model keys ['m']\n"
+
+
+def test_bad_grid_flag_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["distinguish", SPEC, "EXT", "CYCLE", "--grid", "n=1..3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "availcsp: --grid needs a k= part\n"
 
 
 @pytest.mark.parametrize("flags, flag", [
@@ -418,3 +437,53 @@ def test_traces_of_a_deep_spec_definition_exits_two(capsys, tmp_path):
     path = tmp_path / "deep.csp"
     path.write_text("alphabet {a}\nDEEP = " + "a -> " * 3000 + "STOP\n", encoding="utf-8")
     assert_crash_exit(*run(capsys, "traces", str(path), "DEEP"))
+
+
+# --- the parser ---------------------------------------------------------------
+
+COMMON = {"model": (("--model",), "n=F,k=1"), "len": (("--len",), 5),
+          "tau": (("--tau",), 100), "internal_len": (("--internal-len",), None),
+          "json": (("--json",), False)}
+ENGINE = {"engine": (("--engine",), "op")}
+POSITIONAL = ((), None)
+
+# each subcommand's arguments: dest -> (option strings, default)
+SUBCOMMANDS = {
+    "traces": {"spec": POSITIONAL, "process": POSITIONAL, **COMMON, **ENGINE},
+    "equiv": {"spec": POSITIONAL, "left": POSITIONAL, "right": POSITIONAL,
+              **COMMON, **ENGINE},
+    "refine": {"spec": POSITIONAL, "spec_process": POSITIONAL, "impl_process": POSITIONAL,
+               **COMMON, **ENGINE},
+    "test": {"spec": POSITIONAL, "process": POSITIONAL,
+             "test_literal": (("--test",), None), "from_trace": (("--from-trace",), None),
+             **COMMON},
+    "health": {"spec": POSITIONAL, "process": POSITIONAL,
+               "traces_file": (("--traces-file",), None), **COMMON, **ENGINE},
+    "realize": {"spec": POSITIONAL, "traces_file": POSITIONAL,
+                "check": (("--check",), False), **COMMON},
+    "simulate": {"spec": POSITIONAL, "process": POSITIONAL,
+                 "state_cap": (("--state-cap",), 4096), "check": (("--check",), False),
+                 **COMMON},
+    "distinguish": {"spec": POSITIONAL, "left": POSITIONAL, "right": POSITIONAL,
+                    "grid": (("--grid",), "n=1..3,k=1..2"), **COMMON, **ENGINE},
+    "congruence": {"spec": POSITIONAL, "process": POSITIONAL, **COMMON},
+}
+
+
+def test_each_subcommand_has_exactly_its_arguments():
+    [subs] = [a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subs.choices) == list(SUBCOMMANDS)
+    for name, sub in subs.choices.items():
+        got = {a.dest: (tuple(a.option_strings), a.default) for a in sub._actions
+               if not isinstance(a, argparse._HelpAction)}
+        assert got == SUBCOMMANDS[name], name
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    code, out, _ = run(capsys, "traces", SPEC, "EXT", "--len", "2")
+    assert code == 0
+    assert "<offer{a}, b>" in out.splitlines()

@@ -187,6 +187,35 @@ def test_worklist_fixpoint_matches_the_rounds_oracle(corpus, params, monkeypatch
         assert core == denote_traces(term, env, params, bounds).canon, (group, name)
 
 
+class GrowingVector(dict):
+    """An instantiation vector that counts overwrites and fails when one
+    drops a trace."""
+    overwrites = 0
+
+    def __setitem__(self, key, value):
+        if key in self:
+            assert self[key] <= value, key
+            GrowingVector.overwrites += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("params", PARAM_POINTS, ids=lambda p: p.show())
+def test_every_re_evaluation_is_a_superset_of_the_last_value(corpus, params, monkeypatch):
+    # solve stops when no value changed as a set, which is exact only
+    # because a re-evaluation never loses a trace
+    solve = DenotationalEngine.solve
+
+    def checked(self, term):
+        self.vector = GrowingVector()
+        return solve(self, term)
+
+    monkeypatch.setattr(DenotationalEngine, "solve", checked)
+    monkeypatch.setattr(GrowingVector, "overwrites", 0)
+    for _, _, term, env in corpus:
+        denote_traces(term, env, params, Bounds(trace_len=3))
+    assert GrowingVector.overwrites > 0
+
+
 def test_a_definition_without_calls_is_denoted_once_per_solve(env, monkeypatch):
     body = env.lookup("SEQ").body
     seen = []
