@@ -24,7 +24,12 @@ So ``check_healthy`` asks only what a core can violate.  The other four
 conditions keep or shrink a member's offers: by the covering lemma, each
 trace they require of a member is covered by it.  That makes it a member
 whenever every core member fits the length bound; only a core that does
-not fit, or an explicit set, has those four enumerated.
+not fit, or an explicit set, has those four enumerated.  The two it does
+enumerate probe the core literally before that routine, and a computed
+core, closed under both rules, answers every probe.  Prefixes are asked
+longest first, down to the first core member: its own prefixes are asked
+when it is visited, and any prefix missing below it fails it too, as a
+shorter member, so the verdict and the least witness stay the same.
 """
 from __future__ import annotations
 
@@ -437,9 +442,11 @@ def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
     and an explicit set, is enumerated in full.
     """
     if isinstance(subject, TraceSet):
+        if subject.params != params or subject.len_bound != len_bound:
+            raise ValueError("trace set checked at different parameters")
         canon = subject.canon
         member = subject._member_normalized
-        contains = lambda tr: len(tr) <= len_bound and member(normalize_trace(tr))
+        contains = lambda tr: len(tr) <= len_bound and (tr in canon or member(normalize_trace(tr)))
         fits = all(len(tr) <= len_bound for tr in canon)
     else:
         canon = frozenset(tuple(t) for t in subject)
@@ -449,6 +456,13 @@ def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
     def within(tr) -> bool:
         return len(tr) <= len_bound and in_obs(tr, params.run_bound)
 
+    # longest first, down to the first core member (see the module docstring)
+    def prefix_walk(tr, within):
+        for i in range(len(tr) - 1, -1, -1):
+            yield tr[:i]
+            if tr[:i] in canon:
+                return
+
     report = HealthReport()
     for name, required, absorbed in _conditions(params):
         # nonemptiness and <> itself are required by no member: an empty
@@ -456,8 +470,9 @@ def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
         if required is _prefixes and not (canon and contains(())):
             report.conditions.append(ConditionReport(name, False, () if canon else None))
             continue
+        asked = prefix_walk if required is _prefixes else required
         failing = () if absorbed and fits else (
-            tr for tr in canon if not all(map(contains, required(tr, within))))
+            tr for tr in canon if not all(map(contains, asked(tr, within))))
         witness = min(failing, key=lambda t: (len(t), show_trace(t)), default=None)
         report.conditions.append(ConditionReport(name, witness is None, witness))
     return report

@@ -11,7 +11,10 @@ The snapshot holds:
   n=F,k=F, which spells out the shape of its transition system;
 * ``pretty_env`` of every spec file under ``tests/data`` and ``bench/data``;
 * the ``-h`` text of the top-level parser and of every subcommand;
-* exit code, stdout and stderr of a fixed list of bad invocations.
+* exit code, stdout and stderr of a fixed list of bad invocations;
+* exit code, stdout and stderr of ``health`` at len 5 of three processes
+  with large cores, and of ``health --traces-file`` of a set that lacks a
+  middle prefix (written to a temporary directory).
 
 Two checkouts give byte-identical output when their snapshots do not
 differ.  Run from any directory; the script re-runs itself with
@@ -33,6 +36,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LENGTHS = (3, 4)
@@ -52,6 +56,17 @@ BAD_INVOCATIONS = (
     ("nosuch", SPEC, "EXT"),
     ("traces", "/no/such.csp", "EXT", "--model", "m=1"),
 )
+
+HEALTH_CHECKS = (
+    ("health", os.path.join("bench", "data", "family.csp"), "FANLOOP5",
+     "--model", "n=F,k=1", "--len", "5"),
+    ("health", os.path.join("bench", "data", "family.csp"), "FANLOOP4",
+     "--model", "n=2,k=2", "--len", "5"),
+    ("health", os.path.join("tests", "data", "group_abcd.csp"), "QUAD",
+     "--model", "n=F,k=2", "--len", "5"),
+)
+# <a> is missing: the least failing member is <a, b>, not <a, b, a>
+MISSING_MIDDLE_PREFIX = "<>\n<a, b>\n<a, b, a>\n"
 
 
 def run_cli(argv) -> dict:
@@ -73,6 +88,17 @@ def run_jobs(seed: int) -> list:
 
     return [dict(run_cli(job.argv), workload=workload)
             for workload in WORKLOADS for job in jobs_for(workload, seed)]
+
+
+def health_checks() -> list:
+    out = [run_cli(argv) for argv in HEALTH_CHECKS]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "traces.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(MISSING_MIDDLE_PREFIX)
+        row = run_cli(("health", SPEC, "--traces-file", path, "--len", "3"))
+    row["argv"] = [arg.replace(path, "traces.txt") for arg in row["argv"]]
+    return out + [row]
 
 
 def corpus_cores() -> dict:
@@ -138,7 +164,8 @@ def main() -> None:
                 "cores": corpus_cores(), "simulations": simulation_scripts(),
                 "pretty": spec_texts(),
                 "help": [run_cli(argv) for argv in [("-h",)] + [(c, "-h") for c in COMMANDS]],
-                "usage_errors": [run_cli(argv) for argv in BAD_INVOCATIONS]}
+                "usage_errors": [run_cli(argv) for argv in BAD_INVOCATIONS],
+                "health": health_checks()}
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -315,6 +315,12 @@ def test_mutant_missing_prefix_fails_prefix_closure():
     by = report_by_name(report)
     assert not by["nonempty-prefix-closed"].ok
     assert by["nonempty-prefix-closed"].witness == ("a", "b")
+    # <a, b, a>'s prefixes are asked only down to its core prefix <a, b>,
+    # which fails as the shorter member
+    traces = [(), ("a", "b"), ("a", "b", "a")]
+    for given_as in (TraceSet(traces, ModelParams(0, 1), 3), traces):
+        by = report_by_name(check_healthy(given_as, ModelParams(0, 1), 3))
+        assert by["nonempty-prefix-closed"].witness == ("a", "b")
 
 
 def test_mutant_empty_set_fails_nonempty():
@@ -426,18 +432,70 @@ def test_absorbed_requirements_are_covered_by_their_member(tr, normalise, n, sla
             assert covered(qruns, runs), name
 
 
-def test_check_healthy_on_quad_asks_no_absorbed_condition(abcd, monkeypatch):
-    # enumerating every condition asks about 209,000 membership queries
-    params = ModelParams(None, 2)
-    ts = avail_traces(parse_process("QUAD", abcd), abcd, params, Bounds(trace_len=5))
-    calls = 0
+@st.composite
+def closed_mutants(draw):
+    """The closure of 1-3 seeds over {a,b,c}, fitted to a drawn (n, k) and
+    len 1-4, with one drawn member of its core removed: a set that lacks
+    one trace its other members may require, such as a middle prefix."""
+    len_bound = draw(st.integers(1, 4))
+    params = ModelParams(run_bound=draw(bound_or_free), set_bound=draw(bound_or_free))
+    seeds = draw(st.lists(
+        st.lists(st.sampled_from(ABC_ACTIONS), max_size=len_bound).map(tuple),
+        min_size=1, max_size=3))
+    canon = close_healthy(finalize(seeds, params, len_bound), params, len_bound, ABC).canon
+    removed = draw(st.sampled_from(sorted(canon, key=ABC.trace_key)))
+    return [tr for tr in canon if tr != removed], params, len_bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_mutants())
+def test_check_healthy_matches_oracle_on_one_trace_mutants(subject):
+    traces, params, len_bound = subject
+    for given_as in (TraceSet(traces, params, len_bound), traces):
+        assert report_rows(check_healthy(given_as, params, len_bound)) == report_rows(
+            check_healthy_oracle(given_as, params, len_bound))
+
+
+def test_check_healthy_rejects_a_set_computed_at_other_bounds(ab):
+    ts = avail_traces(parse_process("EXT", ab), ab, ModelParams(None, None), Bounds(trace_len=3))
+    assert (FAB, "a") in ts.canon
+    with pytest.raises(ValueError):
+        check_healthy(ts, ModelParams(0, 1), 3)
+    with pytest.raises(ValueError):
+        check_healthy(ts, ModelParams(None, None), 2)
+    assert check_healthy(ts, ModelParams(None, None), 3).ok
+
+
+@pytest.fixture
+def member_queries(monkeypatch):
+    """Every closure-aware membership query asked from here on."""
+    asked = []
     ask = TraceSet._member_normalized
 
     def counting(self, trace):
-        nonlocal calls
-        calls += 1
+        asked.append(trace)
         return ask(self, trace)
 
     monkeypatch.setattr(TraceSet, "_member_normalized", counting)
+    return asked
+
+
+def test_check_healthy_on_quad_asks_no_absorbed_condition(abcd, member_queries):
+    # enumerating every condition asks about 209,000 membership queries;
+    # the covering lemma absorbs four conditions and the core answers the
+    # other two by literal probes
+    params = ModelParams(None, 2)
+    ts = avail_traces(parse_process("QUAD", abcd), abcd, params, Bounds(trace_len=5))
+    member_queries.clear()
     assert check_healthy(ts, params, 5).ok
-    assert calls <= 60_000
+    assert member_queries == []
+
+
+def test_check_healthy_on_engine_cores_asks_no_membership_query(corpus, member_queries):
+    subjects = [(engine(term, env, params, Bounds(trace_len=3)), params)
+                for group, name, term, env in corpus for params in PARAM_POINTS
+                for engine in (avail_traces, denote_traces)]
+    member_queries.clear()
+    for ts, params in subjects:
+        assert check_healthy(ts, params, 3).ok
+    assert member_queries == []
