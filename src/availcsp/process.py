@@ -283,8 +283,7 @@ _TERMS = frozenset(Process.__args__)
 def _scoped_events(p, bound_events=frozenset()):
     """Walk a term in pre-order, yielding each node with the events it
     names that no enclosing binder binds (in sorted order, repeats kept).
-    Iterative, and dispatched on the exact node type: parsing runs it
-    twice over every definition."""
+    Iterative, so a deep term does not reach the recursion limit."""
     stack = [(p, frozenset(bound_events))]
     push = stack.append
     while stack:
@@ -328,8 +327,3 @@ def check_process(p, env: SpecEnv, bound_events=frozenset()):
         for e in named:
             if e not in env.alphabet:
                 raise SpecError(f"event {e!r} is not in the alphabet and not bound")
-
-
-def check_env(env: SpecEnv):
-    for d in (*env.definitions.values(), *env.recursions.values()):
-        check_process(d.body, env, bound_events=frozenset(d.params))

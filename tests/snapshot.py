@@ -14,7 +14,10 @@ The snapshot holds:
 * exit code, stdout and stderr of a fixed list of bad invocations;
 * exit code, stdout and stderr of ``health`` at len 5 of three processes
   with large cores, and of ``health --traces-file`` of a set that lacks a
-  middle prefix (written to a temporary directory).
+  middle prefix (written to a temporary directory);
+* exit code, stdout and stderr of ``traces`` over malformed spec files
+  (written to a temporary directory) and of ``traces`` of malformed inline
+  expressions, so that parse and spec errors are compared too.
 
 Two checkouts give byte-identical output when their snapshots do not
 differ.  Run from any directory; the script re-runs itself with
@@ -68,6 +71,31 @@ HEALTH_CHECKS = (
 # <a> is missing: the least failing member is <a, b>, not <a, b, a>
 MISSING_MIDDLE_PREFIX = "<>\n<a, b>\n<a, b, a>\n"
 
+MALFORMED_SPECS = (
+    "P = a -> STOP $\n",
+    "P = a -> STOP # c\n",
+    "alphabet {a}\r\n# c\r\n\r\n  # c\r\nP = (a -> STOP\r\n",
+    "P = a -> STOP STOP\n",
+    "P = a -> STOP [] b -> STOP |~| STOP\n",
+    "P = ? STOP : {a} -> STOP\n",
+    "P = |~| x : {} @ x -> STOP\n",
+    "mu = STOP\n",
+    "alphabet {a} b\nP = a -> STOP\n",
+    "alphabet {a}\nalphabet {a}\nP = a -> STOP\n",
+    "P(x, x) = x -> STOP\n",
+    "P = STOP\nP = a -> STOP\nQ = a -> ,\n",
+    "P = STOP\nP = a -> STOP\n",
+    "alphabet {a}\nP = c -> (mu X @ (b -> X) \\ {d})\n",
+    "P = STOP\n",
+    "P = a -> Q(a)\nQ = STOP\n",
+    "P = (mu X @ a -> Z)\nQ = Y\n",
+    "alphabet {a}\nP = Q [] (mu X @ b -> X)\n",
+)
+MALFORMED_EXPRESSIONS = (
+    "a -> STOP $", "a ->", "(a -> STOP", "a -> STOP STOP", "? x {a} -> x -> STOP",
+    "|~| x : {} @ x -> STOP", "UNKNOWN", "EXT(a)", "d -> STOP", "(mu X @ a -> Y)",
+)
+
 
 def run_cli(argv) -> dict:
     """Exit code, stdout and stderr of one in-process CLI call."""
@@ -99,6 +127,19 @@ def health_checks() -> list:
         row = run_cli(("health", SPEC, "--traces-file", path, "--len", "3"))
     row["argv"] = [arg.replace(path, "traces.txt") for arg in row["argv"]]
     return out + [row]
+
+
+def parse_errors() -> list:
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.csp")
+        for text in MALFORMED_SPECS:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            row = run_cli(("traces", path, "P", "--len", "2"))
+            row["argv"] = [arg.replace(path, "bad.csp") for arg in row["argv"]]
+            out.append(dict(row, spec=text))
+    return out + [run_cli(("traces", SPEC, expr, "--len", "2")) for expr in MALFORMED_EXPRESSIONS]
 
 
 def corpus_cores() -> dict:
@@ -165,7 +206,8 @@ def main() -> None:
                 "pretty": spec_texts(),
                 "help": [run_cli(argv) for argv in [("-h",)] + [(c, "-h") for c in COMMANDS]],
                 "usage_errors": [run_cli(argv) for argv in BAD_INVOCATIONS],
-                "health": health_checks()}
+                "health": health_checks(),
+                "parse_errors": parse_errors()}
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")

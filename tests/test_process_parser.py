@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from availcsp import (
-    Call, Div, ExtChoice, Hide, InputPrefix, IntChoice,
+    Call, Definition, Div, ExtChoice, Hide, InputPrefix, IntChoice,
     Interleave, Parallel, ParseError, Prefix, Rename, SpecError, Stop,
     parse_process, parse_spec, pretty,
 )
@@ -89,17 +89,79 @@ def test_atoms(env):
     assert call == Call("PAIR", ("a",))
 
 
+# Malformed process expressions, each with the exact error it raises: the
+# position is the column of the offending token, or 0 at the end of the line
+# and for a reserved word read as an event.
+PROCESS_ERRORS = (
+    ("a -> STOP $", ParseError, "line 1, col 10: bad character '$'"),
+    ("a -> 9", ParseError, "line 1, col 5: bad character '9'"),
+    ("a -> STOP [{a} | {b}] STOP", ParseError, "line 1, col 15: bad character '|'"),
+    ("a -> STOP # x", ParseError, "line 1, col 10: bad character '#'"),
+    ("  # x", ParseError, "line 1, col 1: bad character '#'"),
+    ("", ParseError, "line 1, col 0: expected a process"),
+    ("a ->", ParseError, "line 1, col 0: expected a process"),
+    ("a -> STOP [] ", ParseError, "line 1, col 0: expected a process"),
+    ("|~| x : {a, b} @", ParseError, "line 1, col 0: expected a process"),
+    ("(a -> STOP", ParseError, "line 1, col 0: expected ')', got end of line"),
+    ("(a -> STOP) \\ {a", ParseError, "line 1, col 0: expected '}', got end of line"),
+    ("|~| x : {a} @ (x -> STOP", ParseError, "line 1, col 0: expected ')', got end of line"),
+    ("a -> STOP STOP", ParseError, "line 1, col 11: trailing input after process expression"),
+    ("STOP -> STOP", ParseError, "line 1, col 6: trailing input after process expression"),
+    ("STOP \\ {a} ]", ParseError, "line 1, col 12: trailing input after process expression"),
+    ("mu X @ a -> X )", ParseError, "line 1, col 15: trailing input after process expression"),
+    ("a -> STOP [] b -> STOP |~| c -> STOP", ParseError,
+     "line 1, col 24: mixing '[]' and '|~|' needs parentheses"),
+    ("a -> STOP |~| b -> STOP [> c -> STOP", ParseError,
+     "line 1, col 25: mixing '|~|' and '[>' needs parentheses"),
+    ("a -> STOP [] b -> (STOP |~| c -> STOP [] STOP)", ParseError,
+     "line 1, col 39: mixing '|~|' and '[]' needs parentheses"),
+    ("? STOP : {a} -> STOP", ParseError, "line 1, col 0: 'STOP' is a reserved word"),
+    ("(a -> STOP) \\ {mu}", ParseError, "line 1, col 0: 'mu' is a reserved word"),
+    ("alphabet -> STOP", ParseError, "line 1, col 1: 'alphabet' is a reserved word"),
+    ("mu -> STOP", ParseError, "line 1, col 4: expected recursion variable"),
+    ("mu @ STOP", ParseError, "line 1, col 4: expected recursion variable"),
+    ("|~| x : {} @ x -> STOP", ParseError,
+     "line 1, col 1: indexed internal choice over an empty set"),
+    # the set is found empty after the body is read, before what follows it
+    ("|~| x : {} @ x -> STOP STOP", ParseError,
+     "line 1, col 1: indexed internal choice over an empty set"),
+    ("? x : {a} -> |~| y : {} @ y -> STOP [] x -> STOP", ParseError,
+     "line 1, col 14: indexed internal choice over an empty set"),
+    ("(a -> STOP)[[a b]]", ParseError, "line 1, col 16: expected '<-', got 'b'"),
+    ("(a -> STOP) [[a <- b,]]", ParseError, "line 1, col 22: expected event name"),
+    ("? x {a} -> x -> STOP", ParseError, "line 1, col 5: expected ':', got '{'"),
+    ("mu X STOP", ParseError, "line 1, col 6: expected '@', got 'STOP'"),
+    ("PAIR(", ParseError, "line 1, col 0: expected event name"),
+    ("a -> STOP [{a} || {b} STOP", ParseError, "line 1, col 23: expected ']', got 'STOP'"),
+    ("UNKNOWN", SpecError, "undefined process name: UNKNOWN"),
+    ("PAIR(a, b)", SpecError, "PAIR takes 1 argument(s), got 2"),
+    ("d -> STOP", SpecError, "event 'd' is not in the alphabet and not bound"),
+    ("(mu X @ a -> Y)", SpecError, "undefined process name: Y"),
+    ("? x : {a} -> (x -> STOP [] y -> STOP)", SpecError,
+     "event 'y' is not in the alphabet and not bound"),
+)
+
+
 def test_parse_errors(env):
-    for bad in (
-        "a ->",
-        "mu @ STOP",
-        "|~| x : {} @ x -> STOP",
-        "a -> STOP [] ",
-        "UNKNOWN",
-        "PAIR(a, b)",
-    ):
-        with pytest.raises((ParseError, SpecError)):
-            parse_process(bad, env)
+    for text, kind, message in PROCESS_ERRORS:
+        with pytest.raises(kind) as err:
+            parse_process(text, env)
+        assert str(err.value) == message, text
+
+
+def test_a_long_prefix_chain_parses(env):
+    term = parse_process("a -> " * 3000 + "STOP", env)
+    depth = 0
+    while type(term) is Prefix:         # walked in a loop: hashing would recurse
+        assert term.event == "a"
+        term, depth = term.body, depth + 1
+    assert depth == 3000 and type(term) is Stop
+
+
+def test_deeply_nested_parentheses_parse(env):
+    assert parse_process("(" * 500 + "STOP" + ")" * 500, env) == Stop()
+    with pytest.raises(ParseError, match="line 1, col 0: expected '\\)', got end of line"):
+        parse_process("(" * 500 + "STOP" + ")" * 499, env)
 
 
 def test_reserved_words_rejected(env):
@@ -109,15 +171,58 @@ def test_reserved_words_rejected(env):
         parse_spec("mu = STOP\n")
 
 
+# Malformed specs, each with the exact error it raises.  Every line is
+# read before definitions are matched up, the alphabet is inferred or
+# checked, and then names and arities are checked, definitions first.
+SPEC_ERRORS = (
+    ("P = a -> STOP\nQ = b -> $\n", ParseError, "line 2, col 9: bad character '$'"),
+    ("P = a -> STOP\n  Q = ) $\n", ParseError, "line 2, col 8: bad character '$'"),
+    ("P = a -> STOP # c\n", ParseError, "line 1, col 14: bad character '#'"),
+    ("channel x : {1}\nP = a -> STOP\n", ParseError, "line 1, col 14: bad character '1'"),
+    ("P = (a -> STOP\n) \n", ParseError, "line 1, col 0: expected ')', got end of line"),
+    ("P = a -> STOP\n\n\n  # c\n\nQ = b -> ->\n", ParseError,
+     "line 6, col 10: expected a process"),
+    ("mu = STOP\n", ParseError, "line 1, col 1: expected a definition name"),
+    ("= STOP\n", ParseError, "line 1, col 1: expected a definition name"),
+    ("P(x = STOP\n", ParseError, "line 1, col 5: expected ')', got '='"),
+    ("P(STOP) = a -> STOP\n", ParseError, "line 1, col 0: 'STOP' is a reserved word"),
+    ("alphabet {a, STOP}\n", ParseError, "line 1, col 0: 'STOP' is a reserved word"),
+    ("alphabet a\n", ParseError, "line 1, col 10: expected '{', got 'a'"),
+    ("alphabet {a} b\nP = a -> STOP", ParseError,
+     "line 1, col 14: trailing input after alphabet header"),
+    ("alphabet {a}\nalphabet {b}\nP = a -> STOP\n", ParseError,
+     "line 2, col 1: duplicate alphabet header"),
+    ("P(x, x) = x -> STOP\n", ParseError, "line 1, col 1: duplicate parameter in P"),
+    ("P = STOP\nP = DIV\n", ParseError, "line 2, col 1: duplicate definition of P"),
+    ("P = STOP\nP = DIV\nQ = a -> $\n", ParseError, "line 3, col 9: bad character '$'"),
+    ("alphabet {a}\nP = b -> STOP\n", SpecError,
+     "events used but not declared in the alphabet: b"),
+    # in order of first mention, a hidden set before the body it hides
+    ("alphabet {a}\nP = c -> b -> STOP\n", SpecError,
+     "events used but not declared in the alphabet: c, b"),
+    ("alphabet {a}\nP = (c -> STOP) \\ {b}\n", SpecError,
+     "events used but not declared in the alphabet: b, c"),
+    ("P = ? x : {a} -> x -> STOP\nQ = x -> STOP\nalphabet {a}\n", SpecError,
+     "events used but not declared in the alphabet: x"),
+    ("P = STOP\n", SpecError,
+     "empty alphabet: declare events in an alphabet header or use them"),
+    ("P = a -> Q\n", SpecError, "undefined process name: Q"),
+    ("P = a -> Q(a)\nQ = STOP\n", SpecError, "Q takes 0 argument(s), got 1"),
+    ("P = a -> STOP\nQ = R\nR(x) = x -> STOP\n", SpecError, "R takes 1 argument(s), got 0"),
+    # the definitions are checked before the recursions read from them
+    ("P = (mu X @ a -> Z)\nQ = Y\n", SpecError, "undefined process name: Y"),
+    ("P = (mu X @ a -> Z)\n", SpecError, "undefined process name: Z"),
+    # a recursion is read where it is called, after a bad call before it
+    ("alphabet {a}\nP = Q [] (mu X @ b -> X)\n", SpecError,
+     "events used but not declared in the alphabet: b"),
+)
+
+
 def test_spec_errors():
-    with pytest.raises(SpecError):
-        parse_spec("alphabet {a}\nP = b -> STOP\n")
-    with pytest.raises(ParseError):
-        parse_spec("P = STOP\nP = DIV\n")
-    with pytest.raises(SpecError):
-        parse_spec("P = STOP\n")
-    with pytest.raises(ParseError):
-        parse_spec("alphabet {a}\nalphabet {b}\nP = a -> STOP\n")
+    for text, kind, message in SPEC_ERRORS:
+        with pytest.raises(kind) as err:
+            parse_spec(text)
+        assert str(err.value) == message, text
 
 
 def test_alphabet_may_be_inferred():
@@ -128,6 +233,41 @@ def test_alphabet_may_be_inferred():
 def test_channel_lines_are_ignored():
     env = parse_spec("channel Offer : Set(Events)\nP = a -> STOP\n")
     assert set(env.definitions) == {"P"}
+
+
+PLAIN = "alphabet {a, b}\nP = a -> STOP\nQ(x) = x -> Q(x) [] b -> P\n"
+
+
+@pytest.mark.parametrize("text", [
+    "alphabet {a, b}\r\nP = a -> STOP\r\nQ(x) = x -> Q(x) [] b -> P\r\n",
+    "alphabet\t{a,b}\nP\t=\ta\t->\tSTOP\n\tQ(x)\t= x->Q(x)[]b->P",
+    "alphabet {a, b}# header\nP = a -> STOP#x\nQ(x) = x -> Q(x) [] b -> P#\n",
+    "# head\n\n   \n  # indented $ ~\nalphabet {a, b}\n\t\nP = a -> STOP\n#\n"
+    "Q(x) = x -> Q(x) [] b -> P\n",
+    "channel Offer : Set(Events)\nalphabet {a, b}\nchannel Pick : Events\n"
+    "P = a -> STOP\nchannel X\nQ(x) = x -> Q(x) [] b -> P\n",
+])
+def test_whole_spec_scanner_edges(text):
+    """Line ends, tabs, comments and channel lines leave the same spec."""
+    assert parse_spec(text) == parse_spec(PLAIN)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# c\r\n\r\n  # c\r\nP = a -> $\r\n", "line 4, col 9: bad character '$'"),
+    ("P = a -> STOP\r\n\r\nQ = b -> ->\r\n", "line 3, col 10: expected a process"),
+    ("\tP = a ->\tSTOP @\n", "line 1, col 16: trailing input after process expression"),
+    ("P = a -> STOP\fQ = ,\n", "line 2, col 5: expected a process"),
+    ("P = a -> STOP\rQ = b ->\n", "line 2, col 0: expected a process"),
+    ("P = a ->#\n", "line 1, col 0: expected a process"),
+    # a comment directly after a token ends the line, so P is defined twice
+    ("P = STOP# x\nP = a -> STOP\n", "line 2, col 1: duplicate definition of P"),
+])
+def test_whole_spec_scanner_error_lines(text, message):
+    """Blank and comment lines still count, and every str.splitlines line end
+    ends a line."""
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert str(err.value) == message
 
 
 def test_pretty_round_trips(env):
@@ -196,3 +336,24 @@ def process_texts(draw, depth=3, rec_vars=(), binders=()):
 def test_pretty_round_trips_generated_terms(env, text):
     term = parse_process(text, env)
     assert parse_process(pretty(term), env) == term
+
+
+_FILLER = st.sampled_from(("", "   ", "\t", "# note", "  # note $ ~",
+                           "channel Offer : Set(Events)"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(process_texts(depth=2), min_size=1, max_size=4), st.data())
+def test_spec_lines_read_as_process_texts(texts, data):
+    """Each ``Dk = text`` line of a spec, among comments, blank lines and
+    channel lines, defines what ``parse_process`` reads from the text."""
+    lines = [f"D{k} = {text}" + data.draw(st.sampled_from(("", "#c", "  "))) for k, text in
+             enumerate(texts)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(_FILLER))
+    lines.insert(data.draw(st.integers(0, len(lines))), "alphabet {a, b, c}")
+    spec = parse_spec(data.draw(st.sampled_from(("\n", "\r\n"))).join(lines))
+    recursions = dict(spec.recursions)
+    for k, text in enumerate(texts):
+        assert spec.definitions[f"D{k}"] == Definition((), parse_process(text, spec))
+    assert spec.recursions == recursions
