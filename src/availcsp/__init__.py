@@ -27,20 +27,14 @@ from .healthiness import (
     HealthReport, TraceSet, check_healthy, close_healthy, covers_equal,
     restrict_params,
 )
-from .operational import (
-    StepEngine, avail_traces, build_lts, is_divergent, stable_failures,
-    std_traces,
-)
-from .trace_algebra import merge_offer, merge_traces, rename_trace
+from .operational import StepEngine, avail_traces, build_lts, std_traces
+from .trace_algebra import merge_traces
 from .denotational import denote_traces
 from .testing import (
     MayVerdict, may_pass, parse_test, process_from_trace, realize,
     test_from_trace,
 )
-from .equivalence import (
-    CompareResult, distinguish, equal_in, mutually_similar, refine_in,
-    sim_preorder,
-)
+from .equivalence import CompareResult, distinguish, equal_in, refine_in
 from .simulation import (
     Simulation, decode_trace, emit_script, offer_event_name, to_simulation,
 )

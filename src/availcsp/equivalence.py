@@ -14,10 +14,9 @@ import itertools
 from dataclasses import dataclass
 
 from .denotational import denote_traces
-from .errors import StateLimitError
 from .healthiness import TraceSet, _resample_run, _subsets, _uncovered
 from .kernel import Alphabet, Bounds, ModelParams, compose, decompose, show_trace
-from .operational import avail_traces, build_lts
+from .operational import avail_traces
 from .process import SpecEnv
 
 EQUAL = "equal"
@@ -128,56 +127,3 @@ def distinguish(p, q, env: SpecEnv, grid, bounds: Bounds,
                 engine: str = "operational") -> list:
     """Compare two processes across a grid of model parameters."""
     return [equal_in(p, q, env, params, bounds, engine) for params in grid]
-
-
-SIMILAR = "similar"
-NOT_SIMILAR = "not-similar"
-INDETERMINATE = "indeterminate"
-
-
-def sim_preorder(p, q, env: SpecEnv, state_cap: int = 4096) -> str:
-    """Strong simulation of the first process by the second, internal
-    steps treated as ordinary labels.  Indeterminate when either
-    transition system exceeds the state cap."""
-    try:
-        pstates, ptrans = build_lts(p, env, state_cap)
-        qstates, qtrans = build_lts(q, env, state_cap)
-    except StateLimitError:
-        return INDETERMINATE
-
-    def succ_map(trans):
-        succ = {}
-        for i, lab, j in trans:
-            succ.setdefault(i, {}).setdefault(lab, set()).add(j)
-        return succ
-
-    psucc = succ_map(ptrans)
-    qsucc = succ_map(qtrans)
-    related = {
-        (i, j) for i in range(len(pstates)) for j in range(len(qstates))
-    }
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in list(related):
-            ok = True
-            for lab, targets in psucc.get(i, {}).items():
-                qtargets = qsucc.get(j, {}).get(lab, ())
-                for i2 in targets:
-                    if not any((i2, j2) in related for j2 in qtargets):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                related.discard((i, j))
-                changed = True
-    return SIMILAR if (0, 0) in related else NOT_SIMILAR
-
-
-def mutually_similar(p, q, env: SpecEnv, state_cap: int = 4096) -> str:
-    a = sim_preorder(p, q, env, state_cap)
-    b = sim_preorder(q, p, env, state_cap)
-    if INDETERMINATE in (a, b):
-        return INDETERMINATE
-    return SIMILAR if a == b == SIMILAR else NOT_SIMILAR

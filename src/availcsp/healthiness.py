@@ -20,6 +20,13 @@ The canonical core itself is kept explicitly closed under prefixes and
 under replacing a final offer by one of its events, because those rules
 change the event skeleton that covering keys on.
 
+``finalize`` fits a clause's traces to the (n, k, len) bounds in one pass:
+each trace is normalised and checked against both offer bounds in one
+loop, and ``trim_length`` bounds the length of the fitted traces over a
+prefix trie, so the offer selections of a prefix that many traces share
+are worked out once.  Selections that have skipped more offers than the
+longest trace exceeds the bound by are dropped, since none can be kept.
+
 So ``check_healthy`` asks only what a core can violate.  The other four
 conditions keep or shrink a member's offers: by the covering lemma, each
 trace they require of a member is covered by it.  That makes it a member
@@ -215,6 +222,11 @@ def covers_equal(a: TraceSet, b: TraceSet) -> bool:
 # --- trimming into a bounded universe --------------------------------------
 
 
+# the trie node of every trace end with nothing below it, shared, so it
+# holds the end mark alone: a trace that goes on past it gets a copy
+_LEAF = {None: None}
+
+
 def trim_length(traces, len_bound: int):
     """Canonical cover of the restriction of a set of normalised traces to
     traces of bounded length.  An overlong trace is replaced by every
@@ -224,29 +236,68 @@ def trim_length(traces, len_bound: int):
     events and exactly len_bound - w of the offers in that prefix.
 
     A prefix of a normalised trace is normalised, so one that fits is kept
-    as a slice.  The selections are built in one pass over the trace,
-    keeping each distinct pair of a normalised selection so far and the
-    number of offers it chose: selections that agree on both end alike."""
+    as a slice.  The selections depend only on the prefix they are read
+    from, so the overlong traces go into one prefix trie (a dict per node,
+    ``None`` marking a trace's end, and every node that only ends traces
+    the one ``_LEAF``), walked depth first with an explicit stack.  Each
+    node holds every distinct pair of a normalised selection so far and
+    the number of offers it chose, worked out once from its parent's pairs
+    however many traces share the node: pairs that agree end alike.  A
+    node that an event or an end leaves is an event boundary, where the
+    prefix is kept when it fits, else the selections with exactly
+    len_bound - w offers.  The node after the len_bound-th kept event is a
+    boundary whatever leaves it, and the walk stops there.  A selection
+    kept at position i has skipped i - len_bound offers, so a pair that
+    has skipped more offers than the longest overlong trace exceeds the
+    bound by can never be kept, and is dropped.  A stack entry holds its
+    parent's pairs and moves them along its edge only when it is popped,
+    so siblings share one set."""
     out = set()
+    trie = {}
+    longest = len_bound
     for tr in traces:
         if len(tr) <= len_bound:
             out.add(tr)
             continue
-        chosen = {((), 0)}
-        w = 0
-        for i, a in enumerate(tr + (None,)):    # None: the end of the trace
-            if is_offer(a):
-                chosen |= {(sel if sel[-1:] == (a,) else sel + (a,), n + 1)
-                           for sel, n in chosen if n < len_bound - w}
-                continue
-            if i <= len_bound:
-                out.add(tr[:i])
+        longest = max(longest, len(tr))
+        node = trie
+        for a in tr[:-1]:
+            child = node.get(a)
+            if child is None or child is _LEAF:
+                child = node[a] = {} if child is None else {None: None}
+            node = child
+        node.setdefault(tr[-1], _LEAF)[None] = None
+    slack = longest - len_bound
+    # node, path (while it fits), events kept, offers seen, edge, parent's pairs
+    stack = [(trie, (), 0, 0, None, {((), 0)})] if trie else []
+    while stack:
+        node, path, w, seen, a, chosen = stack.pop()
+        budget = len_bound - w      # offers a selection may still hold
+        if isinstance(a, frozenset):        # is_offer, inlined
+            least = seen - slack        # fewer chosen: too many skipped
+            chosen = {st for st in chosen if st[1] >= least} | {
+                (sel if sel[-1:] == (a,) else sel + (a,), n + 1)
+                for sel, n in chosen if n < budget}
+        elif a is not None:                 # None: the root, reached by no edge
+            chosen = {(sel + (a,), n) for sel, n in chosen if n <= budget}
+        boundary = not budget
+        if not boundary:
+            depth = w + seen
+            for b, child in node.items():
+                if b is None:
+                    boundary = True
+                    continue
+                step = path + (b,) if depth < len_bound else None
+                if isinstance(b, frozenset):
+                    stack.append((child, step, w, seen + 1, b, chosen))
+                else:
+                    boundary = True
+                    stack.append((child, step, w + 1, seen, b, chosen))
+        if boundary:
+            if path is not None:
+                out.add(path)
             else:
-                out.update(sel for sel, n in chosen if n == len_bound - w)
-            if a is None or w == len_bound:
-                break
-            w += 1
-            chosen = {(sel + (a,), n) for sel, n in chosen if n <= len_bound - w}
+                out.update(sel for sel, n in chosen if n == budget)
     return out
 
 
@@ -294,18 +345,16 @@ def _resample_run(choices, run_bound: int | None, len_bound: int) -> set:
 
 
 def _fit_runs(trace, params: ModelParams, len_bound: int):
-    """Canonical variants of a normalised trace with every offer run fitted
-    to the model.  A member of the restricted universe may map several
-    capped offers onto one oversized offer (duplication plus subset
-    closure), so a run holding an oversized offer is replaced by every run
-    of capped subsets resampled from it, which also keeps it inside the run
-    bound.  A run longer than the run bound is replaced by every selection
-    of that many of its offers, with repeats that become adjacent merged.
-    The empty run keeps the surrounding trace even when no offer is
-    expressible."""
+    """Canonical variants of a normalised trace that overflows the set or
+    run bound, with every offer run fitted to the model.  A member of the
+    restricted universe may map several capped offers onto one oversized
+    offer (duplication plus subset closure), so a run holding an oversized
+    offer is replaced by every run of capped subsets resampled from it,
+    which also keeps it inside the run bound.  A run longer than the run
+    bound is replaced by every selection of that many of its offers, with
+    repeats that become adjacent merged.  The empty run keeps the
+    surrounding trace even when no offer is expressible."""
     n, k = params.run_bound, params.set_bound
-    if (k is None or all(not is_offer(a) or len(a) <= k for a in trace)) and in_obs(trace, n):
-        return {trace}
     runs, events = decompose(trace)
     options = []
     for r in runs:
@@ -322,10 +371,37 @@ def finalize(traces, params: ModelParams, len_bound: int):
     """The one place a trace set is fitted to the model: normalise, fit
     every offer run to the set and run bounds, and bound length.  Clauses
     may hand it runs of any length and offers of any size; the result is a
-    saturated canonical core provided the input was one."""
-    fitted = set()
+    saturated canonical core provided the input was one.
+
+    One loop over each trace drops its empty offers, merges adjacent equal
+    offers and checks both bounds.  A trace that fits goes to
+    ``trim_length`` as it is; one that does not is replaced by its
+    ``_fit_runs`` variants.  ``trim_length`` keeps the short ones and
+    shares the work on the overlong ones in its prefix trie."""
+    n, k = params.run_bound, params.set_bound
+    fitted = []
     for tr in traces:
-        fitted.update(_fit_runs(normalize_trace(tr), params, len_bound))
+        last = None             # the last offer kept in the current run
+        run = 0
+        fits = normal = True
+        for a in tr:
+            if isinstance(a, frozenset):    # is_offer, inlined
+                if not a or a == last:
+                    normal = False
+                    continue
+                last = a
+                run += 1
+                if (k is not None and len(a) > k) or (n is not None and run > n):
+                    fits = False
+            else:
+                last = None
+                run = 0
+        if not normal:
+            tr = normalize_trace(tr)
+        if fits:
+            fitted.append(tr)
+        else:
+            fitted.extend(_fit_runs(tr, params, len_bound))
     return frozenset(trim_length(fitted, len_bound))
 
 

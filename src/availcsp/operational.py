@@ -1,4 +1,4 @@
-"""Operational semantics: transition steps, trace extraction, failures.
+"""Operational semantics: transition steps and trace extraction.
 
 Availability traces are read off the standard labelled transition system:
 a state offers a set of events when every member of the set is enabled
@@ -190,38 +190,6 @@ def std_traces(term, env: SpecEnv, max_len: int, tau_budget: int = 100) -> froze
     return avail_traces(term, env, ModelParams(run_bound=0), Bounds(max_len, tau_budget)).canon
 
 
-def stable_failures(term, env: SpecEnv, max_len: int, tau_budget: int = 100) -> dict:
-    """Maximal stable refusals per event trace: maps each trace to the
-    antichain of refusal sets observed at stable states reached by it."""
-    engine = StepEngine(env, tau_budget)
-    sigma = frozenset(env.alphabet.events)
-    found: dict = {}
-    seen = set()
-
-    def visit(state, trace):
-        key = (state, trace)
-        if key in seen:
-            return
-        seen.add(key)
-        closure, _ = engine.tau_closure(state)
-        for t in closure:
-            steps = engine.steps(t)
-            if all(lab is not TAU for lab, _ in steps):
-                refusal = sigma - frozenset(engine.initials(t))
-                found.setdefault(trace, set()).add(refusal)
-            if len(trace) < max_len:
-                for lab, succ in steps:
-                    if lab is not TAU:
-                        visit(succ, trace + (lab,))
-
-    visit(term, ())
-    out = {}
-    for trace, refusals in found.items():
-        maximal = {r for r in refusals if not any(r < other for other in refusals)}
-        out[trace] = frozenset(maximal)
-    return out
-
-
 def build_lts(term, env: SpecEnv, state_cap: int = 4096, engine: StepEngine | None = None):
     """Reachable transition system by breadth-first exploration.
 
@@ -252,38 +220,3 @@ def build_lts(term, env: SpecEnv, state_cap: int = 4096, engine: StepEngine | No
                 transitions.append((index[state], lab, j))
         frontier = nxt
     return states, transitions
-
-
-def is_divergent(term, env: SpecEnv, state_cap: int = 4096) -> bool:
-    """Whether any reachable state starts an infinite internal run.  A
-    transition system above the state cap is conservatively reported as
-    divergent."""
-    try:
-        states, transitions = build_lts(term, env, state_cap)
-    except StateLimitError:
-        return True
-    tau_succ: dict = {}
-    for i, lab, j in transitions:
-        if lab is TAU:
-            tau_succ.setdefault(i, []).append(j)
-    # depth-first search with an explicit stack: 1 marks a state on the
-    # current path, 2 one whose internal runs are all finite
-    color = {}
-    for root in range(len(states)):
-        if root in color:
-            continue
-        color[root] = 1
-        stack = [(root, iter(tau_succ.get(root, ())))]
-        while stack:
-            i, succs = stack[-1]
-            for j in succs:
-                if color.get(j) == 1:
-                    return True
-                if j not in color:
-                    color[j] = 1
-                    stack.append((j, iter(tau_succ.get(j, ()))))
-                    break
-            else:
-                color[i] = 2
-                stack.pop()
-    return False

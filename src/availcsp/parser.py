@@ -2,7 +2,7 @@
 
 Spec file format: optional ``alphabet {a,b,...}`` header, optional
 ``channel`` lines (accepted and ignored, so emitted simulation scripts can
-be read back), ``#`` comments, and one definition per line::
+be read back), comments, and one definition per line::
 
     NAME = PROC
     NAME(x, y) = PROC
@@ -17,6 +17,8 @@ Expression grammar, loosest to tightest:
     post   := atom ("\\ {..}" | "[[a <- b, ...]]")*
     atom   := "STOP" | "DIV" | NAME | NAME "(" args ")" | "(" par ")"
 
+A ``#`` that begins a token starts a comment, in a spec and in a process
+expression alike, and the comment ends with its line.
 ``STOP``, ``DIV``, ``mu``, ``alphabet``, and ``channel`` are reserved words.
 Renaming is relational and not implicitly completed with identity: an event
 with no image is blocked.
@@ -66,22 +68,21 @@ _CHOICE = {"[]": ExtChoice, "|~|": IntChoice, "[>": Timeout}
 _IDENT = "[A-Za-z][A-Za-z0-9_.]*"
 # the tokens of _PUNCT, longest first where one begins another
 _PUNCT_RE = r"\|(?:\|\|?|~\|)|\[[\[\]>]?|\]\]?|->|<-|[(){},:@=?\\]"
-# where str.splitlines cuts, but for "\u2028" and "\u2029", which parse_spec
-# reads as "\n": one character for one keeps lines and columns, and classes
-# of Latin-1 characters compile several times faster
+# where str.splitlines cuts, but for "\u2028" and "\u2029", which both
+# parsers read as "\n": one character for one keeps lines and columns, and
+# classes of Latin-1 characters compile several times faster
 _BREAK = "\n\r\v\f\x1c\x1d\x1e\x85"
 _BLANK = rf"[^\S{_BREAK}]"
 # a line end, with the comment of the next line if nothing comes before it
 _END = rf"(?:\r\n|[{_BREAK}])(?:{_BLANK}*#[^{_BREAK}]*)?"
-# Over "\n" + spec: a token, or a character that starts none (a "#" after a
-# blank) in group 1, and "" for each line end.  A comment directly after a
-# token takes its line end along.  Every alternative starts with a fixed
-# character, so the scan skips blanks without trying each one.
-_SPEC_SCAN = re.compile(
-    rf"({_IDENT}|{_PUNCT_RE}|[^\s#]|#(?<={_BLANK}#))|#[^{_BREAK}]*(?:{_END})?|{_END}")
-# A process expression is one line, however many line ends it holds, and a
-# comment ends it.
-_PROCESS_SCAN = re.compile(rf"({_IDENT}|{_PUNCT_RE}|[^\s#]|#(?<=\s#))|#[\s\S]*")
+# Over "\n" + spec: a token, or a character that starts none, in group 1,
+# and "" for each line end.  A comment after a token takes its line end
+# along.  Every alternative starts with a fixed character, so the scan skips
+# blanks without trying each one.
+_SPEC_SCAN = re.compile(rf"({_IDENT}|{_PUNCT_RE}|[^\s#])|#[^{_BREAK}]*(?:{_END})?|{_END}")
+# A process expression is one line, however many line ends it holds; a
+# comment, up to its line end, gives "", which parse_process drops.
+_PROCESS_SCAN = re.compile(rf"({_IDENT}|{_PUNCT_RE}|[^\s#])|#[^{_BREAK}]*")
 
 
 def _names(toks: list):
@@ -474,7 +475,8 @@ def parse_spec(text: str) -> SpecEnv:
 def parse_process(text: str, env: SpecEnv):
     """Parse a standalone process expression in the context of a spec.
     The definitions of its ``mu`` terms join the spec's recursions."""
-    toks = ["", *_PROCESS_SCAN.findall(text), "", ""]
+    text = text.replace("\u2028", "\n").replace("\u2029", "\n")
+    toks = ["", *filter(None, _PROCESS_SCAN.findall(text)), "", ""]
     recursions = {}
     names, stray = _names(toks)
     parser = _Parser(toks, names, text, _PROCESS_SCAN, recursions)

@@ -4,6 +4,9 @@ Everything here materialises full sets: by literal rule application, by
 exploring every subset offer, or by enumerating the whole bounded universe,
 with no canonical representation.  Costs are exponential, so callers keep
 alphabets at two or three events and traces short.
+
+The last section keeps the analyses that only the tests ask for, over the
+transition system: stable failures, divergence and strong simulation.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ import itertools
 
 from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, SpecEnv
 from availcsp.denotational import MAX_ROUNDS
-from availcsp.errors import BudgetError
+from availcsp.errors import BudgetError, StateLimitError
 from availcsp.healthiness import (
     ConditionReport, HealthReport, TraceSet, _conditions, _prefixes, _resample_run,
     covers_equal, finalize, max_offers,
@@ -19,7 +22,7 @@ from availcsp.healthiness import (
 from availcsp.kernel import (
     TAU, compose, decompose, in_obs, is_offer, normalize_trace, show_trace,
 )
-from availcsp.operational import StepEngine
+from availcsp.operational import StepEngine, build_lts
 
 
 def _proper_subsets(offer):
@@ -321,3 +324,127 @@ def check_healthy_oracle(subject, params: ModelParams, len_bound: int) -> Health
         )
         report.conditions.append(ConditionReport(name, witness is None, witness))
     return report
+
+
+# --- analyses only the tests use ---------------------------------------------
+
+
+def stable_failures(term, env: SpecEnv, max_len: int, tau_budget: int = 100) -> dict:
+    """Maximal stable refusals per event trace: maps each trace to the
+    antichain of refusal sets observed at stable states reached by it."""
+    engine = StepEngine(env, tau_budget)
+    sigma = frozenset(env.alphabet.events)
+    found: dict = {}
+    seen = set()
+
+    def visit(state, trace):
+        key = (state, trace)
+        if key in seen:
+            return
+        seen.add(key)
+        closure, _ = engine.tau_closure(state)
+        for t in closure:
+            steps = engine.steps(t)
+            if all(lab is not TAU for lab, _ in steps):
+                refusal = sigma - frozenset(engine.initials(t))
+                found.setdefault(trace, set()).add(refusal)
+            if len(trace) < max_len:
+                for lab, succ in steps:
+                    if lab is not TAU:
+                        visit(succ, trace + (lab,))
+
+    visit(term, ())
+    out = {}
+    for trace, refusals in found.items():
+        maximal = {r for r in refusals if not any(r < other for other in refusals)}
+        out[trace] = frozenset(maximal)
+    return out
+
+
+
+def is_divergent(term, env: SpecEnv, state_cap: int = 4096) -> bool:
+    """Whether any reachable state starts an infinite internal run.  A
+    transition system above the state cap is conservatively reported as
+    divergent."""
+    try:
+        states, transitions = build_lts(term, env, state_cap)
+    except StateLimitError:
+        return True
+    tau_succ: dict = {}
+    for i, lab, j in transitions:
+        if lab is TAU:
+            tau_succ.setdefault(i, []).append(j)
+    # depth-first search with an explicit stack: 1 marks a state on the
+    # current path, 2 one whose internal runs are all finite
+    color = {}
+    for root in range(len(states)):
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, iter(tau_succ.get(root, ())))]
+        while stack:
+            i, succs = stack[-1]
+            for j in succs:
+                if color.get(j) == 1:
+                    return True
+                if j not in color:
+                    color[j] = 1
+                    stack.append((j, iter(tau_succ.get(j, ()))))
+                    break
+            else:
+                color[i] = 2
+                stack.pop()
+    return False
+
+
+SIMILAR = "similar"
+NOT_SIMILAR = "not-similar"
+INDETERMINATE = "indeterminate"
+
+
+def sim_preorder(p, q, env: SpecEnv, state_cap: int = 4096) -> str:
+    """Strong simulation of the first process by the second, internal
+    steps treated as ordinary labels.  Indeterminate when either
+    transition system exceeds the state cap."""
+    try:
+        pstates, ptrans = build_lts(p, env, state_cap)
+        qstates, qtrans = build_lts(q, env, state_cap)
+    except StateLimitError:
+        return INDETERMINATE
+
+    def succ_map(trans):
+        succ = {}
+        for i, lab, j in trans:
+            succ.setdefault(i, {}).setdefault(lab, set()).add(j)
+        return succ
+
+    psucc = succ_map(ptrans)
+    qsucc = succ_map(qtrans)
+    related = {
+        (i, j) for i in range(len(pstates)) for j in range(len(qstates))
+    }
+    changed = True
+    while changed:
+        changed = False
+        for (i, j) in list(related):
+            ok = True
+            for lab, targets in psucc.get(i, {}).items():
+                qtargets = qsucc.get(j, {}).get(lab, ())
+                for i2 in targets:
+                    if not any((i2, j2) in related for j2 in qtargets):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                related.discard((i, j))
+                changed = True
+    return SIMILAR if (0, 0) in related else NOT_SIMILAR
+
+
+def mutually_similar(p, q, env: SpecEnv, state_cap: int = 4096) -> str:
+    a = sim_preorder(p, q, env, state_cap)
+    b = sim_preorder(q, p, env, state_cap)
+    if INDETERMINATE in (a, b):
+        return INDETERMINATE
+    return SIMILAR if a == b == SIMILAR else NOT_SIMILAR

@@ -6,7 +6,9 @@ The snapshot holds:
   ``verify`` bench job at the given bench seed, each run in process through
   ``availcsp.cli.main``;
 * the op and den cores of every corpus process (``tests/data``) at the six
-  congruence points, at len 3 and 4;
+  congruence points, at len 3 and 4, and the den cores of the ``congruence``
+  tail processes (PUMPCHOICE, WEAVE, MIXPAR and MASKLOOP) at len 5, whose
+  bench jobs print only whether the engines agree;
 * ``emit_script(to_simulation(...))`` of every corpus process at n=F,k=1 and
   n=F,k=F, which spells out the shape of its transition system;
 * ``pretty_env`` of every spec file under ``tests/data`` and ``bench/data``;
@@ -43,6 +45,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LENGTHS = (3, 4)
+DEEP_LENGTH = 5
+DEEP_CORES = (("group_ab", "PUMPCHOICE"), ("group_abc", "WEAVE"), ("group_abc", "MIXPAR"),
+              ("group_abc", "MASKLOOP"))
 COMMANDS = ("traces", "equiv", "refine", "test", "health", "realize", "simulate",
             "distinguish", "congruence")
 SPEC = os.path.join("tests", "data", "group_ab.csp")
@@ -162,6 +167,20 @@ def corpus_cores() -> dict:
     return out
 
 
+def deep_cores() -> dict:
+    from availcsp import Bounds, Call, denote_traces, show_trace
+    from conftest import PARAM_POINTS, load_group
+
+    out = {}
+    for group, name in DEEP_CORES:
+        env = load_group(group)
+        for params in PARAM_POINTS:
+            ts = denote_traces(Call(name, ()), env, params, Bounds(trace_len=DEEP_LENGTH))
+            key = f"{group} {name} n={params.run_bound},k={params.set_bound} len={DEEP_LENGTH}"
+            out[key] = sorted(show_trace(t) for t in ts.canon)
+    return out
+
+
 def simulation_scripts() -> dict:
     from availcsp import ModelParams, emit_script, to_simulation
     from conftest import GROUP_NAMES, group_processes, load_group
@@ -202,7 +221,8 @@ def main() -> None:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench"),
                     os.path.join(ROOT, "tests")]
     snapshot = {"seed": args.seed, "jobs": run_jobs(args.seed),
-                "cores": corpus_cores(), "simulations": simulation_scripts(),
+                "cores": corpus_cores(), "deep_cores": deep_cores(),
+                "simulations": simulation_scripts(),
                 "pretty": spec_texts(),
                 "help": [run_cli(argv) for argv in [("-h",)] + [(c, "-h") for c in COMMANDS]],
                 "usage_errors": [run_cli(argv) for argv in BAD_INVOCATIONS],

@@ -13,19 +13,18 @@ from conftest import PARAM_POINTS, group_processes
 
 from availcsp import Bounds, ModelParams
 from availcsp.denotational import denote_traces
-from availcsp.equivalence import (
-    DISTINGUISHED, EQUAL, NOT_SIMILAR, SIMILAR, equal_in, sim_preorder,
-)
+from availcsp.equivalence import DISTINGUISHED, EQUAL, equal_in
 from availcsp.healthiness import check_healthy, close_healthy, covers_equal
 from availcsp.kernel import in_obs
-from availcsp.operational import (
-    StepEngine, avail_traces, is_divergent, stable_failures, std_traces,
-)
+from availcsp.operational import StepEngine, avail_traces, std_traces
 from availcsp.process import Call, SpecEnv
 from availcsp.simulation import decode_trace, to_simulation
 from availcsp.testing import may_pass, realize
 from availcsp.testing import test_from_trace as probe_of
-from oracle import avail_traces_full, enumerate_universe, expand_cover
+from oracle import (
+    NOT_SIMILAR, SIMILAR, avail_traces_full, enumerate_universe, expand_cover, is_divergent,
+    sim_preorder, stable_failures,
+)
 
 FA = frozenset({"a"})
 FB = frozenset({"b"})

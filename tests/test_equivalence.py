@@ -11,14 +11,14 @@ import pytest
 from conftest import PARAM_POINTS, group_processes
 
 from availcsp import Bounds, ModelParams, parse_process
-from availcsp.equivalence import (
-    INDETERMINATE, NOT_SIMILAR, SIMILAR, _minimal_witness, distinguish, equal_in,
-    mutually_similar, refine_in, sim_preorder,
-)
+from availcsp.equivalence import _minimal_witness, distinguish, equal_in, refine_in
 from availcsp.healthiness import TraceSet, _uncovered
 from availcsp.operational import avail_traces
 from availcsp.process import Call, ExtChoice, Prefix, Stop, Timeout
-from oracle import minimal_witness_oracle
+from oracle import (
+    INDETERMINATE, NOT_SIMILAR, SIMILAR, minimal_witness_oracle, mutually_similar,
+    sim_preorder,
+)
 
 FA = frozenset("a")
 FB = frozenset("b")

@@ -165,6 +165,34 @@ def test_trim_length_matches_position_enumeration(traces, len_bound):
     assert trim_length(traces, len_bound) == trim_length_oracle(traces, len_bound)
 
 
+short_traces = st.lists(st.sampled_from(["a", "b", FA, FB, FAB]), max_size=6).map(
+    normalize_trace
+)
+
+
+@st.composite
+def shared_prefix_sets(draw):
+    """A prefix-closed set (every prefix of 1-6 drawn traces) or a sibling
+    set (one stem with 2-8 tails): the shapes whose traces share the most
+    prefixes in ``trim_length``'s trie."""
+    if draw(st.booleans()):
+        drawn = draw(st.lists(normalised_traces, min_size=1, max_size=6))
+        return {tr[:i] for tr in drawn for i in range(len(tr) + 1)}
+    stem = draw(short_traces)
+    tails = draw(st.lists(short_traces, min_size=2, max_size=8))
+    return {normalize_trace(stem + tail) for tail in tails}
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_prefix_sets(), st.integers(0, 8))
+def test_trim_length_over_shared_prefixes(traces, len_bound):
+    # each trace's image is its own: a shared prefix is worked out once,
+    # but no trace's selections may leak into a sibling's
+    out = trim_length(traces, len_bound)
+    assert out == trim_length_oracle(traces, len_bound)
+    assert out == set().union(*(trim_length([tr], len_bound) for tr in traces))
+
+
 # offers of up to three events overflow k=1 and k=2; seven actions overflow
 # every run and length bound drawn
 wide_traces = st.lists(st.sampled_from(["a", "b", "c", FA, FB, FAB, FBC, FABC]),

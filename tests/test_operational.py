@@ -11,12 +11,9 @@ from availcsp import Alphabet, Bounds, ModelParams, parse_spec
 from availcsp.errors import StateLimitError
 from availcsp.healthiness import close_healthy, covers_equal
 from availcsp.kernel import TAU
-from availcsp.operational import (
-    StepEngine, avail_traces, build_lts, is_divergent, stable_failures,
-    std_traces,
-)
+from availcsp.operational import StepEngine, avail_traces, build_lts, std_traces
 from availcsp.process import Call, ExtChoice, IntChoice, Prefix, Stop, Timeout
-from oracle import avail_traces_full, expand_cover
+from oracle import avail_traces_full, expand_cover, is_divergent, stable_failures
 
 AB = Alphabet(["a", "b"])
 FA = frozenset("a")

@@ -96,8 +96,9 @@ PROCESS_ERRORS = (
     ("a -> STOP $", ParseError, "line 1, col 10: bad character '$'"),
     ("a -> 9", ParseError, "line 1, col 5: bad character '9'"),
     ("a -> STOP [{a} | {b}] STOP", ParseError, "line 1, col 15: bad character '|'"),
-    ("a -> STOP # x", ParseError, "line 1, col 10: bad character '#'"),
-    ("  # x", ParseError, "line 1, col 1: bad character '#'"),
+    # a comment ends with its line, and what follows is read
+    ("a -> STOP#x\nb", ParseError, "line 1, col 13: trailing input after process expression"),
+    ("  # x", ParseError, "line 1, col 0: expected a process"),
     ("", ParseError, "line 1, col 0: expected a process"),
     ("a ->", ParseError, "line 1, col 0: expected a process"),
     ("a -> STOP [] ", ParseError, "line 1, col 0: expected a process"),
@@ -149,6 +150,14 @@ def test_parse_errors(env):
         assert str(err.value) == message, text
 
 
+@pytest.mark.parametrize("text", [
+    "a -> STOP # x", "a -> STOP#x", "a -> # x\nSTOP", "  # x\r\na -> STOP # -> $",
+    "a -> STOP # x\u2028",
+])
+def test_a_comment_ends_with_its_line(env, text):
+    assert parse_process(text, env) == parse_process("a -> STOP", env)
+
+
 def test_a_long_prefix_chain_parses(env):
     term = parse_process("a -> " * 3000 + "STOP", env)
     depth = 0
@@ -177,7 +186,7 @@ def test_reserved_words_rejected(env):
 SPEC_ERRORS = (
     ("P = a -> STOP\nQ = b -> $\n", ParseError, "line 2, col 9: bad character '$'"),
     ("P = a -> STOP\n  Q = ) $\n", ParseError, "line 2, col 8: bad character '$'"),
-    ("P = a -> STOP # c\n", ParseError, "line 1, col 14: bad character '#'"),
+    ("P = a -> STOP # c\nQ = $\n", ParseError, "line 2, col 4: bad character '$'"),
     ("channel x : {1}\nP = a -> STOP\n", ParseError, "line 1, col 14: bad character '1'"),
     ("P = (a -> STOP\n) \n", ParseError, "line 1, col 0: expected ')', got end of line"),
     ("P = a -> STOP\n\n\n  # c\n\nQ = b -> ->\n", ParseError,
@@ -242,6 +251,7 @@ PLAIN = "alphabet {a, b}\nP = a -> STOP\nQ(x) = x -> Q(x) [] b -> P\n"
     "alphabet {a, b}\r\nP = a -> STOP\r\nQ(x) = x -> Q(x) [] b -> P\r\n",
     "alphabet\t{a,b}\nP\t=\ta\t->\tSTOP\n\tQ(x)\t= x->Q(x)[]b->P",
     "alphabet {a, b}# header\nP = a -> STOP#x\nQ(x) = x -> Q(x) [] b -> P#\n",
+    "alphabet {a, b} # header\nP = a -> STOP # x ->\nQ(x) = x -> Q(x) [] b -> P\t# $\n",
     "# head\n\n   \n  # indented $ ~\nalphabet {a, b}\n\t\nP = a -> STOP\n#\n"
     "Q(x) = x -> Q(x) [] b -> P\n",
     "channel Offer : Set(Events)\nalphabet {a, b}\nchannel Pick : Events\n"
@@ -347,8 +357,8 @@ _FILLER = st.sampled_from(("", "   ", "\t", "# note", "  # note $ ~",
 def test_spec_lines_read_as_process_texts(texts, data):
     """Each ``Dk = text`` line of a spec, among comments, blank lines and
     channel lines, defines what ``parse_process`` reads from the text."""
-    lines = [f"D{k} = {text}" + data.draw(st.sampled_from(("", "#c", "  "))) for k, text in
-             enumerate(texts)]
+    ends = st.sampled_from(("", "#c", "  ", " # c $"))
+    lines = [f"D{k} = {text}" + data.draw(ends) for k, text in enumerate(texts)]
     for _ in range(data.draw(st.integers(0, 4))):
         lines.insert(data.draw(st.integers(0, len(lines))), data.draw(_FILLER))
     lines.insert(data.draw(st.integers(0, len(lines))), "alphabet {a, b, c}")
