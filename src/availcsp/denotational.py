@@ -12,11 +12,14 @@ it is first called and again only when the value of one of its callees
 changed, so one that calls no other is evaluated once.  This converges
 because the bounded universe is finite and every clause is monotone.
 
-Re-establishing the universe (``finalize``) maps each trace on its own and
-unions the images, so finalize(S ∪ D) = finalize(S) ∪ finalize(D).  Every
-clause's term node keeps a record of its last input and that input's
-finalized output; a fixpoint round that hands the node a superset of that
-input finalizes only the traces the round added (semi-naive evaluation).
+Every clause, like ``finalize``, is a union of per-trace images: of each
+operand trace for prefixing, internal choice, hiding and renaming
+(linear), of each pair of traces, one per operand, for external choice,
+timeout and both parallels (bilinear).  So each clause node records the
+operand cores it last saw and its output, and a fixpoint round that hands
+it supersets of those builds and finalizes only the images of what the
+round added (semi-naive evaluation).  Recursion bodies and input-prefix
+branches are built once per engine, so every round meets the same nodes.
 
 Hiding consumes performed events, so when a term can reach a hiding
 operator the evaluation runs at the longer internal length bound and the
@@ -44,20 +47,21 @@ MAX_ROUNDS = 10_000
 
 
 def mentions_hiding(term, env: SpecEnv) -> bool:
+    """Whether the term reaches a hiding operator, also through the
+    definitions it calls.  Iterative, to stay within the recursion limit."""
     seen = set()
-
-    def walk(t) -> bool:
+    stack = [term]
+    while stack:
+        t = stack.pop()
         if isinstance(t, Hide):
             return True
         if isinstance(t, Call):
-            if t.name in seen:
-                return False
-            seen.add(t.name)
-            if walk(env.lookup(t.name).body):
-                return True
-        return any(walk(c) for c in _children(t))
-
-    return walk(term)
+            if t.name not in seen:
+                seen.add(t.name)
+                stack.append(env.lookup(t.name).body)
+        else:
+            stack.extend(_children(t))
+    return False
 
 
 class DenotationalEngine:
@@ -67,26 +71,35 @@ class DenotationalEngine:
         self.eval_len = eval_len
         self.vector: dict = {}
         self.calls: list = []
-        self.finalized: dict = {}
+        self.records: dict = {}
+        self.bodies: dict = {}
 
-    def _finalize(self, term, traces, step: int = 0) -> frozenset:
-        """``finalize`` at this engine's bounds, for the clause of ``term``
-        (for a choice chain, of its ``step``-th fold).  ``finalize`` is a
-        union of per-trace images, so for S ⊆ T,
-        finalize(T) = finalize(S) ∪ finalize(T − S).  Each clause keeps one
-        record, keyed by the node's identity and the step: the node itself,
-        so that no other node takes its id while the record lives, its last
-        input, and that input's finalized output.  When a later call at the
-        clause gets a superset of that input, as fixpoint rounds do, only
-        the traces it added are finalized; otherwise the whole input is,
-        and the record is replaced."""
+    def _clause(self, term, operands: tuple, build, bilinear=False, step=0) -> frozenset:
+        """``finalize`` of ``build(*operands)``, the clause of ``term`` (for a
+        choice chain, of its ``step``-th fold).  The clause's record, keyed by
+        the node's identity and the step, holds the node (so that no other
+        node takes its id), the operands last seen and the output.  When each
+        operand is a superset of the recorded one, only the added traces Δ
+        are built: build(Δ…) if linear, build(ΔL, R′) ∪ build(L, ΔR) if
+        bilinear.  Of those, the ones already output are dropped, since
+        ``finalize`` maps each trace of its output to itself."""
         key = (id(term), step)
-        rec = self.finalized.get(key)
-        if rec is not None and rec[0] is term and rec[1] <= traces:
-            out = rec[2] | finalize(traces - rec[1], self.params, self.eval_len)
+        rec = self.records.get(key)
+        if rec is None or rec[0] is not term or not all(
+                old is new or old <= new for old, new in zip(rec[1], operands)):
+            out = finalize(build(*operands), self.params, self.eval_len)
         else:
-            out = finalize(traces, self.params, self.eval_len)
-        self.finalized[key] = (term, traces, out)
+            seen, out = rec[1], rec[2]
+            deltas = [() if old is new else new - old for old, new in zip(seen, operands)]
+            if not bilinear:
+                raw = build(*deltas) if any(deltas) else set()
+            else:
+                raw = (build(deltas[0], operands[1]) if deltas[0] else set()) | (
+                    build(seen[0], deltas[1]) if deltas[1] else set())
+            raw -= out
+            if raw:
+                out = out | finalize(raw, self.params, self.eval_len)
+        self.records[key] = (term, operands, out)
         return out
 
     def _evaluate(self, term):
@@ -118,7 +131,9 @@ class DenotationalEngine:
             if evaluations[key] > MAX_ROUNDS:
                 raise BudgetError("recursion failed to stabilise within the round limit")
             old = self.vector[key]
-            self.vector[key], calls = self._evaluate(self.env.instantiate(*key))
+            if key not in self.bodies:
+                self.bodies[key] = self.env.instantiate(*key)
+            self.vector[key], calls = self._evaluate(self.bodies[key])
             for callee in calls:
                 if callee not in callers:
                     callers[callee] = {}
@@ -132,47 +147,43 @@ class DenotationalEngine:
         if isinstance(term, Stop) or isinstance(term, Div):
             return BOTTOM
         if isinstance(term, Prefix):
-            return self._prefix_clause(
-                term, [term.event], {term.event: self.denote(term.body)}
-            )
+            return self._prefix_clause(term, (term.event,), (self.denote(term.body),))
         if isinstance(term, InputPrefix):
-            events = sorted(term.events)
-            conts = {
-                a: self.denote(subst_events(term.body, {term.binder: a}))
-                for a in events
-            }
-            return self._prefix_clause(term, events, conts)
+            events = tuple(sorted(term.events))
+            # the node's clause record keeps it alive, so its id names it
+            bodies = self.bodies.get(id(term))
+            if bodies is None:
+                bodies = self.bodies[id(term)] = [
+                    subst_events(term.body, {term.binder: a}) for a in events]
+            return self._prefix_clause(term, events, tuple(map(self.denote, bodies)))
         if isinstance(term, IntChoice):
-            out = set()
-            for b in term.branches:
-                out |= self.denote(b)
-            return self._finalize(term, out)
+            return self._clause(term, tuple(map(self.denote, term.branches)),
+                                lambda *branches: set().union(*branches))
         if isinstance(term, (ExtChoice, Timeout)):
             # a chain folds the binary clause left to right, as its nesting
-            # down the left would; each step keeps its own finalize record
+            # down the left would; each step keeps its own record
             clause = self._ext_clause if isinstance(term, ExtChoice) else self._timeout_clause
             acc = self.denote(term.branches[0])
             for step, b in enumerate(term.branches[1:]):
-                acc = self._finalize(term, clause(acc, self.denote(b)), step)
+                acc = self._clause(term, (acc, self.denote(b)), clause, True, step)
             return acc
         if isinstance(term, Parallel):
-            left = restrict_set(self.denote(term.left), term.left_events)
-            right = restrict_set(self.denote(term.right), term.right_events)
             sync = term.left_events & term.right_events
-            return self._finalize(term, merge_sets(left, right, sync))
+            return self._clause(
+                term, (self.denote(term.left), self.denote(term.right)),
+                lambda left, right: merge_sets(restrict_set(left, term.left_events),
+                                               restrict_set(right, term.right_events), sync),
+                True)
         if isinstance(term, Interleave):
-            return self._finalize(
-                term,
-                merge_sets(
-                    self.denote(term.left),
-                    self.denote(term.right),
-                    frozenset(),
-                )
-            )
+            return self._clause(
+                term, (self.denote(term.left), self.denote(term.right)),
+                lambda left, right: merge_sets(left, right, frozenset()), True)
         if isinstance(term, Hide):
-            return self._finalize(term, hide_set(self.denote(term.body), term.events))
+            return self._clause(term, (self.denote(term.body),),
+                                lambda body: hide_set(body, term.events))
         if isinstance(term, Rename):
-            return self._finalize(term, rename_set(self.denote(term.body), term.pairs))
+            return self._clause(term, (self.denote(term.body),),
+                                lambda body: rename_set(body, term.pairs))
         if isinstance(term, Call):
             key = (term.name, term.args)
             self.calls.append(key)
@@ -187,17 +198,22 @@ class DenotationalEngine:
             return val
         raise SpecError(f"unknown process construct {type(term).__name__}")
 
-    def _prefix_clause(self, term, events, conts: dict) -> frozenset:
-        """Composite of a prefix: the stable state offers all its events
-        as one run, which ``_finalize`` resamples into the runs the model
-        can observe (offers capped, repeats up to the run bound)."""
+    def _prefix_clause(self, term, events: tuple, conts: tuple) -> frozenset:
+        """Composite of a prefix, ``conts`` in the order of ``events``: the
+        stable state offers all its events as one run, which ``finalize``
+        resamples into the runs the model can observe (offers capped,
+        repeats up to the run bound)."""
         offer = (frozenset(events),)
-        out = {(), offer}
-        for a, cont in conts.items():
-            for t in cont:
-                out.add((a,) + t)
-                out.add(offer + (a,) + t)
-        return self._finalize(term, out)
+
+        def build(*conts):
+            out = {(), offer}
+            for a, cont in zip(events, conts):
+                for t in cont:
+                    out.add((a,) + t)
+                    out.add(offer + (a,) + t)
+            return out
+
+        return self._clause(term, conts, build)
 
     def _timeout_clause(self, left: frozenset, right: frozenset) -> set:
         """Composite of a timeout: the left side's traces, and each of its
@@ -210,22 +226,26 @@ class DenotationalEngine:
 
     def _ext_clause(self, left: frozenset, right: frozenset) -> set:
         """Composite of an external choice: both sides' offers accumulate
-        until the first performed event resolves it."""
-        lofs = offers_only(left)
-        rofs = offers_only(right)
+        until the first performed event resolves it.  Each side's members
+        are grouped by the offers before their first event, and each pair
+        of offer-only traces, one from each side, is merged once: a merge
+        without synchronisation is symmetric, so the left one goes first."""
+        merged = {}
         out = set()
-        for p in lofs:
-            for q in rofs:
-                out.update(merge_traces(p, q, frozenset()))
-        for canon, other in ((left, rofs), (right, lofs)):
-            for m in canon:
+        for mine, others, flip in ((left, offers_only(right), False),
+                                   (right, offers_only(left), True)):
+            starts = {}     # leading offers -> the rests that follow them
+            for m in mine:
                 parts = split_first_event(m)
-                if parts is None:
-                    continue
-                pre, a, suf = parts
-                for q in other:
-                    for pm in merge_traces(pre, q, frozenset()):
-                        out.add(pm + (a,) + suf)
+                pre, rest = (m, ()) if parts is None else (parts[0], (parts[1],) + parts[2])
+                starts.setdefault(pre, []).append(rest)
+            for pre, rests in starts.items():
+                for q in others:
+                    pair = (q, pre) if flip else (pre, q)
+                    pms = merged.get(pair)
+                    if pms is None:
+                        pms = merged[pair] = merge_traces(*pair, frozenset())
+                    out.update(pm + r for pm in pms for r in rests)
         return out
 
 

@@ -22,6 +22,23 @@ PARAM_POINTS = (
     ModelParams(run_bound=None, set_bound=None),
 )
 
+# Recursion through every operator, one definition each, named after it:
+# every clause then meets operands that grow from round to round.
+# TOGGLE changes its arguments as it recurses, and ILV keeps them.
+RECURSION_SPEC = """
+alphabet {a, b, c}
+ILV(x) = x -> (ILV(x) ||| c -> STOP)
+INTERLEAVELOOP = ILV(a)
+PARALLELLOOP = (a -> PARALLELLOOP [] b -> STOP) [{a, b} || {b, c}] (b -> c -> STOP)
+TIMEOUTLOOP = (a -> STOP) [> b -> TIMEOUTLOOP
+HIDELOOP = a -> ((b -> HIDELOOP) \\ {b})
+RENAMELOOP = a -> (RENAMELOOP [[a <- b, b <- a]])
+CHOICELOOP = (a -> CHOICELOOP [] b -> STOP) |~| c -> STOP
+INPUTLOOP = ? x : {a, b} -> x -> INPUTLOOP
+TOGGLE(x, y) = x -> TOGGLE(y, x)
+PARAMLOOP = TOGGLE(a, c)
+"""
+
 
 def load_group(name: str):
     with open(os.path.join(DATA_DIR, name + ".csp"), encoding="utf-8") as fh:

@@ -220,10 +220,10 @@ def solve_rounds_oracle(engine, term) -> frozenset:
     raise BudgetError("recursion failed to stabilise within the round limit")
 
 
-def finalize_whole_oracle(engine, term, traces, step=0) -> frozenset:
-    """``DenotationalEngine._finalize`` with no per-node record: every call
-    finalizes its whole input."""
-    return finalize(traces, engine.params, engine.eval_len)
+def clause_whole_oracle(engine, term, operands, build, bilinear=False, step=0) -> frozenset:
+    """``DenotationalEngine._clause`` with no per-node record: every call
+    builds the clause on its whole operands and finalizes all of it."""
+    return finalize(build(*operands), engine.params, engine.eval_len)
 
 
 def finalize_oracle(traces, params: ModelParams, len_bound: int) -> frozenset:
@@ -257,11 +257,12 @@ def finalize_oracle(traces, params: ModelParams, len_bound: int) -> frozenset:
     return frozenset(trim_length_oracle(clipped, len_bound))
 
 
-def prefix_clause_oracle(engine, term, events, conts: dict) -> frozenset:
+def prefix_clause_oracle(engine, term, events, conts) -> frozenset:
     """``DenotationalEngine._prefix_clause`` with the model's bounds applied
     in the clause: the runs observable at the stable state are built
     directly, as sequences of at most min(run bound, length bound) maximal
-    capped offers without adjacent repeats, before ``finalize`` is called."""
+    capped offers without adjacent repeats, before ``finalize`` is called
+    on the whole clause, with no per-node record."""
     choices = max_offers(events, engine.params.set_bound)
     n = engine.params.run_bound
     runs = {()}
@@ -270,9 +271,9 @@ def prefix_clause_oracle(engine, term, events, conts: dict) -> frozenset:
         frontier = [r + (o,) for r in frontier for o in choices if not r or r[-1] != o]
         runs.update(frontier)
     out = set(runs)
-    for a, cont in conts.items():
+    for a, cont in zip(events, conts):
         out.update(run + (a,) + t for run in runs for t in cont)
-    return engine._finalize(term, out)
+    return finalize(out, engine.params, engine.eval_len)
 
 
 def trim_length_oracle(traces, len_bound: int) -> set:

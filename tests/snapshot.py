@@ -9,6 +9,8 @@ The snapshot holds:
   congruence points, at len 3 and 4, and the den cores of the ``congruence``
   tail processes (PUMPCHOICE, WEAVE, MIXPAR and MASKLOOP) at len 5, whose
   bench jobs print only whether the engines agree;
+* the den cores of the processes of ``conftest.RECURSION_SPEC``, which
+  recurse through every operator, at the six points, len 4;
 * ``emit_script(to_simulation(...))`` of every corpus process at n=F,k=1 and
   n=F,k=F, which spells out the shape of its transition system;
 * ``pretty_env`` of every spec file under ``tests/data`` and ``bench/data``;
@@ -181,6 +183,20 @@ def deep_cores() -> dict:
     return out
 
 
+def recursion_cores() -> dict:
+    from availcsp import Bounds, denote_traces, parse_spec, show_trace
+    from conftest import PARAM_POINTS, RECURSION_SPEC, group_processes
+
+    env = parse_spec(RECURSION_SPEC)
+    out = {}
+    for name, term in group_processes(env):
+        for params in PARAM_POINTS:
+            ts = denote_traces(term, env, params, Bounds(trace_len=LENGTHS[-1]))
+            key = f"{name} n={params.run_bound},k={params.set_bound} len={LENGTHS[-1]}"
+            out[key] = sorted(show_trace(t) for t in ts.canon)
+    return out
+
+
 def simulation_scripts() -> dict:
     from availcsp import ModelParams, emit_script, to_simulation
     from conftest import GROUP_NAMES, group_processes, load_group
@@ -222,6 +238,7 @@ def main() -> None:
                     os.path.join(ROOT, "tests")]
     snapshot = {"seed": args.seed, "jobs": run_jobs(args.seed),
                 "cores": corpus_cores(), "deep_cores": deep_cores(),
+                "recursion_cores": recursion_cores(),
                 "simulations": simulation_scripts(),
                 "pretty": spec_texts(),
                 "help": [run_cli(argv) for argv in [("-h",)] + [(c, "-h") for c in COMMANDS]],

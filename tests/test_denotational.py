@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import PARAM_POINTS
+from conftest import PARAM_POINTS, RECURSION_SPEC, group_processes
 
-from availcsp import Alphabet, Bounds, ModelParams, denotational, parse_spec
+from availcsp import Alphabet, Bounds, ModelParams, denotational, parse_spec, trace_algebra
 from availcsp.denotational import DenotationalEngine, denote_traces, mentions_hiding
 from availcsp.healthiness import close_healthy, covers_equal, restrict_params
 from availcsp.operational import avail_traces
-from availcsp.process import Call
-from oracle import finalize_whole_oracle, prefix_clause_oracle, solve_rounds_oracle
+from availcsp.process import Call, Hide, Prefix, Stop
+from oracle import clause_whole_oracle, prefix_clause_oracle, solve_rounds_oracle
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -33,6 +33,7 @@ LOOPY = mu X @ X
 SLIDE = (a -> STOP |~| b -> STOP) [> SLIDE
 TWIN = ? x : {a, b} -> STOP
 SEQ = a -> b -> STOP
+DOUBLE = (DOUBLE ||| DOUBLE) |~| a -> STOP
 """
 
 HIDE_SPEC = """
@@ -50,6 +51,11 @@ def env():
 @pytest.fixture(scope="module")
 def henv():
     return parse_spec(HIDE_SPEC)
+
+
+@pytest.fixture(scope="module")
+def renv():
+    return parse_spec(RECURSION_SPEC)
 
 
 def den(env, name, params, L):
@@ -242,7 +248,7 @@ def test_delta_finalize_matches_whole_set_finalize(corpus, params, monkeypatch):
               if name in ("MASKLOOP", "PUMPCHOICE")]
     got = [denote_traces(term, env, params, Bounds(trace_len=L)).canon
            for _, term, env, L in cases]
-    monkeypatch.setattr(DenotationalEngine, "_finalize", finalize_whole_oracle)
+    monkeypatch.setattr(DenotationalEngine, "_clause", clause_whole_oracle)
     for (name, term, env, L), core in zip(cases, got):
         assert core == denote_traces(term, env, params, Bounds(trace_len=L)).canon, (name, L)
 
@@ -260,9 +266,8 @@ def test_bound_free_prefix_clause_matches_bounded_clause(corpus, params, monkeyp
         assert core == denote_traces(term, env, params, Bounds(trace_len=L)).canon, (name, L)
 
 
-def test_fixpoint_rounds_finalize_only_the_traces_they_add(envs, monkeypatch):
-    # each round of MASKLOOP's inline loop, (mu X @ a -> X) \ {a} at the
-    # internal length, adds a few traces to a large set
+def finalize_inputs(monkeypatch) -> list:
+    """The size of every set handed to ``finalize`` from now on."""
     handed = []
     finalize = denotational.finalize
 
@@ -271,5 +276,81 @@ def test_fixpoint_rounds_finalize_only_the_traces_they_add(envs, monkeypatch):
         return finalize(traces, params, len_bound)
 
     monkeypatch.setattr(denotational, "finalize", counting)
+    return handed
+
+
+def test_fixpoint_rounds_finalize_only_the_traces_they_add(envs, monkeypatch):
+    # each round of MASKLOOP's inline loop, (mu X @ a -> X) \ {a} at the
+    # internal length, adds a few traces to a large set
+    handed = finalize_inputs(monkeypatch)
     den(envs["group_abc"], "MASKLOOP", ModelParams(2, 1), 4)
     assert sum(handed) <= 2_100    # 10,350 when every call finalizes its whole input
+
+
+def test_parameterised_rounds_finalize_only_the_traces_they_add(envs, renv, monkeypatch):
+    # each round instantiates BUF(a) and ILV(a), and substitutes INPUTLOOP's
+    # binder, the same way, so it meets the nodes, and the records, of the
+    # round before
+    handed = finalize_inputs(monkeypatch)
+    den(envs["group_ab"], "BUFA", ModelParams(2, 1), 4)
+    assert sum(handed) <= 60          # 112 when each round builds a new body
+    handed.clear()
+    den(renv, "INTERLEAVELOOP", ModelParams(2, 1), 4)
+    assert sum(handed) <= 2_600       # 5,431 likewise
+    handed.clear()
+    den(renv, "INPUTLOOP", ModelParams(2, 1), 4)
+    assert sum(handed) <= 650         # 772 when each round substitutes anew
+
+
+@pytest.mark.parametrize("params", PARAM_POINTS, ids=lambda p: p.show())
+def test_recursion_through_every_operator_matches_whole_clauses(renv, params, monkeypatch):
+    cases = [(name, term, L) for name, term in group_processes(renv) for L in (3, 4)]
+    got = [denote_traces(term, renv, params, Bounds(trace_len=L)).canon for _, term, L in cases]
+    monkeypatch.setattr(DenotationalEngine, "_clause", clause_whole_oracle)
+    for (name, term, L), core in zip(cases, got):
+        assert core == denote_traces(term, renv, params, Bounds(trace_len=L)).canon, (name, L)
+
+
+@pytest.mark.parametrize("params", PARAM_POINTS, ids=lambda p: p.show())
+def test_recursion_through_every_operator_matches_operational(renv, params):
+    bounds = Bounds(trace_len=3)
+    for name, term in group_processes(renv):
+        op = avail_traces(term, renv, params, bounds)
+        assert covers_equal(op, denote_traces(term, renv, params, bounds)), name
+
+
+@pytest.mark.parametrize("params", PARAM_POINTS, ids=lambda p: p.show())
+def test_operands_that_grow_together_pair_their_new_traces(env, params, monkeypatch):
+    # both operands of DOUBLE's interleaving are DOUBLE, so a round adds
+    # short traces to both: <a, a> pairs a new trace of each side
+    got = den(env, "DOUBLE", params, 3)
+    assert got.member(("a", "a", "a"), AB)
+    monkeypatch.setattr(DenotationalEngine, "_clause", clause_whole_oracle)
+    assert got.canon == den(env, "DOUBLE", params, 3).canon
+
+
+def test_choice_recursion_merges_each_pair_once(envs, monkeypatch):
+    # PUMPCHOICE's rounds grow the left side of its choice by a few traces
+    calls = []
+    merge_traces = trace_algebra.merge_traces
+
+    def counting(*args):
+        calls.append(args)
+        return merge_traces(*args)
+
+    monkeypatch.setattr(denotational, "merge_traces", counting)
+    monkeypatch.setattr(trace_algebra, "merge_traces", counting)
+    den(envs["group_ab"], "PUMPCHOICE", ModelParams(None, 1), 5)
+    assert len(calls) <= 100          # 1,144 when every round merges every pair
+
+
+def test_mentions_hiding_walks_a_deep_chain_without_recursing():
+    def chain(end):
+        term = end
+        for _ in range(3_000):
+            term = Prefix("a", term)
+        return term
+
+    env = parse_spec(SPEC)
+    assert not mentions_hiding(chain(Stop()), env)
+    assert mentions_hiding(chain(Hide(Stop(), frozenset("a"))), env)
