@@ -142,12 +142,10 @@ class StepEngine:
         return cached
 
 
-def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds,
-                 engine: StepEngine | None = None) -> TraceSet:
+def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> TraceSet:
     """Canonical availability-trace set extracted from the transition
     system, bounded in length, run length, and offer size."""
-    if engine is None:
-        engine = StepEngine(env, bounds.tau_budget)
+    engine = StepEngine(env, bounds.tau_budget)
     meta = EvalMeta(engine="operational")
     memo: dict = {}
 
@@ -190,15 +188,14 @@ def std_traces(term, env: SpecEnv, max_len: int, tau_budget: int = 100) -> froze
     return avail_traces(term, env, ModelParams(run_bound=0), Bounds(max_len, tau_budget)).canon
 
 
-def build_lts(term, env: SpecEnv, state_cap: int = 4096, engine: StepEngine | None = None):
+def build_lts(term, env: SpecEnv, state_cap: int = 4096):
     """Reachable transition system by breadth-first exploration.
 
     Returns (states, transitions) with states in discovery order and
     transitions as a list of (source index, label, target index) triples.
     Raises StateLimitError beyond the state cap.
     """
-    if engine is None:
-        engine = StepEngine(env)
+    engine = StepEngine(env)
     index = {term: 0}
     states = [term]
     transitions = []

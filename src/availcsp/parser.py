@@ -32,21 +32,26 @@ How it reads:
 * **One scan.**  A spec is cut into tokens by one ``findall``, which gives
   ``""`` for each line end (a comment ends with its line), so the token list
   holds every line in turn, and two more ``""`` close it so that a look one
-  token ahead never runs off the end.  A character that starts no token is a
-  token of its own, found by one look at the distinct tokens, and reported
-  when its line is reached.  Positions are not kept: an error counts the line
-  ends before its token for its line, and scans that line again for its
-  column.
+  token ahead never runs off the end.  A process expression is cut by the
+  same scan and read as one line, however many line ends it holds: its
+  ``""`` tokens are dropped.  A character that starts no token is a token of
+  its own, found by one look at the distinct tokens, and reported when its
+  line is reached.  Positions are not kept: an error counts the line ends
+  before its token for its line, and scans that line (all of an
+  expression) again for its column.
 * **A stack, not a frame per level.**  ``_Parser.expr`` reads an operand's
   prefixes and input prefixes in a loop and keeps the choice and parallel
   operands of each open parenthesis or indexed choice on an explicit stack,
   so a long prefix chain or deep nesting costs no Python frame.  Only a
   ``mu`` recurses, since its body is read twice (``_Parser.recursion``).
-* **One walk.**  ``_walk`` visits every definition once, reading each
-  recursion's body where it is first called: it lists the events in order
-  of first mention (pre-order, so a hidden or synchronised set comes before
-  its body) and keeps the first bad call of each body, which is raised for
-  the first body in definition order, then recursion order.
+* **One walk.**  ``_walk`` checks a spec's definitions, an expression and
+  the body of each ``mu`` alike, reading each recursion's body where it is
+  first called: it lists the events in order of first mention (pre-order,
+  so a hidden or synchronised set comes before its body) and keeps the
+  first bad call of each body.  An undeclared event is raised before a bad
+  call, and a bad call for the first body in definition order (an
+  expression is one definition), then recursion order.  The same walk gives
+  a ``mu`` its free events.
 """
 from __future__ import annotations
 
@@ -57,7 +62,7 @@ from .kernel import Alphabet
 from .process import (
     Call, Definition, Div, ExtChoice, Hide, InputPrefix, IntChoice,
     Interleave, Parallel, Prefix, Rename, SpecEnv, Stop, Timeout,
-    _scoped_events, check_process, pretty, subst_events,
+    pretty, subst_events,
 )
 
 _RESERVED = frozenset({"STOP", "DIV", "mu", "alphabet", "channel"})
@@ -80,9 +85,6 @@ _END = rf"(?:\r\n|[{_BREAK}])(?:{_BLANK}*#[^{_BREAK}]*)?"
 # along.  Every alternative starts with a fixed character, so the scan skips
 # blanks without trying each one.
 _SPEC_SCAN = re.compile(rf"({_IDENT}|{_PUNCT_RE}|[^\s#])|#[^{_BREAK}]*(?:{_END})?|{_END}")
-# A process expression is one line, however many line ends it holds; a
-# comment, up to its line end, gives "", which parse_process drops.
-_PROCESS_SCAN = re.compile(rf"({_IDENT}|{_PUNCT_RE}|[^\s#])|#[^{_BREAK}]*")
 
 
 def _names(toks: list):
@@ -100,10 +102,10 @@ class _Parser:
     ends a line.  Methods take the index of a token and return what they
     read with the index after it."""
 
-    def __init__(self, toks: list, names: set, text: str, scan, recursions: dict):
+    def __init__(self, toks: list, names: set, lines: list, recursions: dict):
         self.toks = toks
         self.names, self.events = names, names - _RESERVED
-        self.text, self.scan = text, scan     # read again only on an error
+        self.lines = lines                    # read again only on an error
         self.recursions = recursions          # filled in; None on a first reading
         self.binders = []                     # event binders in scope, outermost first
         self.rec_vars = {}                    # recursion variable -> the call it reads as
@@ -114,8 +116,8 @@ class _Parser:
         """The line of token i, and (start, end) of each token on it."""
         before = self.toks[:i]
         line, k = before.count(""), before[::-1].index("")
-        text = self.text.splitlines()[line - 1] if self.scan is _SPEC_SCAN else self.text
-        spans = [m.span(1) for m in self.scan.finditer(text) if m.start(1) >= 0]
+        spans = [m.span(1) for m in _SPEC_SCAN.finditer(self.lines[line - 1])
+                 if m.start(1) >= 0]
         return line, spans[:k + 1]
 
     def fail(self, msg: str, i: int):
@@ -282,7 +284,7 @@ class _Parser:
         self.recursions = recursions
         params = ()
         if self.binders:
-            free = {e for _, named in _scoped_events(draft) for e in named}
+            free = _walk({var: Definition((), draft)}, {}, {})[0]
             params = tuple(dict.fromkeys(b for b in self.binders if b in free))
         holes = {b: f"${k}" for k, b in enumerate(params)}
         name = f"mu {var} @ {pretty(subst_events(draft, holes))}"
@@ -339,18 +341,18 @@ class _Parser:
                 return p, i
 
 
-def _walk(definitions: dict, recursions: dict):
-    """One pre-order walk of every definition body, each recursion's body
-    read where it is first called.  Returns the events named outside the
-    binders that bind them, in order of first mention, and the first call
-    of each body to an undefined name or with the wrong number of
-    arguments, keyed by the body's name.  A tuple on the stack names the
-    body and the bound events of what follows it.  Dispatched on the exact
-    node type, with no generator: through ``process._scoped_events`` the
-    same walk takes three times as long."""
+def _walk(roots: dict, definitions: dict, recursions: dict):
+    """One pre-order walk of the bodies of ``roots`` (name -> Definition),
+    each recursion's body read where it is first called.  Returns the events
+    named outside the binders that bind them, in order of first mention, and
+    the first call of each body to a name that neither ``definitions`` nor
+    ``recursions`` holds or with the wrong number of arguments, keyed by the
+    body's name.  A tuple on the stack names the body and the bound events
+    of what follows it.  Dispatched on the exact node type, with no
+    generator."""
     mentioned, faults, walked = {}, {}, set()
     stack = []
-    for name, d in reversed(definitions.items()):
+    for name, d in reversed(roots.items()):
         stack += (d.body, (name, frozenset(d.params)))
     pop, push = stack.pop, stack.append
     owner = bound = None
@@ -412,7 +414,7 @@ def parse_spec(text: str) -> SpecEnv:
     toks = _SPEC_SCAN.findall("\n" + text.replace("\u2028", "\n").replace("\u2029", "\n"))
     toks += ("", "")
     names, stray = _names(toks)
-    parser = _Parser(toks, names, text, _SPEC_SCAN, {})
+    parser = _Parser(toks, names, text.splitlines(), {})
     declared, definitions, duplicate = None, {}, None
     i, last = 1, len(toks) - 1
     while i < last:
@@ -451,7 +453,7 @@ def parse_spec(text: str) -> SpecEnv:
         raise ParseError(*duplicate)
 
     recursions = parser.recursions
-    mentioned, faults = _walk(definitions, recursions)
+    mentioned, faults = _walk(definitions, definitions, recursions)
     if declared is not None:
         extra = [e for e in mentioned if e not in declared]
         if extra:
@@ -476,18 +478,21 @@ def parse_process(text: str, env: SpecEnv):
     """Parse a standalone process expression in the context of a spec.
     The definitions of its ``mu`` terms join the spec's recursions."""
     text = text.replace("\u2028", "\n").replace("\u2029", "\n")
-    toks = ["", *filter(None, _PROCESS_SCAN.findall(text)), "", ""]
+    toks = ["", *filter(None, _SPEC_SCAN.findall(text)), "", ""]
     recursions = {}
     names, stray = _names(toks)
-    parser = _Parser(toks, names, text, _PROCESS_SCAN, recursions)
+    parser = _Parser(toks, names, [text], recursions)
     if stray is not None:
         parser.stray(stray)
     p, i = parser.expr(1)
     if toks[i]:
         parser.fail("trailing input after process expression", i)
-    scope = SpecEnv(env.alphabet, env.definitions, env.recursions | recursions)
-    for d in recursions.values():
-        check_process(d.body, scope, frozenset(d.params))
-    check_process(p, scope)
+    mentioned, faults = _walk({"": Definition((), p)}, env.definitions, recursions)
+    for e in mentioned:
+        if e not in env.alphabet:
+            raise SpecError(f"event {e!r} is not in the alphabet and not bound")
+    for name in ("", *recursions):
+        if name in faults:
+            raise SpecError(faults[name])
     env.recursions.update(recursions)
     return p

@@ -270,60 +270,3 @@ def pretty_env(env: SpecEnv) -> str:
         lines.append(f"{head} = {pretty(d.body)}")
     return "\n".join(lines) + "\n"
 
-
-# --- well-formedness ------------------------------------------------------
-
-
-_UNARY = frozenset({Prefix, InputPrefix, Hide, Rename})
-_BINARY = frozenset({Parallel, Interleave})
-_CHOICES = frozenset({ExtChoice, IntChoice, Timeout})
-_TERMS = frozenset(Process.__args__)
-
-
-def _scoped_events(p, bound_events=frozenset()):
-    """Walk a term in pre-order, yielding each node with the events it
-    names that no enclosing binder binds (in sorted order, repeats kept).
-    Iterative, so a deep term does not reach the recursion limit."""
-    stack = [(p, frozenset(bound_events))]
-    push = stack.append
-    while stack:
-        t, bev = stack.pop()
-        kind = type(t)
-        if kind is Prefix:
-            named = (t.event,)
-        elif kind is InputPrefix or kind is Hide:
-            named = sorted(t.events)
-        elif kind is Parallel:
-            named = sorted(t.left_events | t.right_events)
-        elif kind is Rename:
-            named = [e for pair in sorted(t.pairs) for e in pair]
-        elif kind is Call:
-            named = t.args
-        else:
-            named = ()
-        if named and bev:
-            named = [e for e in named if e not in bev]
-        yield t, named
-        if kind in _CHOICES:
-            stack.extend([(b, bev) for b in reversed(t.branches)])
-        elif kind in _BINARY:
-            push((t.right, bev))
-            push((t.left, bev))
-        elif kind in _UNARY:
-            push((t.body, bev | {t.binder} if kind is InputPrefix else bev))
-
-
-def check_process(p, env: SpecEnv, bound_events=frozenset()):
-    """Verify names resolve and every concrete event lies in the alphabet."""
-    for t, named in _scoped_events(p, bound_events):
-        if type(t) not in _TERMS:
-            raise SpecError(f"not a process term: {t!r}")
-        if isinstance(t, Call):
-            d = env.lookup(t.name)
-            if len(t.args) != len(d.params):
-                raise SpecError(
-                    f"{t.name} takes {len(d.params)} argument(s), got {len(t.args)}"
-                )
-        for e in named:
-            if e not in env.alphabet:
-                raise SpecError(f"event {e!r} is not in the alphabet and not bound")

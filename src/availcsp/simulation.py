@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import SpecError
 from .healthiness import _subsets
 from .kernel import TAU, Alphabet, ModelParams, normalize_trace
-from .operational import StepEngine, build_lts
+from .operational import build_lts
 from .process import (
     Call, Definition, ExtChoice, IntChoice, Prefix, SpecEnv, Timeout, pretty,
 )
@@ -74,8 +74,7 @@ def to_simulation(term, env: SpecEnv, params: ModelParams,
             raise SpecError(
                 f"alphabet event {e!r} clashes with simulation offer events"
             )
-    engine = StepEngine(env)
-    states, transitions = build_lts(term, env, state_cap, engine)
+    states, transitions = build_lts(term, env, state_cap)
 
     visible: dict = {}
     internal: dict = {}

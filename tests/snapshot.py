@@ -101,6 +101,10 @@ MALFORMED_SPECS = (
 MALFORMED_EXPRESSIONS = (
     "a -> STOP $", "a ->", "(a -> STOP", "a -> STOP STOP", "? x {a} -> x -> STOP",
     "|~| x : {} @ x -> STOP", "UNKNOWN", "EXT(a)", "d -> STOP", "(mu X @ a -> Y)",
+    "(mu X @ d -> X)", "(mu X @ BUF(a, b) [] X)", "a -> STOP # c\n  [] $",
+    # two errors each: which one is reported depends on the order of the checks
+    "UNKNOWN [] d -> STOP", "d -> STOP [] UNKNOWN", "UNKNOWN [] (mu X @ a -> Y)",
+    "d -> (mu X @ e -> X)", "(mu X @ a -> Y) [] d -> STOP",
 )
 
 

@@ -207,7 +207,7 @@ def test_08_testing_matches_membership(capsys, corpus, probe_universes):
         for group, name, term, env in corpus:
             uni = probe_universes[group]
             engine = StepEngine(env)
-            ts = avail_traces(term, env, MODEL_A, L4, engine=engine)
+            ts = avail_traces(term, env, MODEL_A, L4)
             vec = tuple(
                 may_pass(term, probe_of(tr), env, 100, engine).may
                 for tr in uni
@@ -218,7 +218,7 @@ def test_08_testing_matches_membership(capsys, corpus, probe_universes):
             vectors[(group, name)] = vec
             # test verdicts do not depend on the model, so the run-bounded
             # family is the same vector restricted to short offer runs
-            n1_sets[(group, name)] = avail_traces(term, env, p11, L4, engine=engine)
+            n1_sets[(group, name)] = avail_traces(term, env, p11, L4)
             n1_vectors[(group, name)] = tuple(
                 may for tr, may in zip(uni, vec) if in_obs(tr, 1)
             )

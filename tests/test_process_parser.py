@@ -140,6 +140,16 @@ PROCESS_ERRORS = (
     ("(mu X @ a -> Y)", SpecError, "undefined process name: Y"),
     ("? x : {a} -> (x -> STOP [] y -> STOP)", SpecError,
      "event 'y' is not in the alphabet and not bound"),
+    # a mu's body is checked by the same walk as the expression around it
+    ("(mu X @ d -> X)", SpecError, "event 'd' is not in the alphabet and not bound"),
+    ("(mu X @ PAIR(a, b) [] X)", SpecError, "PAIR takes 1 argument(s), got 2"),
+    # an expression is one line, so a column counts past its line ends
+    ("a -> STOP # c\n  [] $", ParseError, "line 1, col 19: bad character '$'"),
+    # two errors: an undeclared event comes before a bad call, wherever it
+    # stands, and a bad call in the expression before one in a mu's body
+    ("UNKNOWN [] d -> STOP", SpecError, "event 'd' is not in the alphabet and not bound"),
+    ("d -> STOP [] UNKNOWN", SpecError, "event 'd' is not in the alphabet and not bound"),
+    ("UNKNOWN [] (mu X @ a -> Y)", SpecError, "undefined process name: UNKNOWN"),
 )
 
 
@@ -156,6 +166,13 @@ def test_parse_errors(env):
 ])
 def test_a_comment_ends_with_its_line(env, text):
     assert parse_process(text, env) == parse_process("a -> STOP", env)
+
+
+def test_a_mu_takes_the_binders_its_body_mentions(env):
+    term = parse_process("? x : {a} -> (mu X @ x -> X)", env)
+    assert term.body == Call("mu X @ $0 -> X", ("x",))
+    assert env.recursions["mu X @ $0 -> X"] == Definition(("$0",), Prefix("$0", Call(
+        "mu X @ $0 -> X", ("$0",))))
 
 
 def test_a_long_prefix_chain_parses(env):
