@@ -194,8 +194,8 @@ def _cmd_traces(args, env: SpecEnv, bounds: Bounds) -> int:
         note = (" [" + ", ".join(flags) + "]") if flags else ""
         print(f"# {ts.meta.engine} {args.model.show()} len={ts.len_bound} "
               f"count={len(ts)}{note}")
-        for tr in ts.members_sorted(env.alphabet):
-            print(show_trace(tr, env.alphabet))
+        for line in ts.text_lines(env.alphabet):
+            print(line)
     return 0
 
 

@@ -22,10 +22,14 @@ change the event skeleton that covering keys on.
 
 ``finalize`` fits a clause's traces to the (n, k, len) bounds in one pass:
 each trace is normalised and checked against both offer bounds in one
-loop, and ``trim_length`` bounds the length of the fitted traces over a
+loop.  ``trim_length`` bounds the length of the traces that fit over a
 prefix trie, so the offer selections of a prefix that many traces share
-are worked out once.  Selections that have skipped more offers than the
-longest trace exceeds the bound by are dropped, since none can be kept.
+are worked out once.  A trace that does not fit stands for the product of
+its runs' fitted options, nearly all of them too long to keep, and that
+product is never built: ``fitting.fit_and_trim`` builds what trimming
+keeps of it from each run's options and a table of the selections
+trimming can read off the run, walking all such traces as one trie of
+runs.  Its cost follows what it returns, not what the product would hold.
 
 So ``check_healthy`` asks only what a core can violate.  The other four
 conditions keep or shrink a member's offers: by the covering lemma, each
@@ -46,8 +50,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .kernel import (
-    Alphabet, ModelParams, check_universe, compose, decompose, in_obs,
-    is_event, is_offer, normalize_trace, show_trace, trace_to_json,
+    Alphabet, ModelParams, check_universe, decompose, in_obs,
+    is_event, is_offer, normalize_trace, show_action, show_trace, trace_to_json,
 )
 
 
@@ -183,7 +187,11 @@ class TraceSet:
         return any(covered(runs, cand) for cand in self._skeleton_index.get(events, ()))
 
     def members_sorted(self, alphabet: Alphabet):
-        return sorted(self.canon, key=alphabet.trace_key)
+        """The core in ``Alphabet.trace_key`` order, with each distinct
+        action's key worked out once, as its rank among the actions."""
+        actions = sorted(_actions(self.canon), key=alphabet.action_key)
+        rank = {a: i for i, a in enumerate(actions)}
+        return sorted(self.canon, key=lambda tr: (len(tr), tuple(map(rank.__getitem__, tr))))
 
     def json_lines(self, alphabet: Alphabet):
         head = {
@@ -192,9 +200,24 @@ class TraceSet:
             "params": self.params.json_obj(),
         }
         head.update(self.meta.json_obj())
+        # an action's text is what trace_to_json writes between the brackets
+        shown = {a: trace_to_json((a,))[1:-1] for a in _actions(self.canon)}
         lines = [json.dumps(head, sort_keys=True)]
-        lines.extend(trace_to_json(tr) for tr in self.members_sorted(alphabet))
+        lines.extend("[" + ", ".join(map(shown.__getitem__, tr)) + "]"
+                     for tr in self.members_sorted(alphabet))
         return lines
+
+    def text_lines(self, alphabet: Alphabet):
+        """``show_trace`` of each member, in ``members_sorted`` order."""
+        shown = {a: show_action(a, alphabet) for a in _actions(self.canon)}
+        return ["<" + ", ".join(map(shown.__getitem__, tr)) + ">"
+                for tr in self.members_sorted(alphabet)]
+
+
+def _actions(traces) -> set:
+    """The distinct actions of some traces, each rendered or ranked once
+    for output rather than once per trace it occurs in."""
+    return {a for tr in traces for a in tr}
 
 
 def close_healthy(raw, params: ModelParams, len_bound: int, alphabet: Alphabet | None = None) -> TraceSet:
@@ -344,29 +367,6 @@ def _resample_run(choices, run_bound: int | None, len_bound: int) -> set:
     return out
 
 
-def _fit_runs(trace, params: ModelParams, len_bound: int):
-    """Canonical variants of a normalised trace that overflows the set or
-    run bound, with every offer run fitted to the model.  A member of the
-    restricted universe may map several capped offers onto one oversized
-    offer (duplication plus subset closure), so a run holding an oversized
-    offer is replaced by every run of capped subsets resampled from it,
-    which also keeps it inside the run bound.  A run longer than the run
-    bound is replaced by every selection of that many of its offers, with
-    repeats that become adjacent merged.  The empty run keeps the
-    surrounding trace even when no offer is expressible."""
-    n, k = params.run_bound, params.set_bound
-    runs, events = decompose(trace)
-    options = []
-    for r in runs:
-        if k is not None and any(len(o) > k for o in r):
-            options.append(_resample_run([max_offers(o, k) for o in r], n, len_bound))
-        elif n is not None and len(r) > n:
-            options.append({normalize_trace(c) for c in itertools.combinations(r, n)})
-        else:
-            options.append((r,))
-    return {compose(combo, events) for combo in itertools.product(*options)}
-
-
 def finalize(traces, params: ModelParams, len_bound: int):
     """The one place a trace set is fitted to the model: normalise, fit
     every offer run to the set and run bounds, and bound length.  Clauses
@@ -374,12 +374,15 @@ def finalize(traces, params: ModelParams, len_bound: int):
     saturated canonical core provided the input was one.
 
     One loop over each trace drops its empty offers, merges adjacent equal
-    offers and checks both bounds.  A trace that fits goes to
-    ``trim_length`` as it is; one that does not is replaced by its
-    ``_fit_runs`` variants.  ``trim_length`` keeps the short ones and
-    shares the work on the overlong ones in its prefix trie."""
+    offers and checks both bounds.  The traces that fit go to
+    ``trim_length``, which keeps the short ones and shares the work on the
+    overlong ones in its prefix trie.  Those that do not fit go to
+    ``fitting.fit_and_trim``, which adds the image each would have as the
+    product of its runs' fitted options, trimmed, without building the
+    product."""
     n, k = params.run_bound, params.set_bound
     fitted = []
+    unfit = []
     for tr in traces:
         last = None             # the last offer kept in the current run
         run = 0
@@ -401,8 +404,14 @@ def finalize(traces, params: ModelParams, len_bound: int):
         if fits:
             fitted.append(tr)
         else:
-            fitted.extend(_fit_runs(tr, params, len_bound))
-    return frozenset(trim_length(fitted, len_bound))
+            unfit.append(tr)
+    out = trim_length(fitted, len_bound)
+    if unfit:
+        # imported here: a command that meets no unfit trace, and the CLI's
+        # start, need not compile it
+        from .fitting import fit_and_trim
+        fit_and_trim(unfit, params, len_bound, out)
+    return frozenset(out)
 
 
 def restrict_params(ts: TraceSet, params: ModelParams, len_bound: int | None = None) -> TraceSet:

@@ -202,6 +202,24 @@ def resample_oracle(choices, run_bound, len_bound: int) -> set:
     return out
 
 
+def run_table_oracle(options, most: int) -> list:
+    """``fitting._run_table`` from an explicit set of a run's options:
+    every selection of c positions of every option, for c up to ``most``,
+    normalised and flagged when the option is longer than c; a selection
+    is flagged when any option holding it is.  Rows past the last nonempty
+    one are dropped."""
+    table = [{} for _ in range(most + 1)]
+    for option in options:
+        for c in range(min(len(option), most) + 1):
+            row = table[c]
+            for picks in itertools.combinations(option, c):
+                x = normalize_trace(picks)
+                row[x] = row.get(x, False) or len(option) > c
+    while not table[-1]:
+        table.pop()
+    return table
+
+
 def solve_rounds_oracle(engine, term) -> frozenset:
     """``DenotationalEngine.solve`` by plain rounds: re-denote the term and
     every instantiation found so far, in place, until a round finds no new

@@ -8,7 +8,9 @@ The snapshot holds:
 * the op and den cores of every corpus process (``tests/data``) at the six
   congruence points, at len 3 and 4, and the den cores of the ``congruence``
   tail processes (PUMPCHOICE, WEAVE, MIXPAR and MASKLOOP) at len 5, whose
-  bench jobs print only whether the engines agree;
+  bench jobs print only whether the engines agree, and of QUAD, WEAVE and
+  MIXPAR at len 6, whose traces overflow the run or set bound most often
+  in ``finalize``;
 * the den cores of the processes of ``conftest.RECURSION_SPEC``, which
   recurse through every operator, at the six points, len 4;
 * ``emit_script(to_simulation(...))`` of every corpus process at n=F,k=1 and
@@ -47,9 +49,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LENGTHS = (3, 4)
-DEEP_LENGTH = 5
-DEEP_CORES = (("group_ab", "PUMPCHOICE"), ("group_abc", "WEAVE"), ("group_abc", "MIXPAR"),
-              ("group_abc", "MASKLOOP"))
+DEEP_CORES = (("group_ab", "PUMPCHOICE", 5), ("group_abc", "WEAVE", 5),
+              ("group_abc", "MIXPAR", 5), ("group_abc", "MASKLOOP", 5),
+              ("group_abcd", "QUAD", 6), ("group_abc", "WEAVE", 6), ("group_abc", "MIXPAR", 6))
 COMMANDS = ("traces", "equiv", "refine", "test", "health", "realize", "simulate",
             "distinguish", "congruence")
 SPEC = os.path.join("tests", "data", "group_ab.csp")
@@ -178,11 +180,11 @@ def deep_cores() -> dict:
     from conftest import PARAM_POINTS, load_group
 
     out = {}
-    for group, name in DEEP_CORES:
+    for group, name, length in DEEP_CORES:
         env = load_group(group)
         for params in PARAM_POINTS:
-            ts = denote_traces(Call(name, ()), env, params, Bounds(trace_len=DEEP_LENGTH))
-            key = f"{group} {name} n={params.run_bound},k={params.set_bound} len={DEEP_LENGTH}"
+            ts = denote_traces(Call(name, ()), env, params, Bounds(trace_len=length))
+            key = f"{group} {name} n={params.run_bound},k={params.set_bound} len={length}"
             out[key] = sorted(show_trace(t) for t in ts.canon)
     return out
 

@@ -6,22 +6,29 @@ applies the literal closure rules to a materialised set.
 """
 from __future__ import annotations
 
+import itertools
+import os
+
 import pytest
-from conftest import PARAM_POINTS
+from conftest import DATA_DIR, PARAM_POINTS
 from hypothesis import example, given, settings, strategies as st
 
-from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, parse_process
+from availcsp import (
+    Alphabet, Bounds, Call, ModelParams, OutOfUniverseError, parse_process, show_trace,
+    trace_to_json,
+)
 from availcsp.denotational import denote_traces
+from availcsp.fitting import _run_table
 from availcsp.healthiness import (
     _CONDITIONS, TraceSet, _resample_run, check_healthy, close_healthy,
     cond4_reduce, covered, covers_equal, finalize,
     max_offers, restrict_params, saturate, trim_length,
 )
-from availcsp.kernel import decompose, in_obs, is_offer, normalize_trace
+from availcsp.kernel import decompose, in_obs, is_offer, normalize_trace, parse_trace
 from availcsp.operational import avail_traces
 from oracle import (
     check_healthy_oracle, closure_oracle, enumerate_universe, expand_cover,
-    finalize_oracle, resample_oracle, trim_length_oracle,
+    finalize_oracle, resample_oracle, run_table_oracle, trim_length_oracle,
 )
 
 AB = Alphabet(["a", "b"])
@@ -143,6 +150,51 @@ def test_resample_run_matches_brute_force(choices, run_bound, len_bound):
     assert _resample_run(choices, run_bound, len_bound) == want
 
 
+offers_abcd = st.sampled_from([frozenset(c) for size in range(1, 5)
+                               for c in itertools.combinations("abcd", size)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(offers_abcd, min_size=1, max_size=3), st.integers(1, 3),
+       st.sampled_from([1, 2, 3, None]), st.integers(0, 5))
+def test_run_table_matches_every_selection_of_every_resampled_option(run, k, n, len_bound):
+    # finalize reads what trimming keeps of a resampled run off this table
+    choices = [max_offers(o, k) for o in run]
+    cap = len_bound if n is None else min(n, len_bound)
+    want = run_table_oracle(_resample_run(choices, n, len_bound), len_bound)
+    assert _run_table(choices, cap, len_bound) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([FA, FB, FAB, FBC, FABC]), min_size=1, max_size=6).map(
+    normalize_trace), st.integers(0, 4), st.integers(0, 6))
+def test_run_table_of_a_clipped_or_kept_run(run, n, len_bound):
+    # a run is read one offer per position: clipped to n of its offers, or
+    # kept whole when it fits
+    single = [(o,) for o in run]
+    if len(run) > n:
+        clipped = {normalize_trace(c) for c in itertools.combinations(run, n)}
+        assert _run_table(single, n, len_bound) == run_table_oracle(clipped, len_bound)
+    assert _run_table(single, len(run), len_bound) == run_table_oracle([run], len_bound)
+
+
+# finalize's worst case before its runs were read off selection tables:
+# the variant product held 97,196 traces at k=1, nearly all too long
+BASELINE_CALL = (FABC, "a", FABC, "b", FBC)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_finalize_of_the_baseline_call_matches_its_pinned_image(k):
+    # the pinned sets were checked against finalize_oracle once: it takes
+    # about 7 s at k=2 and two minutes at k=1
+    path = os.path.join(DATA_DIR, f"finalize_baseline_k{k}.txt")
+    with open(path, encoding="utf-8") as fh:
+        pinned = {parse_trace(line, ABC) for line in fh.read().splitlines()
+                  if not line.startswith("#")}
+    assert len(pinned) == {1: 498, 2: 434}[k]
+    assert finalize({BASELINE_CALL}, ModelParams(run_bound=None, set_bound=k), 5) == pinned
+
+
 def test_finalize_clips_runs_and_length():
     p = ModelParams(run_bound=1, set_bound=1)
     out = finalize({(FA, FB, "a")}, p, 3)
@@ -203,6 +255,7 @@ bound_or_free = st.sampled_from([1, 2, None])
 @settings(max_examples=200, deadline=None)
 @given(st.frozensets(wide_traces, max_size=3), st.frozensets(wide_traces, max_size=3),
        bound_or_free, bound_or_free, st.integers(0, 5))
+@example(frozenset({BASELINE_CALL}), frozenset({(FABC,)}), None, 1, 5)
 def test_finalize_is_a_union_of_per_trace_images(a, b, n, k, len_bound):
     # the denotational engine finalizes only what a fixpoint round added
     p = ModelParams(run_bound=n, set_bound=k)
@@ -393,6 +446,17 @@ def test_trace_set_json_lines_shape():
     assert head["count"] == len(t.canon)
     assert head["params"] == {"n": "F", "k": 1}
     assert json.loads(lines[1]) == []
+
+
+def test_output_lines_render_each_member_as_show_trace_and_trace_to_json(abcd):
+    # each distinct action is ranked and rendered once for the whole set;
+    # the order and text must be those of the per-trace functions
+    alphabet = Alphabet(["d", "c", "b", "a"])      # not the sorted order
+    ts = avail_traces(Call("QUAD", ()), abcd, SETS2, Bounds(trace_len=3))
+    members = sorted(ts.canon, key=alphabet.trace_key)
+    assert ts.members_sorted(alphabet) == members
+    assert ts.text_lines(alphabet) == [show_trace(tr, alphabet) for tr in members]
+    assert ts.json_lines(alphabet)[1:] == [trace_to_json(tr) for tr in members]
 
 
 # --- check_healthy against the enumerating oracle --------------------------
