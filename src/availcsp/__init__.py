@@ -23,10 +23,7 @@ from .process import (
     pretty_env,
 )
 from .parser import parse_process, parse_spec
-from .healthiness import (
-    HealthReport, TraceSet, check_healthy, close_healthy, covers_equal,
-    restrict_params,
-)
+from .healthiness import HealthReport, TraceSet, check_healthy, close_healthy, covers_equal
 from .operational import StepEngine, avail_traces, build_lts, std_traces
 from .trace_algebra import merge_traces
 from .denotational import denote_traces

@@ -186,12 +186,7 @@ def _cmd_traces(args, env: SpecEnv, bounds: Bounds) -> int:
         for line in ts.json_lines(env.alphabet):
             print(line)
     else:
-        flags = []
-        if ts.meta.tau_budget_hit:
-            flags.append("tau-budget-hit")
-        if ts.meta.len_bound_hit:
-            flags.append("length-bound-hit")
-        note = (" [" + ", ".join(flags) + "]") if flags else ""
+        note = " [tau-budget-hit]" if ts.meta.tau_budget_hit else ""
         print(f"# {ts.meta.engine} {args.model.show()} len={ts.len_bound} "
               f"count={len(ts)}{note}")
         for line in ts.text_lines(env.alphabet):

@@ -1,31 +1,33 @@
 """Denotational semantics: compositional trace-set evaluation.
 
-Each operator clause builds the composite trace set from the cores of its
-arguments with no regard to the run and set bounds: a prefix offers all
-its events as one run, and merging may widen offers and join runs.  The
-clause's output then passes through ``finalize``, the one place the
-(n, k, len) bounds are applied, which makes it a canonical core.
-Recursion is solved by iteration from the least trace set {⟨⟩}, over a
-vector of reachable instantiations of named definitions (the parser makes
-each ``mu`` term one), with a worklist: an instantiation is evaluated when
-it is first called and again only when the value of one of its callees
-changed, so one that calls no other is evaluated once.  This converges
-because the bounded universe is finite and every clause is monotone.
-
+``CLAUSES`` gives each operator its clause: a pure function of the node
+and its operands' cores that builds the composite trace set with no regard
+to the run and set bounds (a prefix offers all its events as one run, and
+merging may widen offers and join runs).  ``finalize``, the one place the
+(n, k, len) bounds are applied, makes the clause's output a canonical core.
 Every clause, like ``finalize``, is a union of per-trace images: of each
 operand trace for prefixing, internal choice, hiding and renaming
 (linear), of each pair of traces, one per operand, for external choice,
 timeout and both parallels (bilinear).  So each clause node records the
 operand cores it last saw and its output, and a fixpoint round that hands
 it supersets of those builds and finalizes only the images of what the
-round added (semi-naive evaluation).  Recursion bodies and input-prefix
-branches are built once per engine, so every round meets the same nodes.
+round added (semi-naive evaluation).
+
+Recursion is solved by iteration from the least trace set {⟨⟩}, over a
+vector of reachable instantiations of named definitions (the parser makes
+each ``mu`` term one), with a worklist: an instantiation is evaluated when
+it is first called and again only when the value of one of its callees
+changed.  This converges because the bounded universe is finite and every
+clause is monotone.  Recursion bodies and input-prefix branches are built
+once per engine, so every round meets the same nodes.
 
 Hiding consumes performed events, so when a term can reach a hiding
 operator the evaluation runs at the longer internal length bound and the
 result is trimmed back at the end.
 """
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import BudgetError, SpecError
 from .healthiness import EvalMeta, TraceSet, finalize
@@ -62,6 +64,74 @@ def mentions_hiding(term, env: SpecEnv) -> bool:
         else:
             stack.extend(_children(t))
     return False
+
+
+def _prefix(node, *conts) -> set:
+    """Composite of a prefix, ``conts`` in the order of its events: the
+    stable state offers all its events as one run, which ``finalize``
+    resamples into the runs the model can observe (offers capped, repeats
+    up to the run bound)."""
+    events = sorted(node.events) if type(node) is InputPrefix else (node.event,)
+    offer = (frozenset(events),)
+    out = {(), offer}
+    for a, cont in zip(events, conts):
+        for t in cont:
+            out.add((a,) + t)
+            out.add(offer + (a,) + t)
+    return out
+
+
+def _ext_choice(node, left: frozenset, right: frozenset) -> set:
+    """Composite of an external choice: both sides' offers accumulate
+    until the first performed event resolves it.  Each side's members are
+    grouped by the offers before their first event, and each pair of
+    offer-only traces, one from each side, is merged once: a merge without
+    synchronisation is symmetric, so the left one goes first."""
+    merged = {}
+    out = set()
+    for mine, others, flip in ((left, offers_only(right), False),
+                               (right, offers_only(left), True)):
+        starts = {}     # leading offers -> the rests that follow them
+        for m in mine:
+            parts = split_first_event(m)
+            pre, rest = (m, ()) if parts is None else (parts[0], (parts[1],) + parts[2])
+            starts.setdefault(pre, []).append(rest)
+        for pre, rests in starts.items():
+            for q in others:
+                pair = (q, pre) if flip else (pre, q)
+                pms = merged.get(pair)
+                if pms is None:
+                    pms = merged[pair] = merge_traces(*pair, frozenset())
+                out.update(pm + r for pm in pms for r in rests)
+    return out
+
+
+def _timeout(node, left: frozenset, right: frozenset) -> set:
+    """Composite of a timeout: the left side's traces, and each of its
+    offer-only traces followed by a trace of the right side."""
+    out = set(left)
+    for p in offers_only(left):
+        for q in right:
+            out.add(concat_traces(p, q))
+    return out
+
+
+# constructor -> (clause, whether it is bilinear); ``Stop``, ``Div`` and
+# ``Call`` have none.  An input prefix's operands are its body substituted
+# with each of its events, in order; any other node's are its children.
+CLAUSES = {
+    Prefix: (_prefix, False),
+    InputPrefix: (_prefix, False),
+    IntChoice: (lambda node, *branches: set().union(*branches), False),
+    ExtChoice: (_ext_choice, True),
+    Timeout: (_timeout, True),
+    Parallel: (lambda node, left, right: merge_sets(
+        restrict_set(left, node.left_events), restrict_set(right, node.right_events),
+        node.left_events & node.right_events), True),
+    Interleave: (lambda node, left, right: merge_sets(left, right, frozenset()), True),
+    Hide: (lambda node, body: hide_set(body, node.events), False),
+    Rename: (lambda node, body: rename_set(body, node.pairs), False),
+}
 
 
 class DenotationalEngine:
@@ -144,109 +214,39 @@ class DenotationalEngine:
         return self._evaluate(term)[0]
 
     def denote(self, term) -> frozenset:
-        if isinstance(term, Stop) or isinstance(term, Div):
-            return BOTTOM
-        if isinstance(term, Prefix):
-            return self._prefix_clause(term, (term.event,), (self.denote(term.body),))
-        if isinstance(term, InputPrefix):
-            events = tuple(sorted(term.events))
-            # the node's clause record keeps it alive, so its id names it
-            bodies = self.bodies.get(id(term))
-            if bodies is None:
-                bodies = self.bodies[id(term)] = [
-                    subst_events(term.body, {term.binder: a}) for a in events]
-            return self._prefix_clause(term, events, tuple(map(self.denote, bodies)))
-        if isinstance(term, IntChoice):
-            return self._clause(term, tuple(map(self.denote, term.branches)),
-                                lambda *branches: set().union(*branches))
-        if isinstance(term, (ExtChoice, Timeout)):
-            # a chain folds the binary clause left to right, as its nesting
-            # down the left would; each step keeps its own record
-            clause = self._ext_clause if isinstance(term, ExtChoice) else self._timeout_clause
-            acc = self.denote(term.branches[0])
-            for step, b in enumerate(term.branches[1:]):
-                acc = self._clause(term, (acc, self.denote(b)), clause, True, step)
-            return acc
-        if isinstance(term, Parallel):
-            sync = term.left_events & term.right_events
-            return self._clause(
-                term, (self.denote(term.left), self.denote(term.right)),
-                lambda left, right: merge_sets(restrict_set(left, term.left_events),
-                                               restrict_set(right, term.right_events), sync),
-                True)
-        if isinstance(term, Interleave):
-            return self._clause(
-                term, (self.denote(term.left), self.denote(term.right)),
-                lambda left, right: merge_sets(left, right, frozenset()), True)
-        if isinstance(term, Hide):
-            return self._clause(term, (self.denote(term.body),),
-                                lambda body: hide_set(body, term.events))
-        if isinstance(term, Rename):
-            return self._clause(term, (self.denote(term.body),),
-                                lambda body: rename_set(body, term.pairs))
-        if isinstance(term, Call):
+        kind = type(term)
+        if kind is Call:
             key = (term.name, term.args)
             self.calls.append(key)
-            val = self.vector.get(key)
-            if val is None:
+            if key not in self.vector:
                 if len(self.vector) >= MAX_INSTANTIATIONS:
-                    raise BudgetError(
-                        f"more than {MAX_INSTANTIATIONS} recursion instantiations"
-                    )
+                    raise BudgetError(f"more than {MAX_INSTANTIATIONS} recursion instantiations")
                 self.vector[key] = BOTTOM
-                val = BOTTOM
-            return val
-        raise SpecError(f"unknown process construct {type(term).__name__}")
-
-    def _prefix_clause(self, term, events: tuple, conts: tuple) -> frozenset:
-        """Composite of a prefix, ``conts`` in the order of ``events``: the
-        stable state offers all its events as one run, which ``finalize``
-        resamples into the runs the model can observe (offers capped,
-        repeats up to the run bound)."""
-        offer = (frozenset(events),)
-
-        def build(*conts):
-            out = {(), offer}
-            for a, cont in zip(events, conts):
-                for t in cont:
-                    out.add((a,) + t)
-                    out.add(offer + (a,) + t)
-            return out
-
-        return self._clause(term, conts, build)
-
-    def _timeout_clause(self, left: frozenset, right: frozenset) -> set:
-        """Composite of a timeout: the left side's traces, and each of its
-        offer-only traces followed by a trace of the right side."""
-        out = set(left)
-        for p in offers_only(left):
-            for q in right:
-                out.add(concat_traces(p, q))
-        return out
-
-    def _ext_clause(self, left: frozenset, right: frozenset) -> set:
-        """Composite of an external choice: both sides' offers accumulate
-        until the first performed event resolves it.  Each side's members
-        are grouped by the offers before their first event, and each pair
-        of offer-only traces, one from each side, is merged once: a merge
-        without synchronisation is symmetric, so the left one goes first."""
-        merged = {}
-        out = set()
-        for mine, others, flip in ((left, offers_only(right), False),
-                                   (right, offers_only(left), True)):
-            starts = {}     # leading offers -> the rests that follow them
-            for m in mine:
-                parts = split_first_event(m)
-                pre, rest = (m, ()) if parts is None else (parts[0], (parts[1],) + parts[2])
-                starts.setdefault(pre, []).append(rest)
-            for pre, rests in starts.items():
-                for q in others:
-                    pair = (q, pre) if flip else (pre, q)
-                    pms = merged.get(pair)
-                    if pms is None:
-                        pms = merged[pair] = merge_traces(*pair, frozenset())
-                    out.update(pm + r for pm in pms for r in rests)
-        return out
+            return self.vector[key]
+        if kind is Stop or kind is Div:
+            return BOTTOM
+        entry = CLAUSES.get(kind)
+        if entry is None:
+            raise SpecError(f"unknown process construct {kind.__name__}")
+        clause, bilinear = entry
+        if kind is InputPrefix:
+            # the node's clause record keeps it alive, so its id names it
+            operands = self.bodies.get(id(term))
+            if operands is None:
+                operands = self.bodies[id(term)] = [
+                    subst_events(term.body, {term.binder: a}) for a in sorted(term.events)]
+        else:
+            operands = _children(term)
+        cores = tuple(map(self.denote, operands))
+        build = partial(clause, term)
+        if not bilinear:
+            return self._clause(term, cores, build)
+        # a chain folds the binary clause left to right, as its nesting
+        # down the left would; each step keeps its own record
+        acc = cores[0]
+        for step, core in enumerate(cores[1:]):
+            acc = self._clause(term, (acc, core), build, True, step)
+        return acc
 
 
 def denote_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> TraceSet:

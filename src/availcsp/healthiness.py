@@ -61,13 +61,11 @@ class EvalMeta:
     def __init__(self, engine: str = ""):
         self.engine = engine
         self.tau_budget_hit = False
-        self.len_bound_hit = False
 
     def json_obj(self) -> dict:
         return {
             "engine": self.engine,
             "tau_budget_hit": self.tau_budget_hit,
-            "len_bound_hit": self.len_bound_hit,
         }
 
 
@@ -414,14 +412,6 @@ def finalize(traces, params: ModelParams, len_bound: int):
     return frozenset(out)
 
 
-def restrict_params(ts: TraceSet, params: ModelParams, len_bound: int | None = None) -> TraceSet:
-    """Project a trace set into a smaller universe (tighter run bound, set
-    bound, or length bound)."""
-    lb = ts.len_bound if len_bound is None else min(len_bound, ts.len_bound)
-    canon = finalize(ts.canon, params, lb)
-    return TraceSet(canon, params, lb, ts.meta)
-
-
 # --- healthiness verification ----------------------------------------------
 
 
@@ -445,9 +435,6 @@ class HealthReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.conditions)
-
-    def failures(self):
-        return [c for c in self.conditions if not c.ok]
 
     def json_objs(self, alphabet: Alphabet | None = None):
         return [c.json_obj(alphabet) for c in self.conditions]

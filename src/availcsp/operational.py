@@ -10,13 +10,16 @@ recovered by covering.
 """
 from __future__ import annotations
 
-from .errors import SpecError, StateLimitError
+from .errors import BudgetError, SpecError, StateLimitError
 from .healthiness import EvalMeta, TraceSet, max_offers
 from .kernel import TAU, Bounds, ModelParams
 from .process import (
     Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, Interleave,
     Parallel, Prefix, Rename, Stop, SpecEnv, Timeout, subst_events,
 )
+
+# the most states one internal-step closure, or one transition system, holds
+MAX_STATES = 4096
 
 
 class StepEngine:
@@ -119,7 +122,8 @@ class StepEngine:
 
     def tau_closure(self, term):
         """States reachable by internal steps within the budget, plus a
-        completeness flag (False when the budget cut exploration short)."""
+        completeness flag (False when the budget cut exploration short).
+        Raises BudgetError when they pass MAX_STATES."""
         cached = self._closure.get(term)
         if cached is None:
             seen = {term}
@@ -134,6 +138,9 @@ class StepEngine:
                         if lab is TAU and succ not in seen:
                             seen.add(succ)
                             nxt.append(succ)
+                    if len(seen) > MAX_STATES:
+                        raise BudgetError(
+                            f"internal-step closure exceeds MAX_STATES ({MAX_STATES} states)")
                 frontier = nxt
             if frontier:
                 complete = False
@@ -159,12 +166,11 @@ def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> Tra
         if not complete:
             meta.tau_budget_hit = True
         for t in closure:
-            event_steps = [(lab, succ) for lab, succ in engine.steps(t) if lab is not TAU]
-            if event_steps and len_left == 0:
-                meta.len_bound_hit = True
             if len_left == 0:
                 continue
-            for lab, succ in event_steps:
+            for lab, succ in engine.steps(t):
+                if lab is TAU:
+                    continue
                 for suf in suffixes(succ, len_left - 1, params.run_bound, None):
                     out.add((lab,) + suf)
             if run_left is None or run_left > 0:
@@ -188,7 +194,7 @@ def std_traces(term, env: SpecEnv, max_len: int, tau_budget: int = 100) -> froze
     return avail_traces(term, env, ModelParams(run_bound=0), Bounds(max_len, tau_budget)).canon
 
 
-def build_lts(term, env: SpecEnv, state_cap: int = 4096):
+def build_lts(term, env: SpecEnv, state_cap: int = MAX_STATES):
     """Reachable transition system by breadth-first exploration.
 
     Returns (states, transitions) with states in discovery order and

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 
-from availcsp import Alphabet, Bounds, ModelParams, OutOfUniverseError, SpecEnv
+from availcsp import (
+    Alphabet, Bounds, InputPrefix, ModelParams, OutOfUniverseError, SpecEnv,
+)
 from availcsp.denotational import MAX_ROUNDS
 from availcsp.errors import BudgetError, StateLimitError
 from availcsp.healthiness import (
@@ -275,23 +277,36 @@ def finalize_oracle(traces, params: ModelParams, len_bound: int) -> frozenset:
     return frozenset(trim_length_oracle(clipped, len_bound))
 
 
-def prefix_clause_oracle(engine, term, events, conts) -> frozenset:
-    """``DenotationalEngine._prefix_clause`` with the model's bounds applied
-    in the clause: the runs observable at the stable state are built
-    directly, as sequences of at most min(run bound, length bound) maximal
-    capped offers without adjacent repeats, before ``finalize`` is called
-    on the whole clause, with no per-node record."""
-    choices = max_offers(events, engine.params.set_bound)
-    n = engine.params.run_bound
-    runs = {()}
-    frontier = [()]
-    for _ in range(engine.eval_len if n is None else min(n, engine.eval_len)):
-        frontier = [r + (o,) for r in frontier for o in choices if not r or r[-1] != o]
-        runs.update(frontier)
-    out = set(runs)
-    for a, cont in zip(events, conts):
-        out.update(run + (a,) + t for run in runs for t in cont)
-    return finalize(out, engine.params, engine.eval_len)
+def prefix_clause_oracle(params: ModelParams, len_bound: int):
+    """The prefix entry of ``denotational.CLAUSES`` with the model's bounds
+    applied in the clause: the runs observable at the stable state are
+    built directly, as sequences of at most min(run bound, length bound)
+    maximal capped offers without adjacent repeats, before ``finalize``
+    fits the whole clause."""
+    n = params.run_bound
+
+    def clause(node, *conts) -> set:
+        events = sorted(node.events) if isinstance(node, InputPrefix) else (node.event,)
+        choices = max_offers(events, params.set_bound)
+        runs = {()}
+        frontier = [()]
+        for _ in range(len_bound if n is None else min(n, len_bound)):
+            frontier = [r + (o,) for r in frontier for o in choices if not r or r[-1] != o]
+            runs.update(frontier)
+        out = set(runs)
+        for a, cont in zip(events, conts):
+            out.update(run + (a,) + t for run in runs for t in cont)
+        return out
+
+    return clause
+
+
+def restrict_params(ts: TraceSet, params: ModelParams, len_bound: int | None = None) -> TraceSet:
+    """Project a trace set into a smaller universe (tighter run bound, set
+    bound, or length bound)."""
+    lb = ts.len_bound if len_bound is None else min(len_bound, ts.len_bound)
+    canon = finalize(ts.canon, params, lb)
+    return TraceSet(canon, params, lb, ts.meta)
 
 
 def trim_length_oracle(traces, len_bound: int) -> set:

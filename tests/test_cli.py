@@ -342,6 +342,17 @@ def test_traces_stops_at_the_instantiation_budget(capsys, tmp_path):
     assert err == "availcsp: more than 256 recursion instantiations\n"
 
 
+def test_traces_stops_at_the_closure_budget(capsys, tmp_path):
+    # each unfolding of U1 doubles the interleaved copies, so its internal
+    # steps reach ever more states
+    path = tmp_path / "u1.csp"
+    path.write_text("alphabet {a, b, c}\nU1 = (U1 ||| U1) |~| a -> STOP\n", encoding="utf-8")
+    code, out, err = run(capsys, "traces", str(path), "U1", "--len", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "availcsp: internal-step closure exceeds MAX_STATES (4096 states)\n"
+
+
 # --- error surfaces ----------------------------------------------------------
 
 

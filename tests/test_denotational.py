@@ -12,10 +12,12 @@ from conftest import PARAM_POINTS, RECURSION_SPEC, group_processes
 
 from availcsp import Alphabet, Bounds, ModelParams, denotational, parse_spec, trace_algebra
 from availcsp.denotational import DenotationalEngine, denote_traces, mentions_hiding
-from availcsp.healthiness import close_healthy, covers_equal, restrict_params
+from availcsp.healthiness import close_healthy, covers_equal
 from availcsp.operational import avail_traces
-from availcsp.process import Call, Hide, Prefix, Stop
-from oracle import clause_whole_oracle, prefix_clause_oracle, solve_rounds_oracle
+from availcsp.process import Call, Hide, InputPrefix, Prefix, Stop
+from oracle import (
+    clause_whole_oracle, prefix_clause_oracle, restrict_params, solve_rounds_oracle,
+)
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -261,9 +263,13 @@ def test_bound_free_prefix_clause_matches_bounded_clause(corpus, params, monkeyp
               if name in ("PUMPCHOICE", "WEAVE", "MIXPAR")]
     got = [denote_traces(term, env, params, Bounds(trace_len=L)).canon
            for _, term, env, L in cases]
-    monkeypatch.setattr(DenotationalEngine, "_prefix_clause", prefix_clause_oracle)
     for (name, term, env, L), core in zip(cases, got):
-        assert core == denote_traces(term, env, params, Bounds(trace_len=L)).canon, (name, L)
+        bounds = Bounds(trace_len=L)
+        eval_len = max(L, bounds.internal_len) if mentions_hiding(term, env) else L
+        oracle = (prefix_clause_oracle(params, eval_len), False)
+        monkeypatch.setitem(denotational.CLAUSES, Prefix, oracle)
+        monkeypatch.setitem(denotational.CLAUSES, InputPrefix, oracle)
+        assert core == denote_traces(term, env, params, bounds).canon, (name, L)
 
 
 def finalize_inputs(monkeypatch) -> list:

@@ -22,13 +22,14 @@ from availcsp.fitting import _run_table
 from availcsp.healthiness import (
     _CONDITIONS, TraceSet, _resample_run, check_healthy, close_healthy,
     cond4_reduce, covered, covers_equal, finalize,
-    max_offers, restrict_params, saturate, trim_length,
+    max_offers, saturate, trim_length,
 )
 from availcsp.kernel import decompose, in_obs, is_offer, normalize_trace, parse_trace
 from availcsp.operational import avail_traces
 from oracle import (
     check_healthy_oracle, closure_oracle, enumerate_universe, expand_cover,
-    finalize_oracle, resample_oracle, run_table_oracle, trim_length_oracle,
+    finalize_oracle, resample_oracle, restrict_params, run_table_oracle,
+    trim_length_oracle,
 )
 
 AB = Alphabet(["a", "b"])
@@ -366,7 +367,7 @@ def report_by_name(report):
 def test_check_healthy_passes_on_closures():
     t = close_healthy([(FAB, "a"), ("b", "b")], SETS2, 3, AB)
     report = check_healthy(t, SETS2, 3)
-    assert report.ok, [c.condition for c in report.failures()]
+    assert report.ok, [c.condition for c in report.conditions if not c.ok]
     raw = expand_cover(t, AB)
     assert check_healthy(raw, SETS2, 3).ok
 

@@ -135,7 +135,7 @@ def test_tau_budget_exhaustion_is_reported(env):
 
 def test_length_cutoff_is_reported(env):
     got = avail_traces(proc(env, "SEQ"), env, ModelParams(None, 1), Bounds(trace_len=1))
-    assert got.meta.len_bound_hit is True
+    assert got.len_bound == 1
     assert got.member(("a",), AB)
     assert not any(len(tr) > 1 for tr in got.canon)
 
