@@ -2,7 +2,7 @@
 
 Exit codes: 0 when the queried property holds (equal, refined, may pass,
 healthy, faithful round trip), 1 when it is refuted with a witness, and 2
-for usage errors, verdicts cut short by an exploration budget, and crashes.
+for usage errors, computations stopped by a budget, and crashes.
 """
 from __future__ import annotations
 
@@ -114,8 +114,6 @@ def _resolve(expr: str, env: SpecEnv):
 def _check_bounds(args) -> None:
     if args.len < 0:
         _usage("--len must not be negative")
-    if args.tau < 1:
-        _usage("--tau must be at least 1")
     if args.internal_len is not None and args.internal_len < args.len:
         _usage("--internal-len must not be below --len")
 
@@ -168,7 +166,6 @@ def _command(name: str, help: str, *arguments, spec_help: str | None = None):
         sub.add_argument("--model", type=parse_model, default="n=F,k=1",
                          help="model parameters, e.g. n=F,k=2")
         sub.add_argument("--len", type=int, default=5, help="trace length bound")
-        sub.add_argument("--tau", type=int, default=100, help="internal-step budget")
         sub.add_argument("--internal-len", type=int, default=None,
                          help="length bound under hiding (default: 3x --len)")
         sub.add_argument("--json", action="store_true", help="machine-readable output")
@@ -186,9 +183,7 @@ def _cmd_traces(args, env: SpecEnv, bounds: Bounds) -> int:
         for line in ts.json_lines(env.alphabet):
             print(line)
     else:
-        note = " [tau-budget-hit]" if ts.meta.tau_budget_hit else ""
-        print(f"# {ts.meta.engine} {args.model.show()} len={ts.len_bound} "
-              f"count={len(ts)}{note}")
+        print(f"# {ts.engine} {args.model.show()} len={ts.len_bound} count={len(ts)}")
         for line in ts.text_lines(env.alphabet):
             print(line)
     return 0
@@ -196,7 +191,7 @@ def _cmd_traces(args, env: SpecEnv, bounds: Bounds) -> int:
 
 def _compare(args, env: SpecEnv, bounds: Bounds, check, holds: str, left: str, right: str) -> int:
     """Run ``check`` (``equal_in`` or ``refine_in``) on two process
-    arguments; exit 0 on its holding verdict ``holds``."""
+    arguments; exit 0 on its holding verdict ``holds``, else 1."""
     lterm = _resolve(left, env)
     rterm = _resolve(right, env)
     result = check(lterm, rterm, env, args.model, bounds, ENGINE_NAMES[args.engine])
@@ -204,11 +199,7 @@ def _compare(args, env: SpecEnv, bounds: Bounds, check, holds: str, left: str, r
         print(json.dumps(result.json_obj(env.alphabet), sort_keys=True))
     else:
         print(result.describe(env.alphabet))
-    if result.verdict == holds:
-        return 0
-    if result.verdict == DISTINGUISHED:
-        return 1
-    return 2
+    return 0 if result.verdict == holds else 1
 
 
 @_command("equiv", "compare two processes for equality", _arg("left"), _arg("right"), _ENGINE)
@@ -234,19 +225,16 @@ def _cmd_test(args, env: SpecEnv, bounds: Bounds) -> int:
         test = parse_test(args.test_literal, env.alphabet)
     else:
         test = test_from_trace(parse_trace(args.from_trace, env.alphabet))
-    verdict = may_pass(term, test, env, args.tau)
+    verdict = may_pass(term, test, env)
     if args.json:
         print(json.dumps({
             "may": verdict.may,
-            "complete": verdict.complete,
             "witness": verdict.witness,
             "test": test.show(),
         }, sort_keys=True))
     else:
         print(verdict.describe())
-    if verdict.may:
-        return 0
-    return 1 if verdict.complete else 2
+    return 0 if verdict.may else 1
 
 
 @_command("health", "verify the closure conditions", _arg("process", nargs="?"),
@@ -302,7 +290,7 @@ def _cmd_simulate(args, env: SpecEnv, bounds: Bounds) -> int:
     if args.check:
         decoded = {
             decode_trace(tr)
-            for tr in std_traces(sim.root_term(), sim.env, args.len, args.tau)
+            for tr in std_traces(sim.root_term(), sim.env, args.len)
         }
         reference = avail_traces(
             term, env, ModelParams(run_bound=None, set_bound=args.model.set_bound), bounds
@@ -342,21 +330,17 @@ def _cmd_congruence(args, env: SpecEnv, bounds: Bounds) -> int:
             "agree": agree,
             "operational_count": len(op),
             "denotational_count": len(den),
-            "tau_budget_hit": op.meta.tau_budget_hit,
         }, sort_keys=True))
     else:
-        note = " [tau-budget-hit]" if op.meta.tau_budget_hit else ""
         print(f"engines {'agree' if agree else 'DISAGREE'} at {args.model.show()} "
-              f"len={args.len}{note}")
-    if not agree:
-        return 1
-    return 2 if op.meta.tau_budget_hit else 0
+              f"len={args.len}")
+    return 0 if agree else 1
 
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     _check_bounds(args)
-    bounds = Bounds(trace_len=args.len, tau_budget=args.tau, internal_len=args.internal_len)
+    bounds = Bounds(trace_len=args.len, internal_len=args.internal_len)
     try:
         with open(args.spec, encoding="utf-8") as fh:
             env = parse_spec(fh.read())

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import BudgetError, SpecError
-from .healthiness import EvalMeta, TraceSet, finalize
+from .healthiness import TraceSet, finalize
 from .kernel import Bounds, ModelParams
 from .process import (
     Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, Interleave,
@@ -257,4 +257,4 @@ def denote_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> Tr
     canon = engine.solve(term)
     if eval_len != length:
         canon = finalize(canon, params, length)
-    return TraceSet(canon, params, length, EvalMeta(engine="denotational"))
+    return TraceSet(canon, params, length, "denotational")

@@ -20,10 +20,8 @@ from .operational import avail_traces
 from .process import SpecEnv
 
 EQUAL = "equal"
-EQUAL_WITHIN_BOUNDS = "equal-within-bounds"
 DISTINGUISHED = "distinguished"
 REFINED = "refined"
-REFINED_WITHIN_BOUNDS = "refined-within-bounds"
 
 
 @dataclass
@@ -55,14 +53,13 @@ def _trace_set(term, env: SpecEnv, params: ModelParams, bounds: Bounds, engine: 
     return avail_traces(term, env, params, bounds)
 
 
-def _verdict(env, params, tp: TraceSet, tq: TraceSet, only_p, holds, holds_within):
+def _verdict(env, params, tp: TraceSet, tq: TraceSet, only_p, holds):
     """The holding verdict when neither side has members the other lacks
     (``only_p`` on the left, computed here on the right), else a minimal
     witness."""
     only_q = list(_uncovered(tq, tp))
     if not only_p and not only_q:
-        budget_hit = tp.meta.tau_budget_hit or tq.meta.tau_budget_hit
-        return CompareResult(holds_within if budget_hit else holds, params)
+        return CompareResult(holds, params)
     witness, side = _minimal_witness(env.alphabet, tp, tq, only_p, only_q)
     return CompareResult(DISTINGUISHED, params, witness, side)
 
@@ -71,7 +68,7 @@ def equal_in(p, q, env: SpecEnv, params: ModelParams, bounds: Bounds,
              engine: str = "operational") -> CompareResult:
     """Do the two processes have the same trace set in this model?"""
     tp, tq = (_trace_set(t, env, params, bounds, engine) for t in (p, q))
-    return _verdict(env, params, tp, tq, list(_uncovered(tp, tq)), EQUAL, EQUAL_WITHIN_BOUNDS)
+    return _verdict(env, params, tp, tq, list(_uncovered(tp, tq)), EQUAL)
 
 
 def refine_in(p, q, env: SpecEnv, params: ModelParams, bounds: Bounds,
@@ -79,7 +76,7 @@ def refine_in(p, q, env: SpecEnv, params: ModelParams, bounds: Bounds,
     """Does the second process refine the first: every trace it can show,
     the first can show too?"""
     tp, tq = (_trace_set(t, env, params, bounds, engine) for t in (p, q))
-    return _verdict(env, params, tp, tq, [], REFINED, REFINED_WITHIN_BOUNDS)
+    return _verdict(env, params, tp, tq, [], REFINED)
 
 
 def _covered_variants(trace, params: ModelParams, length: int):

@@ -55,20 +55,6 @@ from .kernel import (
 )
 
 
-class EvalMeta:
-    """Budget flags accumulated while computing a trace set."""
-
-    def __init__(self, engine: str = ""):
-        self.engine = engine
-        self.tau_budget_hit = False
-
-    def json_obj(self) -> dict:
-        return {
-            "engine": self.engine,
-            "tau_budget_hit": self.tau_budget_hit,
-        }
-
-
 def cond4_reduce(trace):
     """Delete singleton offers that immediately precede their own event.
 
@@ -146,13 +132,14 @@ def _skeleton_consequences(tr, run_bound, len_bound):
 
 
 class TraceSet:
-    """A closed trace set under given model parameters and length bound."""
+    """A closed trace set under given model parameters and length bound,
+    with the name of the engine that computed it (empty when none did)."""
 
-    def __init__(self, canon, params: ModelParams, len_bound: int, meta: EvalMeta | None = None):
+    def __init__(self, canon, params: ModelParams, len_bound: int, engine: str = ""):
         self.canon = frozenset(canon)
         self.params = params
         self.len_bound = len_bound
-        self.meta = meta if meta is not None else EvalMeta()
+        self.engine = engine
 
     def __len__(self) -> int:
         return len(self.canon)
@@ -194,10 +181,10 @@ class TraceSet:
     def json_lines(self, alphabet: Alphabet):
         head = {
             "count": len(self.canon),
+            "engine": self.engine,
             "len_bound": self.len_bound,
             "params": self.params.json_obj(),
         }
-        head.update(self.meta.json_obj())
         # an action's text is what trace_to_json writes between the brackets
         shown = {a: trace_to_json((a,))[1:-1] for a in _actions(self.canon)}
         lines = [json.dumps(head, sort_keys=True)]

@@ -143,21 +143,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Exploration budgets shared by both engines.
+    """Length bounds shared by both engines.
 
-    ``trace_len`` is the observable-trace length bound, ``tau_budget`` the
-    maximum number of consecutive internal steps explored between recorded
-    actions, and ``internal_len`` the longer length used for evaluation
-    underneath hiding (hiding shortens traces, so pre-hiding material longer
-    than the final bound still matters).
+    ``trace_len`` is the observable-trace length bound and ``internal_len``
+    the longer length used for evaluation underneath hiding (hiding shortens
+    traces, so pre-hiding material longer than the final bound still
+    matters).
     """
 
     trace_len: int = 5
-    tau_budget: int = 100
     internal_len: int | None = None
 
     def __post_init__(self):
-        if self.trace_len < 0 or self.tau_budget < 1:
+        if self.trace_len < 0:
             raise ValueError("bad bounds")
         if self.internal_len is None:
             object.__setattr__(self, "internal_len", 3 * self.trace_len)

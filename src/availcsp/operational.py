@@ -11,7 +11,7 @@ recovered by covering.
 from __future__ import annotations
 
 from .errors import BudgetError, SpecError, StateLimitError
-from .healthiness import EvalMeta, TraceSet, max_offers
+from .healthiness import TraceSet, max_offers
 from .kernel import TAU, Bounds, ModelParams
 from .process import (
     Call, Div, ExtChoice, Hide, InputPrefix, IntChoice, Interleave,
@@ -25,9 +25,8 @@ MAX_STATES = 4096
 class StepEngine:
     """Memoised transition computation over process terms."""
 
-    def __init__(self, env: SpecEnv, tau_budget: int = 100):
+    def __init__(self, env: SpecEnv):
         self.env = env
-        self.tau_budget = tau_budget
         self._steps: dict = {}
         self._closure: dict = {}
 
@@ -121,17 +120,13 @@ class StepEngine:
         return sorted({lab for lab, _ in self.steps(term) if lab is not TAU})
 
     def tau_closure(self, term):
-        """States reachable by internal steps within the budget, plus a
-        completeness flag (False when the budget cut exploration short).
-        Raises BudgetError when they pass MAX_STATES."""
+        """States reachable by internal steps.  Raises BudgetError when
+        they pass MAX_STATES."""
         cached = self._closure.get(term)
         if cached is None:
             seen = {term}
             frontier = [term]
-            complete = True
-            for _ in range(self.tau_budget):
-                if not frontier:
-                    break
+            while frontier:
                 nxt = []
                 for t in frontier:
                     for lab, succ in self.steps(t):
@@ -142,9 +137,7 @@ class StepEngine:
                         raise BudgetError(
                             f"internal-step closure exceeds MAX_STATES ({MAX_STATES} states)")
                 frontier = nxt
-            if frontier:
-                complete = False
-            cached = (frozenset(seen), complete)
+            cached = frozenset(seen)
             self._closure[term] = cached
         return cached
 
@@ -152,8 +145,7 @@ class StepEngine:
 def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> TraceSet:
     """Canonical availability-trace set extracted from the transition
     system, bounded in length, run length, and offer size."""
-    engine = StepEngine(env, bounds.tau_budget)
-    meta = EvalMeta(engine="operational")
+    engine = StepEngine(env)
     memo: dict = {}
 
     def suffixes(state, len_left, run_left, last_offer):
@@ -162,10 +154,7 @@ def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> Tra
         if cached is not None:
             return cached
         out = {()}
-        closure, complete = engine.tau_closure(state)
-        if not complete:
-            meta.tau_budget_hit = True
-        for t in closure:
+        for t in engine.tau_closure(state):
             if len_left == 0:
                 continue
             for lab, succ in engine.steps(t):
@@ -185,13 +174,13 @@ def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> Tra
         return result
 
     canon = suffixes(term, bounds.trace_len, params.run_bound, None)
-    return TraceSet(canon, params, bounds.trace_len, meta)
+    return TraceSet(canon, params, bounds.trace_len, "operational")
 
 
-def std_traces(term, env: SpecEnv, max_len: int, tau_budget: int = 100) -> frozenset:
+def std_traces(term, env: SpecEnv, max_len: int) -> frozenset:
     """Ordinary event traces up to a length bound: the availability traces
     of the model that records no offers."""
-    return avail_traces(term, env, ModelParams(run_bound=0), Bounds(max_len, tau_budget)).canon
+    return avail_traces(term, env, ModelParams(run_bound=0), Bounds(max_len)).canon
 
 
 def build_lts(term, env: SpecEnv, state_cap: int = MAX_STATES):

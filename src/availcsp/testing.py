@@ -3,9 +3,8 @@
 A test either succeeds, asks the process to perform an event, or checks
 that a set of events is currently on offer (an empty set trivially is).
 A process may pass a test when some resolution of internal choices drives
-the test to success.  The search is exact up to an internal-step budget
-per test step: exceeding it yields an honest "not found within budget"
-rather than a refusal.
+the test to success.  The search is exact; it stops with a BudgetError when
+the states it holds for one test step pass MAX_STATES.
 """
 from __future__ import annotations
 
@@ -13,40 +12,60 @@ import heapq
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, SpecError
+from .errors import BudgetError, ParseError, SpecError
 from .kernel import TAU, is_event, is_offer, show_trace
-from .operational import StepEngine
+from .operational import MAX_STATES, StepEngine
 from .process import Div, InputPrefix, IntChoice, Prefix, SpecEnv, Stop, Timeout
 
 
-@dataclass(frozen=True)
-class TestSuccess:
+class _Test:
     def show(self) -> str:
-        return "SUCCESS"
+        return "".join(t.head() for t in _chain(self)) + "SUCCESS"
+
+
+def _chain(test):
+    """The steps of a test in order, each followed by the rest in
+    ``cont``, up to its SUCCESS: a loop, as a test may be thousands of
+    steps long."""
+    while not isinstance(test, TestSuccess):
+        yield test
+        test = test.cont
 
 
 @dataclass(frozen=True)
-class TestEvent:
+class TestSuccess(_Test):
+    pass
+
+
+@dataclass(frozen=True)
+class TestEvent(_Test):
     event: str
     cont: object
 
-    def show(self) -> str:
-        return f"{self.event} . {self.cont.show()}"
+    def head(self) -> str:
+        return f"{self.event} . "
 
 
 @dataclass(frozen=True)
-class TestReady:
+class TestReady(_Test):
     offer: frozenset
     cont: object
 
-    def show(self) -> str:
-        inner = ",".join(sorted(self.offer))
-        return f"ready {{{inner}}} & {self.cont.show()}"
+    def head(self) -> str:
+        return "ready {" + ",".join(sorted(self.offer)) + "} & "
 
 
 SUCCESS = TestSuccess()
 
 _TEST_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_.]*|[{},.&]|$)")
+
+
+def _fold(steps):
+    """The test of (step class, argument) pairs in order, then SUCCESS."""
+    t = SUCCESS
+    for cls, arg in reversed(steps):
+        t = cls(arg, t)
+    return t
 
 
 def parse_test(text: str, alphabet=None):
@@ -60,115 +79,118 @@ def parse_test(text: str, alphabet=None):
         if m.group(1):
             tokens.append(m.group(1))
         pos = m.end()
+    tokens.reverse()  # the next token is the last
 
     def fail(msg):
         raise ParseError(f"in test {text!r}: {msg}")
 
     def expect(tok):
-        if not tokens or tokens[0] != tok:
+        if not tokens or tokens[-1] != tok:
             fail(f"expected {tok!r}")
-        tokens.pop(0)
+        tokens.pop()
 
     def event(name):
         if alphabet is not None and name not in alphabet:
             fail(f"unknown event {name!r}")
         return name
 
-    def parse():
+    steps = []
+    while True:
         if not tokens:
             fail("unexpected end")
-        head = tokens.pop(0)
+        head = tokens.pop()
         if head == "SUCCESS":
-            return SUCCESS
+            break
         if head == "ready":
             expect("{")
             names = set()
-            while tokens and tokens[0] != "}":
-                names.add(event(tokens.pop(0)))
-                if tokens and tokens[0] == ",":
-                    tokens.pop(0)
+            while tokens and tokens[-1] != "}":
+                names.add(event(tokens.pop()))
+                if tokens and tokens[-1] == ",":
+                    tokens.pop()
             expect("}")
             expect("&")
-            return TestReady(frozenset(names), parse())
-        if head in {"{", "}", ",", ".", "&"}:
+            steps.append((TestReady, frozenset(names)))
+        elif head in {"{", "}", ",", ".", "&"}:
             fail(f"unexpected {head!r}")
-        expect(".")
-        return TestEvent(event(head), parse())
-
-    t = parse()
+        else:
+            expect(".")
+            steps.append((TestEvent, event(head)))
     if tokens:
-        fail(f"trailing input {tokens[0]!r}")
-    return t
+        fail(f"trailing input {tokens[-1]!r}")
+    return _fold(steps)
 
 
 def test_from_trace(trace) -> object:
     """The test that probes for one availability trace: events are asked
     for in order and offers become readiness checks."""
-    t = SUCCESS
-    for a in reversed(trace):
-        if is_event(a):
-            t = TestEvent(a, t)
-        else:
-            t = TestReady(a, t)
-    return t
+    return _fold([(TestEvent if is_event(a) else TestReady, a) for a in trace])
 
 
 @dataclass
 class MayVerdict:
     may: bool
     witness: list | None = None
-    complete: bool = True
 
     def describe(self) -> str:
         if self.may:
             return "may pass: " + (" ".join(self.witness) if self.witness else "(immediate)")
-        if self.complete:
-            return "cannot pass: search exhausted"
-        return "not found within the internal-step budget"
+        return "cannot pass: search exhausted"
 
 
-def may_pass(term, test, env: SpecEnv, tau_budget: int = 100,
-             engine: StepEngine | None = None) -> MayVerdict:
+def may_pass(term, test, env: SpecEnv, engine: StepEngine | None = None) -> MayVerdict:
     """Search for an experiment run driving the test to success.
 
-    States pair the remaining test with the process term; the cost of a
-    state is the internal steps taken since the test last progressed, and
-    expansion past the budget is pruned (recorded in ``complete``).
+    States pair a position in the test (the steps it has made) with the
+    process term; the cost of a state is the internal steps taken since the
+    test last progressed, and the cheapest state is expanded first.  Raises
+    BudgetError when the states held for one position pass MAX_STATES.
     """
     if engine is None:
-        engine = StepEngine(env, tau_budget)
-    start = (test, term)
-    best = {start: 0}
-    heap = [(0, 0, start, ())]
-    counter = 1
-    complete = True
+        engine = StepEngine(env)
+    chain = list(_chain(test))
+    held = [0] * (len(chain) + 1)
+    best = {}
+    heap = []
+    counter = 0
+
+    def push(state, new_gap, path):
+        nonlocal counter
+        old = best.get(state)
+        if old is None:
+            held[state[0]] += 1
+            if held[state[0]] > MAX_STATES:
+                raise BudgetError(
+                    f"may-test search exceeds MAX_STATES ({MAX_STATES} states) at one test step")
+        elif new_gap >= old:
+            return
+        best[state] = new_gap
+        heapq.heappush(heap, (new_gap, counter, state, path))
+        counter += 1
+
+    # a path is a (label, previous path) pair, so a push copies nothing
+    push((0, term), 0, None)
     while heap:
-        gap, _, (t, p), path = heapq.heappop(heap)
-        if gap > best.get((t, p), gap):
+        gap, _, state, path = heapq.heappop(heap)
+        if gap > best[state]:
             continue
-        if isinstance(t, TestSuccess):
-            return MayVerdict(True, list(path), complete)
-
-        def push(state, new_gap, step_label):
-            nonlocal counter, complete
-            if new_gap > tau_budget:
-                complete = False
-                return
-            if new_gap < best.get(state, new_gap + 1):
-                best[state] = new_gap
-                heapq.heappush(heap, (new_gap, counter, state, path + (step_label,)))
-                counter += 1
-
+        pos, p = state
+        if pos == len(chain):
+            labels = []
+            while path is not None:
+                label, path = path
+                labels.append(label)
+            return MayVerdict(True, labels[::-1])
+        t = chain[pos]
         for lab, succ in engine.steps(p):
             if lab is TAU:
-                push((t, succ), gap + 1, "tau")
+                push((pos, succ), gap + 1, ("tau", path))
             elif isinstance(t, TestEvent) and lab == t.event:
-                push((t.cont, succ), 0, lab)
-        if isinstance(t, TestReady):
-            if t.offer <= frozenset(engine.initials(p)):
-                label = "ready{" + ",".join(sorted(t.offer)) + "}"
-                push((t.cont, p), 0, label)
-    return MayVerdict(False, None, complete)
+                push((pos + 1, succ), 0, (lab, path))
+        if isinstance(t, TestReady) and t.offer <= frozenset(engine.initials(p)):
+            label = "ready{" + ",".join(sorted(t.offer)) + "}"
+            push((pos + 1, p), 0, (label, path))
+    return MayVerdict(False)
 
 
 def process_from_trace(trace):

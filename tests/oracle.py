@@ -99,7 +99,7 @@ def avail_traces_full(term, env: SpecEnv, params: ModelParams, bounds: Bounds,
     """Oracle-mode extraction: the fully materialised closed set within the
     bounded universe, with every subset offer (including the empty one) and
     no duplicate suppression.  Exponential; for cross-checking only."""
-    engine = StepEngine(env, bounds.tau_budget)
+    engine = StepEngine(env)
     length = bounds.trace_len if len_bound is None else len_bound
     memo: dict = {}
 
@@ -116,8 +116,7 @@ def avail_traces_full(term, env: SpecEnv, params: ModelParams, bounds: Bounds,
         if cached is not None:
             return cached
         out = {()}
-        closure, _ = engine.tau_closure(state)
-        for t in closure:
+        for t in engine.tau_closure(state):
             if len_left == 0:
                 continue
             for lab, succ in engine.steps(t):
@@ -306,7 +305,7 @@ def restrict_params(ts: TraceSet, params: ModelParams, len_bound: int | None = N
     bound, or length bound)."""
     lb = ts.len_bound if len_bound is None else min(len_bound, ts.len_bound)
     canon = finalize(ts.canon, params, lb)
-    return TraceSet(canon, params, lb, ts.meta)
+    return TraceSet(canon, params, lb, ts.engine)
 
 
 def trim_length_oracle(traces, len_bound: int) -> set:
@@ -363,10 +362,10 @@ def check_healthy_oracle(subject, params: ModelParams, len_bound: int) -> Health
 # --- analyses only the tests use ---------------------------------------------
 
 
-def stable_failures(term, env: SpecEnv, max_len: int, tau_budget: int = 100) -> dict:
+def stable_failures(term, env: SpecEnv, max_len: int) -> dict:
     """Maximal stable refusals per event trace: maps each trace to the
     antichain of refusal sets observed at stable states reached by it."""
-    engine = StepEngine(env, tau_budget)
+    engine = StepEngine(env)
     sigma = frozenset(env.alphabet.events)
     found: dict = {}
     seen = set()
@@ -376,8 +375,7 @@ def stable_failures(term, env: SpecEnv, max_len: int, tau_budget: int = 100) -> 
         if key in seen:
             return
         seen.add(key)
-        closure, _ = engine.tau_closure(state)
-        for t in closure:
+        for t in engine.tau_closure(state):
             steps = engine.steps(t)
             if all(lab is not TAU for lab, _ in steps):
                 refusal = sigma - frozenset(engine.initials(t))

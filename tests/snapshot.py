@@ -23,7 +23,10 @@ The snapshot holds:
   middle prefix (written to a temporary directory);
 * exit code, stdout and stderr of ``traces`` over malformed spec files
   (written to a temporary directory) and of ``traces`` of malformed inline
-  expressions, so that parse and spec errors are compared too.
+  expressions, so that parse and spec errors are compared too;
+* exit code, stdout and stderr of ``equiv`` and ``traces`` of a process
+  that takes 150 internal steps before its one visible event, and of a
+  1,500-step ``test`` (the spec written to a temporary directory).
 
 Two checkouts give byte-identical output when their snapshots do not
 differ.  Run from any directory; the script re-runs itself with
@@ -79,6 +82,14 @@ HEALTH_CHECKS = (
 )
 # <a> is missing: the least failing member is <a, b>, not <a, b, a>
 MISSING_MIDDLE_PREFIX = "<>\n<a, b>\n<a, b, a>\n"
+
+# 150 hidden events before b, and a process that repeats a
+LONG_SPEC = "alphabet {a, b}\nLONGTAU = (" + "a -> " * 150 + "b -> STOP) \\ {a}\nP = a -> P\n"
+LONG_RUNS = (
+    ("equiv", "LONGTAU", "b -> STOP", "--len", "2"),
+    ("traces", "LONGTAU", "--len", "2"),
+    ("test", "P", "--test", "a . " * 1500 + "SUCCESS"),
+)
 
 MALFORMED_SPECS = (
     "P = a -> STOP $\n",
@@ -153,6 +164,19 @@ def parse_errors() -> list:
             row["argv"] = [arg.replace(path, "bad.csp") for arg in row["argv"]]
             out.append(dict(row, spec=text))
     return out + [run_cli(("traces", SPEC, expr, "--len", "2")) for expr in MALFORMED_EXPRESSIONS]
+
+
+def long_runs() -> list:
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "long.csp")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(LONG_SPEC)
+        for command, *rest in LONG_RUNS:
+            row = run_cli((command, path, *rest))
+            row["argv"][1] = "long.csp"
+            out.append(row)
+    return out
 
 
 def corpus_cores() -> dict:
@@ -250,7 +274,8 @@ def main() -> None:
                 "help": [run_cli(argv) for argv in [("-h",)] + [(c, "-h") for c in COMMANDS]],
                 "usage_errors": [run_cli(argv) for argv in BAD_INVOCATIONS],
                 "health": health_checks(),
-                "parse_errors": parse_errors()}
+                "parse_errors": parse_errors(),
+                "long_runs": long_runs()}
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")

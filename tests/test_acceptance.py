@@ -14,7 +14,7 @@ from conftest import PARAM_POINTS, group_processes
 from availcsp import Bounds, ModelParams
 from availcsp.denotational import denote_traces
 from availcsp.equivalence import DISTINGUISHED, EQUAL, equal_in
-from availcsp.healthiness import check_healthy, close_healthy, covers_equal
+from availcsp.healthiness import check_healthy, close_healthy, covers_equal, finalize
 from availcsp.kernel import in_obs
 from availcsp.operational import StepEngine, avail_traces, std_traces
 from availcsp.process import Call, SpecEnv
@@ -209,7 +209,7 @@ def test_08_testing_matches_membership(capsys, corpus, probe_universes):
             engine = StepEngine(env)
             ts = avail_traces(term, env, MODEL_A, L4)
             vec = tuple(
-                may_pass(term, probe_of(tr), env, 100, engine).may
+                may_pass(term, probe_of(tr), env, engine=engine).may
                 for tr in uni
             )
             for tr, may in zip(uni, vec):
@@ -352,3 +352,19 @@ def test_13_canonical_representation_matches_materialization(capsys, envs):
                     )
 
     report(capsys, 13, "canonical representation matches materialization", body)
+
+
+def test_14_projection_lemma(capsys, corpus, engine_sets):
+    # every (n, k) core is the (F, F) core finalized into the (n, k) universe
+    def body():
+        for group, name, term, env in corpus:
+            for params in PARAM_POINTS:
+                if params == FULL:
+                    continue
+                for engine in (0, 1):
+                    full = engine_sets[(group, name, FULL)][engine]
+                    got = finalize(full.canon, params, full.len_bound)
+                    assert got == engine_sets[(group, name, params)][engine].canon, (
+                        group, name, params.show(), engine)
+
+    report(capsys, 14, "each (n, k) core is a projection of the (F, F) core", body)

@@ -16,38 +16,14 @@ from availcsp.cli import main, parse_grid, parse_model
 SPEC = os.path.join(os.path.dirname(__file__), "data", "group_ab.csp")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-SLOW_CHAIN = """\
-alphabet {a}
-T0 = a -> STOP
-T1 = STOP [> T0
-T2 = STOP [> T1
-T3 = STOP [> T2
-T4 = STOP [> T3
-T5 = STOP [> T4
-T6 = STOP [> T5
-"""
-
-QUIET_CHAIN = """\
-alphabet {a}
-N0 = STOP
-N1 = N0 [> N0
-N2 = N1 [> N1
-N3 = N2 [> N2
-N4 = N3 [> N3
-"""
+# 150 hidden events before b: a closure of 151 states, 150 steps deep
+LONG_SPEC = "alphabet {a, b}\nLONGTAU = (" + "a -> " * 150 + "b -> STOP) \\ {a}\nP = a -> P\n"
 
 
 @pytest.fixture
-def chain_spec(tmp_path):
-    path = tmp_path / "chain.csp"
-    path.write_text(SLOW_CHAIN, encoding="utf-8")
-    return str(path)
-
-
-@pytest.fixture
-def quiet_spec(tmp_path):
-    path = tmp_path / "quiet.csp"
-    path.write_text(QUIET_CHAIN, encoding="utf-8")
+def long_spec(tmp_path):
+    path = tmp_path / "long.csp"
+    path.write_text(LONG_SPEC, encoding="utf-8")
     return str(path)
 
 
@@ -162,6 +138,16 @@ def test_refine_holds_and_fails(capsys):
     assert "<b>" in out
 
 
+def test_equiv_sees_past_a_long_internal_chain(capsys, long_spec):
+    # every internal step is explored: b is not mistaken for a left-only trace
+    assert run(capsys, "equiv", long_spec, "LONGTAU", "b -> STOP", "--len", "2") == (
+        0, "[n=F,k=1] equal\n", "")
+    code, out, _ = run(capsys, "traces", long_spec, "LONGTAU", "--len", "2")
+    assert code == 0
+    assert out.splitlines() == ["# operational n=F,k=1 len=2 count=4",
+                                "<>", "<b>", "<offer{b}>", "<offer{b}, b>"]
+
+
 # --- test --------------------------------------------------------------------
 
 
@@ -185,14 +171,18 @@ def test_may_test_literal_and_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["may"] is True
-    assert obj["complete"] is True
 
 
-def test_may_test_budget_exhaustion(capsys, chain_spec):
-    code, out, _ = run(capsys, "test", chain_spec, "T6",
-                       "--from-trace", "<a>", "--tau", "2")
-    assert code == 2
-    assert "budget" in out
+def test_a_long_may_test_does_not_recurse(capsys, long_spec):
+    # 1,500 steps: reading, searching and printing the test all loop
+    code, out, err = run(capsys, "test", long_spec, "P", "--test", "a . " * 1500 + "SUCCESS")
+    assert (code, err) == (0, "")
+    assert out == "may pass: " + " ".join(["tau a"] * 1500) + "\n"
+    trace = "<" + ", ".join(["a"] * 1500) + ">"
+    code, out, err = run(capsys, "test", long_spec, "P", "--from-trace", trace, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"may": True, "witness": ["tau", "a"] * 1500,
+                               "test": "a . " * 1500 + "SUCCESS"}
 
 
 def test_may_test_needs_exactly_one_source(capsys):
@@ -321,13 +311,6 @@ def test_congruence_agrees(capsys):
     assert "engines agree" in out
 
 
-def test_congruence_flags_budget_cuts(capsys, quiet_spec):
-    code, out, _ = run(capsys, "congruence", quiet_spec, "N4", "--tau", "1",
-                       "--len", "2")
-    assert code == 2
-    assert "tau-budget-hit" in out
-
-
 def test_traces_stops_at_the_instantiation_budget(capsys, tmp_path):
     # ROT reaches 7^3 = 343 instantiations, more than the engine keeps
     path = tmp_path / "rot.csp"
@@ -351,6 +334,18 @@ def test_traces_stops_at_the_closure_budget(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "availcsp: internal-step closure exceeds MAX_STATES (4096 states)\n"
+
+
+def test_may_test_stops_at_the_closure_budget(capsys, tmp_path):
+    # the may-test search holds U1's growing internal-step states at one
+    # test step, up to the same cap
+    path = tmp_path / "u1.csp"
+    path.write_text("alphabet {a, b, c}\nU1 = (U1 ||| U1) |~| a -> STOP\n", encoding="utf-8")
+    code, out, err = run(capsys, "test", str(path), "U1", "--test", "b . SUCCESS")
+    assert code == 2
+    assert out == ""
+    assert err == ("availcsp: may-test search exceeds MAX_STATES (4096 states) "
+                   "at one test step\n")
 
 
 # --- error surfaces ----------------------------------------------------------
@@ -384,7 +379,6 @@ def test_bad_grid_flag_exits_two(capsys):
 
 @pytest.mark.parametrize("flags, flag", [
     (["--len", "-1"], "--len"),
-    (["--tau", "0"], "--tau"),
     (["--len", "3", "--internal-len", "2"], "--internal-len"),
 ])
 def test_bad_bounds_are_usage_errors_naming_the_flag(capsys, flags, flag):
@@ -459,8 +453,7 @@ def test_traces_of_a_deep_spec_definition_exits_two(capsys, tmp_path):
 # --- the parser ---------------------------------------------------------------
 
 COMMON = {"model": (("--model",), "n=F,k=1"), "len": (("--len",), 5),
-          "tau": (("--tau",), 100), "internal_len": (("--internal-len",), None),
-          "json": (("--json",), False)}
+          "internal_len": (("--internal-len",), None), "json": (("--json",), False)}
 ENGINE = {"engine": (("--engine",), "op")}
 POSITIONAL = ((), None)
 

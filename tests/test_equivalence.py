@@ -14,7 +14,7 @@ from availcsp import Bounds, ModelParams, parse_process
 from availcsp.equivalence import _minimal_witness, distinguish, equal_in, refine_in
 from availcsp.healthiness import TraceSet, _uncovered
 from availcsp.operational import avail_traces
-from availcsp.process import Call, ExtChoice, Prefix, Stop, Timeout
+from availcsp.process import Call, ExtChoice, Prefix, Stop
 from oracle import (
     INDETERMINATE, NOT_SIMILAR, SIMILAR, minimal_witness_oracle, mutually_similar,
     sim_preorder,
@@ -119,16 +119,6 @@ def test_engines_agree_on_verdicts(ab):
         den = equal_in(P(pair[0]), P(pair[1]), ab, K1, L4, engine="denotational")
         assert op.verdict == den.verdict
         assert op.witness == den.witness
-
-
-def test_budget_exhaustion_downgrades_the_verdict(ab):
-    term = Prefix("a", Stop())
-    for _ in range(6):
-        term = Timeout((Stop(), term))
-    tight = Bounds(trace_len=2, tau_budget=2)
-    got = equal_in(term, term, ab, K1, tight)
-    assert got.verdict == "equal-within-bounds"
-    assert refine_in(term, term, ab, K1, tight).verdict == "refined-within-bounds"
 
 
 def test_model_monotonicity_on_sample_pairs(ab):

@@ -59,7 +59,7 @@ def test_bounds_internal_default_is_three_times():
     with pytest.raises(ValueError):
         Bounds(trace_len=4, internal_len=3)
     with pytest.raises(ValueError):
-        Bounds(tau_budget=0)
+        Bounds(trace_len=-1)
 
 
 def test_normalize_drops_empty_and_adjacent_duplicate_offers():

@@ -12,7 +12,7 @@ from availcsp.errors import StateLimitError
 from availcsp.healthiness import close_healthy, covers_equal
 from availcsp.kernel import TAU
 from availcsp.operational import StepEngine, avail_traces, build_lts, std_traces
-from availcsp.process import Call, ExtChoice, IntChoice, Prefix, Stop, Timeout
+from availcsp.process import Call, ExtChoice, Hide, IntChoice, Prefix, Stop, Timeout
 from oracle import avail_traces_full, expand_cover, is_divergent, stable_failures
 
 AB = Alphabet(["a", "b"])
@@ -116,21 +116,18 @@ def test_std_traces(env):
 
 def test_tau_cycles_saturate_without_budget_exhaustion(env):
     got = avail_traces(proc(env, "MASKED"), env, ModelParams(None, 1), Bounds(trace_len=2))
-    assert got.meta.tau_budget_hit is False
     assert covers_equal(got, close_healthy([()], ModelParams(None, 1), 2, AB))
 
 
-def test_tau_budget_exhaustion_is_reported(env):
-    term = Prefix("a", Stop())
-    for _ in range(6):
-        term = Timeout((Stop(), term))
-    bounds = Bounds(trace_len=2, tau_budget=3)
-    got = avail_traces(term, env, ModelParams(None, 1), bounds)
-    assert got.meta.tau_budget_hit is True
-    assert not got.member(("a",), AB)
-    full = avail_traces(term, env, ModelParams(None, 1), Bounds(trace_len=2))
-    assert full.meta.tau_budget_hit is False
-    assert full.member(("a",), AB)
+def test_tau_closure_follows_a_long_internal_chain(env):
+    # 150 hidden events in a row: every state of the chain is reached
+    term = Prefix("b", Stop())
+    for _ in range(150):
+        term = Prefix("a", term)
+    term = Hide(term, FA)
+    assert len(StepEngine(env).tau_closure(term)) == 151
+    got = avail_traces(term, env, ModelParams(None, 1), Bounds(trace_len=2))
+    assert got.member(("b",), AB) and got.member((FB, "b"), AB)
 
 
 def test_length_cutoff_is_reported(env):

@@ -10,7 +10,7 @@ import pytest
 
 from availcsp import Alphabet, Bounds, ModelParams, parse_spec
 from availcsp.denotational import denote_traces
-from availcsp.errors import ParseError, SpecError
+from availcsp.errors import BudgetError, ParseError, SpecError
 from availcsp.healthiness import close_healthy, covers_equal
 from availcsp.operational import StepEngine, avail_traces
 from availcsp.process import Call, Div, InputPrefix, Prefix, Stop, Timeout
@@ -46,8 +46,9 @@ def test_probe_construction_follows_the_three_equations():
 
 
 def test_literal_syntax_round_trips():
+    # the last has 2,000 steps, read and printed without recursion
     for text in ("SUCCESS", "a . SUCCESS", "ready {a,b} & SUCCESS",
-                 "a . ready {b} & b . SUCCESS"):
+                 "a . ready {b} & b . SUCCESS", "a . ready {a,b} & " * 1000 + "SUCCESS"):
         assert parse_test(text).show() == text
 
 
@@ -62,12 +63,22 @@ def test_literal_syntax_errors():
         parse_test("c . SUCCESS", alphabet=frozenset("ab"))
 
 
+def test_the_state_cap_holds_per_test_step(env):
+    # 2,500 steps of a -> P hold two states each: 5,000 in all, past
+    # MAX_STATES, yet the test passes
+    pump = parse_spec("alphabet {a}\nP = a -> P\n")
+    v = may_pass(Call("P", ()), probe_of(("a",) * 2500), pump)
+    assert v.may and v.witness == ["tau", "a"] * 2500
+    grow = parse_spec("alphabet {a, b}\nU1 = (U1 ||| U1) |~| a -> STOP\n")
+    with pytest.raises(BudgetError, match="MAX_STATES"):
+        may_pass(Call("U1", ()), probe_of(("b",)), grow)
+
+
 def test_may_pass_detects_the_offer_trace(env):
     probe = probe_of((FA, "b"))
     assert may_pass(Call("EXT", ()), probe, env).may
     verdict = may_pass(Call("INT", ()), probe, env)
     assert not verdict.may
-    assert verdict.complete
 
 
 def test_may_pass_immediate_success(env):
@@ -84,23 +95,12 @@ def test_may_verdict_witness_replays_the_run(env):
     assert "ready{a}" in v.witness
 
 
-def test_budget_exhaustion_is_incomplete_not_refused(env):
-    term = Prefix("a", Stop())
-    for _ in range(6):
-        term = Timeout((Stop(), term))
-    v = may_pass(term, probe_of(("a",)), env, tau_budget=2)
-    assert not v.may
-    assert not v.complete
-    full = may_pass(term, probe_of(("a",)), env)
-    assert full.may and full.complete
-
-
 @pytest.mark.parametrize("name", ["EXT", "INT", "SWAY", "SLIDE"])
 def test_membership_correspondence(env, name):
     params = ModelParams(None, 1)
     bounds = Bounds(trace_len=2)
     traces = avail_traces(Call(name, ()), env, params, bounds)
-    engine = StepEngine(env, bounds.tau_budget)
+    engine = StepEngine(env)
     for tr in enumerate_universe(AB, params, 2):
         got = may_pass(Call(name, ()), probe_of(tr), env, engine=engine)
         assert got.may == traces.member(tr, AB), tr
