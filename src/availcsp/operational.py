@@ -147,16 +147,18 @@ def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> Tra
     system, bounded in length, run length, and offer size."""
     engine = StepEngine(env)
     memo: dict = {}
+    empty_only = frozenset({()})
 
     def suffixes(state, len_left, run_left, last_offer):
+        if len_left == 0:
+            # no step fits, so the closure need not be built
+            return empty_only
         key = (state, len_left, run_left, last_offer)
         cached = memo.get(key)
         if cached is not None:
             return cached
         out = {()}
         for t in engine.tau_closure(state):
-            if len_left == 0:
-                continue
             for lab, succ in engine.steps(t):
                 if lab is TAU:
                     continue

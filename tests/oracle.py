@@ -241,8 +241,38 @@ def solve_rounds_oracle(engine, term) -> frozenset:
 
 def clause_whole_oracle(engine, term, operands, build, bilinear=False, step=0) -> frozenset:
     """``DenotationalEngine._clause`` with no per-node record: every call
-    builds the clause on its whole operands and finalizes all of it."""
+    builds the clause on its whole operands and finalizes all of it,
+    overlong traces included."""
     return finalize(build(*operands), engine.params, engine.eval_len)
+
+
+def _one_offer_deletions(tr):
+    return (normalize_trace(tr[:i] + tr[i + 1:]) for i, a in enumerate(tr) if is_offer(a))
+
+
+def close_prefixes_and_deletions(traces) -> set:
+    """Least superset of a trace set closed under prefixes and under
+    deleting one offer (then normalising)."""
+    out = set()
+    work = list(traces)
+    while work:
+        tr = work.pop()
+        if tr not in out:
+            out.add(tr)
+            work.append(tr[:-1])
+            work.extend(_one_offer_deletions(tr))
+    return out
+
+
+def closure_gaps(traces) -> set:
+    """The traces that ``close_prefixes_and_deletions`` would add first:
+    empty exactly when the set is closed."""
+    members = set(traces)
+    gaps = set()
+    for tr in members:
+        gaps.update(t for t in itertools.chain([tr[:-1]], _one_offer_deletions(tr))
+                    if t not in members)
+    return gaps
 
 
 def finalize_oracle(traces, params: ModelParams, len_bound: int) -> frozenset:

@@ -8,9 +8,10 @@ The snapshot holds:
 * the op and den cores of every corpus process (``tests/data``) at the six
   congruence points, at len 3 and 4, and the den cores of the ``congruence``
   tail processes (PUMPCHOICE, WEAVE, MIXPAR and MASKLOOP) at len 5, whose
-  bench jobs print only whether the engines agree, and of QUAD, WEAVE and
+  bench jobs print only whether the engines agree, of QUAD, WEAVE and
   MIXPAR at len 6, whose traces overflow the run or set bound most often
-  in ``finalize``;
+  in ``finalize``, and of MASKLOOP at len 6, whose hiding raises den's
+  evaluation length to 18;
 * the den cores of the processes of ``conftest.RECURSION_SPEC``, which
   recurse through every operator, at the six points, len 4;
 * ``emit_script(to_simulation(...))`` of every corpus process at n=F,k=1 and
@@ -54,7 +55,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LENGTHS = (3, 4)
 DEEP_CORES = (("group_ab", "PUMPCHOICE", 5), ("group_abc", "WEAVE", 5),
               ("group_abc", "MIXPAR", 5), ("group_abc", "MASKLOOP", 5),
-              ("group_abcd", "QUAD", 6), ("group_abc", "WEAVE", 6), ("group_abc", "MIXPAR", 6))
+              ("group_abcd", "QUAD", 6), ("group_abc", "WEAVE", 6), ("group_abc", "MIXPAR", 6),
+              ("group_abc", "MASKLOOP", 6))
 COMMANDS = ("traces", "equiv", "refine", "test", "health", "realize", "simulate",
             "distinguish", "congruence")
 SPEC = os.path.join("tests", "data", "group_ab.csp")

@@ -22,8 +22,8 @@ from availcsp.simulation import decode_trace, to_simulation
 from availcsp.testing import may_pass, realize
 from availcsp.testing import test_from_trace as probe_of
 from oracle import (
-    NOT_SIMILAR, SIMILAR, avail_traces_full, enumerate_universe, expand_cover, is_divergent,
-    sim_preorder, stable_failures,
+    NOT_SIMILAR, SIMILAR, avail_traces_full, closure_gaps, enumerate_universe, expand_cover,
+    is_divergent, sim_preorder, stable_failures,
 )
 
 FA = frozenset({"a"})
@@ -368,3 +368,15 @@ def test_14_projection_lemma(capsys, corpus, engine_sets):
                         group, name, params.show(), engine)
 
     report(capsys, 14, "each (n, k) core is a projection of the (F, F) core", body)
+
+
+def test_15_cores_are_closed_under_prefixes_and_offer_deletion(capsys, corpus, engine_sets):
+    # den drops overlong clause traces before finalize on this premise
+    def body():
+        for group, name, term, env in corpus:
+            for params in PARAM_POINTS:
+                for engine in engine_sets[(group, name, params)]:
+                    assert closure_gaps(engine.canon) == set(), (
+                        group, name, params.show(), engine.engine)
+
+    report(capsys, 15, "every core is closed under prefixes and offer deletion", body)

@@ -8,7 +8,10 @@ composite.  Each check builds a composite of corpus processes, applies the
 operator's entry of ``denotational.CLAUSES`` to op's operand cores and
 fits the result with ``finalize``, as den does.  So a mismatch names the
 operator, and depends neither on den's recursion solver nor on its
-evaluation length.
+evaluation length.  The same loop checks that each unfitted clause output
+is closed under prefixes and under deleting one offer: den drops what a
+clause builds past its length bound before ``finalize`` on that premise
+(``denotational``'s docstring).
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import typing
 import pytest
 
 from conftest import PARAM_POINTS, group_processes
+from oracle import closure_gaps
 
 from availcsp import Bounds, process
 from availcsp.denotational import CLAUSES
@@ -57,17 +61,20 @@ def operands_of(node) -> tuple:
     return _children(node)
 
 
-def clause_core(node, cores, params, length) -> TraceSet:
-    """The node's clause over the given operand cores, fitted by
-    ``finalize``; a bilinear chain folds the clause left to right."""
+def clause_raws(node, cores, params, length) -> list:
+    """The node's clause over the given operand cores, unfitted: one set
+    for a linear clause, one per fold for a bilinear chain, which folds the
+    clause left to right and fits each fold with ``finalize`` as den
+    does."""
     clause, bilinear = CLAUSES[type(node)]
-    if bilinear:
-        acc = cores[0]
-        for core in cores[1:]:
-            acc = finalize(clause(node, acc, core), params, length)
-    else:
-        acc = finalize(clause(node, *cores), params, length)
-    return TraceSet(acc, params, length)
+    if not bilinear:
+        return [clause(node, *cores)]
+    raws = []
+    acc = cores[0]
+    for core in cores[1:]:
+        raws.append(clause(node, acc, core))
+        acc = finalize(raws[-1], params, length)
+    return raws
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +89,7 @@ def operand_pairs(envs):
 def test_clause_over_operational_operands_matches_operational(operand_pairs, operator):
     env, pairs = operand_pairs
     mismatches = []
+    unclosed = []
     for params in PARAM_POINTS:
         cores = {}      # (operand, length) -> its operational core
 
@@ -97,12 +105,16 @@ def test_clause_over_operational_operands_matches_operational(operand_pairs, ope
             inner = Bounds(trace_len=length).internal_len if operator == "Hide" else length
             for p, q in pairs:
                 node = COMPOSITES[operator](p, q)
-                got = clause_core(
+                raws = clause_raws(
                     node, [core(t, inner) for t in operands_of(node)], params, length)
+                got = TraceSet(finalize(raws[-1], params, length), params, length)
                 want = avail_traces(node, env, params, Bounds(trace_len=length))
                 if not covers_equal(got, want):
                     mismatches.append((pretty(node), params.show(), length))
+                if any(closure_gaps(raw) for raw in raws):
+                    unclosed.append((pretty(node), params.show(), length))
     assert mismatches == []
+    assert unclosed == []
 
 
 def test_every_operator_has_a_clause():

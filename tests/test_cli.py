@@ -325,23 +325,36 @@ def test_traces_stops_at_the_instantiation_budget(capsys, tmp_path):
     assert err == "availcsp: more than 256 recursion instantiations\n"
 
 
-def test_traces_stops_at_the_closure_budget(capsys, tmp_path):
+@pytest.fixture
+def u1_spec(tmp_path):
     # each unfolding of U1 doubles the interleaved copies, so its internal
     # steps reach ever more states
     path = tmp_path / "u1.csp"
     path.write_text("alphabet {a, b, c}\nU1 = (U1 ||| U1) |~| a -> STOP\n", encoding="utf-8")
-    code, out, err = run(capsys, "traces", str(path), "U1", "--len", "2")
+    return str(path)
+
+
+def test_traces_stops_at_the_closure_budget(capsys, u1_spec):
+    code, out, err = run(capsys, "traces", u1_spec, "U1", "--len", "2")
     assert code == 2
     assert out == ""
     assert err == "availcsp: internal-step closure exceeds MAX_STATES (4096 states)\n"
 
 
-def test_may_test_stops_at_the_closure_budget(capsys, tmp_path):
+def test_traces_at_length_zero_builds_no_closure(capsys, u1_spec):
+    # no step fits at length 0, so U1's unbounded closure is never asked
+    # for; one step is enough to ask for it
+    code, out, err = run(capsys, "traces", u1_spec, "U1", "--len", "0")
+    assert (code, out.splitlines()[1:], err) == (0, ["<>"], "")
+    code, out, err = run(capsys, "traces", u1_spec, "U1", "--len", "1")
+    assert code == 2
+    assert err == "availcsp: internal-step closure exceeds MAX_STATES (4096 states)\n"
+
+
+def test_may_test_stops_at_the_closure_budget(capsys, u1_spec):
     # the may-test search holds U1's growing internal-step states at one
     # test step, up to the same cap
-    path = tmp_path / "u1.csp"
-    path.write_text("alphabet {a, b, c}\nU1 = (U1 ||| U1) |~| a -> STOP\n", encoding="utf-8")
-    code, out, err = run(capsys, "test", str(path), "U1", "--test", "b . SUCCESS")
+    code, out, err = run(capsys, "test", u1_spec, "U1", "--test", "b . SUCCESS")
     assert code == 2
     assert out == ""
     assert err == ("availcsp: may-test search exceeds MAX_STATES (4096 states) "

@@ -27,8 +27,8 @@ from availcsp.healthiness import (
 from availcsp.kernel import decompose, in_obs, is_offer, normalize_trace, parse_trace
 from availcsp.operational import avail_traces
 from oracle import (
-    check_healthy_oracle, closure_oracle, enumerate_universe, expand_cover,
-    finalize_oracle, resample_oracle, restrict_params, run_table_oracle,
+    check_healthy_oracle, close_prefixes_and_deletions, closure_oracle, enumerate_universe,
+    expand_cover, finalize_oracle, resample_oracle, restrict_params, run_table_oracle,
     trim_length_oracle,
 )
 
@@ -282,6 +282,25 @@ any_bound = st.sampled_from([0, 1, 2, None])
 def test_finalize_matches_three_pass_oracle(traces, n, k, len_bound):
     p = ModelParams(run_bound=n, set_bound=k)
     assert finalize(traces, p, len_bound) == finalize_oracle(traces, p, len_bound)
+
+
+# up to six actions, two more than the longest bound the lemma is checked at
+closable_traces = st.lists(st.sampled_from(["a", "b", "c", FA, FB, FAB, FBC, FABC]),
+                           max_size=6).map(normalize_trace)
+
+
+@settings(max_examples=320, deadline=None)
+@given(st.lists(closable_traces, min_size=1, max_size=3))
+def test_finalize_of_a_closed_set_needs_only_its_short_traces(drawn):
+    # each image finalize makes of an overlong trace is a fitted variant of
+    # a prefix of it with some offers deleted, no longer than the image:
+    # a closed set already holds that trace, so den drops overlong clause
+    # traces before finalize
+    closed = close_prefixes_and_deletions(drawn)
+    for p in PARAM_POINTS + (ModelParams(run_bound=0, set_bound=1),):
+        for len_bound in range(5):
+            short = [tr for tr in closed if len(tr) <= len_bound]
+            assert finalize(closed, p, len_bound) == finalize(short, p, len_bound)
 
 
 SEED_CASES = [
