@@ -25,26 +25,21 @@ Hiding consumes performed events, so when a term can reach a hiding
 operator the evaluation runs at the longer internal length bound, and the
 result's traces longer than the requested bound are dropped at the end.
 
-A clause hands ``finalize`` only the traces it built that are no longer
-than the evaluation length L.  Call a set closed when it holds each
-member's prefixes and each trace made from a member by deleting one offer
-(then normalising).  Lemma: for a closed set S,
-finalize(S, p, L) == finalize({t ∈ S : len(t) <= L}, p, L).  Each image
-y that ``finalize`` makes of an overlong trace x is also an image of a
-trace no longer than y, a prefix of x with some offers deleted, which S
-holds.  Three premises carry the lemma over to den:
+``finalize`` bounds length by dropping overlong traces, which is enough
+for a closed input (see its docstring).  Three premises make every input
+den hands it closed:
 
 1. each clause maps closed operand cores to a closed set;
 2. every core is closed: ⟨⟩ is, and ``finalize`` maps a closed set to a
    closed core;
 3. ``finalize`` is a union of per-trace images, so the semi-naive rounds
-   of a clause together fit its whole output, which is closed, and each
-   round may drop the overlong traces it built.
+   of a clause together fit its whole output, which is closed.
 
-By the lemma, a core trimmed to a shorter bound is its traces within that
-bound.  ``tests/test_healthiness.py`` checks the lemma on random closed
-sets, ``tests/test_clauses.py`` premise 1 over op's cores and
-``tests/test_acceptance.py`` premise 2 over both engines' cores.
+So a core trimmed to a shorter bound is its traces within that bound.
+``tests/test_healthiness.py`` checks ``finalize`` against the three-pass
+oracle on random closed sets, ``tests/test_clauses.py`` premise 1 over
+op's cores and ``tests/test_acceptance.py`` premise 2 over both engines'
+cores.
 """
 from __future__ import annotations
 
@@ -173,14 +168,12 @@ class DenotationalEngine:
         operand is a superset of the recorded one, only the added traces Δ
         are built: build(Δ…) if linear, build(ΔL, R′) ∪ build(L, ΔR) if
         bilinear.  Of those, the ones already output are dropped, since
-        ``finalize`` maps each trace of its output to itself, and so, on
-        either path, are those longer than ``eval_len`` (the lemma above)."""
+        ``finalize`` maps each trace of its output to itself."""
         key = (id(term), step)
         rec = self.records.get(key)
-        bound = self.eval_len
         if rec is None or rec[0] is not term or not all(
                 old is new or old <= new for old, new in zip(rec[1], operands)):
-            out = finalize([t for t in build(*operands) if len(t) <= bound], self.params, bound)
+            out = finalize(build(*operands), self.params, self.eval_len)
         else:
             seen, out = rec[1], rec[2]
             deltas = [() if old is new else new - old for old, new in zip(seen, operands)]
@@ -189,9 +182,9 @@ class DenotationalEngine:
             else:
                 raw = (build(deltas[0], operands[1]) if deltas[0] else set()) | (
                     build(seen[0], deltas[1]) if deltas[1] else set())
-            raw = [t for t in raw if len(t) <= bound and t not in out]
+            raw = [t for t in raw if t not in out]
             if raw:
-                out = out | finalize(raw, self.params, bound)
+                out = out | finalize(raw, self.params, self.eval_len)
         self.records[key] = (term, operands, out)
         return out
 

@@ -20,17 +20,6 @@ The canonical core itself is kept explicitly closed under prefixes and
 under replacing a final offer by one of its events, because those rules
 change the event skeleton that covering keys on.
 
-``finalize`` fits a clause's traces to the (n, k, len) bounds in one pass:
-each trace is normalised and checked against both offer bounds in one
-loop.  ``trim_length`` bounds the length of the traces that fit over a
-prefix trie, so the offer selections of a prefix that many traces share
-are worked out once.  A trace that does not fit stands for the product of
-its runs' fitted options, nearly all of them too long to keep, and that
-product is never built: ``fitting.fit_and_trim`` builds what trimming
-keeps of it from each run's options and a table of the selections
-trimming can read off the run, walking all such traces as one trie of
-runs.  Its cost follows what it returns, not what the product would hold.
-
 So ``check_healthy`` asks only what a core can violate.  The other four
 conditions keep or shrink a member's offers: by the covering lemma, each
 trace they require of a member is covered by it.  That makes it a member
@@ -41,6 +30,11 @@ core, closed under both rules, answers every probe.  Prefixes are asked
 longest first, down to the first core member: its own prefixes are asked
 when it is visited, and any prefix missing below it fails it too, as a
 shorter member, so the verdict and the least witness stay the same.
+
+``finalize`` fits a closed set of clause traces to the (n, k, len)
+bounds: each trace is normalised and checked against both offer bounds in
+one loop; an overlong one is dropped, and one too wide for the model is
+replaced by its fitted variants that fit the length bound.
 """
 from __future__ import annotations
 
@@ -227,86 +221,7 @@ def covers_equal(a: TraceSet, b: TraceSet) -> bool:
     return next(_uncovered(a, b), None) is None and next(_uncovered(b, a), None) is None
 
 
-# --- trimming into a bounded universe --------------------------------------
-
-
-# the trie node of every trace end with nothing below it, shared, so it
-# holds the end mark alone: a trace that goes on past it gets a copy
-_LEAF = {None: None}
-
-
-def trim_length(traces, len_bound: int):
-    """Canonical cover of the restriction of a set of normalised traces to
-    traces of bounded length.  An overlong trace is replaced by every
-    maximal way of keeping a prefix of its events and a selection of their
-    offers: for each count w of kept events, the longest prefix holding w
-    events when that fits, else every normalised trace made of those w
-    events and exactly len_bound - w of the offers in that prefix.
-
-    A prefix of a normalised trace is normalised, so one that fits is kept
-    as a slice.  The selections depend only on the prefix they are read
-    from, so the overlong traces go into one prefix trie (a dict per node,
-    ``None`` marking a trace's end, and every node that only ends traces
-    the one ``_LEAF``), walked depth first with an explicit stack.  Each
-    node holds every distinct pair of a normalised selection so far and
-    the number of offers it chose, worked out once from its parent's pairs
-    however many traces share the node: pairs that agree end alike.  A
-    node that an event or an end leaves is an event boundary, where the
-    prefix is kept when it fits, else the selections with exactly
-    len_bound - w offers.  The node after the len_bound-th kept event is a
-    boundary whatever leaves it, and the walk stops there.  A selection
-    kept at position i has skipped i - len_bound offers, so a pair that
-    has skipped more offers than the longest overlong trace exceeds the
-    bound by can never be kept, and is dropped.  A stack entry holds its
-    parent's pairs and moves them along its edge only when it is popped,
-    so siblings share one set."""
-    out = set()
-    trie = {}
-    longest = len_bound
-    for tr in traces:
-        if len(tr) <= len_bound:
-            out.add(tr)
-            continue
-        longest = max(longest, len(tr))
-        node = trie
-        for a in tr[:-1]:
-            child = node.get(a)
-            if child is None or child is _LEAF:
-                child = node[a] = {} if child is None else {None: None}
-            node = child
-        node.setdefault(tr[-1], _LEAF)[None] = None
-    slack = longest - len_bound
-    # node, path (while it fits), events kept, offers seen, edge, parent's pairs
-    stack = [(trie, (), 0, 0, None, {((), 0)})] if trie else []
-    while stack:
-        node, path, w, seen, a, chosen = stack.pop()
-        budget = len_bound - w      # offers a selection may still hold
-        if isinstance(a, frozenset):        # is_offer, inlined
-            least = seen - slack        # fewer chosen: too many skipped
-            chosen = {st for st in chosen if st[1] >= least} | {
-                (sel if sel[-1:] == (a,) else sel + (a,), n + 1)
-                for sel, n in chosen if n < budget}
-        elif a is not None:                 # None: the root, reached by no edge
-            chosen = {(sel + (a,), n) for sel, n in chosen if n <= budget}
-        boundary = not budget
-        if not boundary:
-            depth = w + seen
-            for b, child in node.items():
-                if b is None:
-                    boundary = True
-                    continue
-                step = path + (b,) if depth < len_bound else None
-                if isinstance(b, frozenset):
-                    stack.append((child, step, w, seen + 1, b, chosen))
-                else:
-                    boundary = True
-                    stack.append((child, step, w + 1, seen, b, chosen))
-        if boundary:
-            if path is not None:
-                out.add(path)
-            else:
-                out.update(sel for sel, n in chosen if n == budget)
-    return out
+# --- fitting into a bounded universe ---------------------------------------
 
 
 def _subsets(events, smallest: int, largest: int | None) -> list:
@@ -354,21 +269,36 @@ def _resample_run(choices, run_bound: int | None, len_bound: int) -> set:
 
 def finalize(traces, params: ModelParams, len_bound: int):
     """The one place a trace set is fitted to the model: normalise, fit
-    every offer run to the set and run bounds, and bound length.  Clauses
-    may hand it runs of any length and offers of any size; the result is a
-    saturated canonical core provided the input was one.
+    every offer run to the set and run bounds, and bound length.  The
+    input must be closed: it holds each member's prefixes and each trace
+    made from a member by deleting one offer, then normalising.  Clauses
+    may hand it runs of any length and offers of any size; the result is
+    a saturated canonical core provided the input was one.
 
-    One loop over each trace drops its empty offers, merges adjacent equal
-    offers and checks both bounds.  The traces that fit go to
-    ``trim_length``, which keeps the short ones and shares the work on the
-    overlong ones in its prefix trie.  Those that do not fit go to
-    ``fitting.fit_and_trim``, which adds the image each would have as the
-    product of its runs' fitted options, trimmed, without building the
-    product."""
+    A trace longer than the bound is dropped as it stands: the input also
+    holds its normal form, made by deleting empty and repeated offers.
+    One loop over each other trace drops its empty offers, merges adjacent
+    equal offers and checks both bounds.  A trace that fits is kept, and
+    one that does not is replaced by the product of its runs' options,
+    each variant kept while it fits the bound.  A run holding an oversized
+    offer has every run of capped subsets resampled from it (a member of
+    the restricted universe may map several capped offers onto one
+    oversized offer); a run longer than the run bound has every selection
+    of that many of its offers, with repeats that become adjacent merged;
+    any other run is its own only option.  Each run's options are worked
+    out once a call, shortest first, so a variant stops growing at the
+    first that overruns.
+
+    Dropping is enough for a closed input.  Trimming a variant to the
+    bound would keep a prefix of its events and some of the offers before
+    them, and that is a variant of a trace the input holds, a prefix of
+    the overlong trace with offers deleted, no longer than the bound."""
     n, k = params.run_bound, params.set_bound
-    fitted = []
-    unfit = []
+    out = set()
+    fitted = {}             # run -> its options, shortest first
     for tr in traces:
+        if len(tr) > len_bound:
+            continue
         last = None             # the last offer kept in the current run
         run = 0
         fits = normal = True
@@ -387,15 +317,30 @@ def finalize(traces, params: ModelParams, len_bound: int):
         if not normal:
             tr = normalize_trace(tr)
         if fits:
-            fitted.append(tr)
-        else:
-            unfit.append(tr)
-    out = trim_length(fitted, len_bound)
-    if unfit:
-        # imported here: a command that meets no unfit trace, and the CLI's
-        # start, need not compile it
-        from .fitting import fit_and_trim
-        fit_and_trim(unfit, params, len_bound, out)
+            out.add(tr)
+            continue
+        runs, events = decompose(tr)
+        variants = [()]
+        for i, r in enumerate(runs):
+            options = fitted.get(r)
+            if options is None:
+                if k is not None and any(len(o) > k for o in r):
+                    options = _resample_run([max_offers(o, k) for o in r], n, len_bound)
+                elif n is not None and len(r) > n:
+                    options = {normalize_trace(c) for c in itertools.combinations(r, n)}
+                else:
+                    options = (r,)
+                options = fitted[r] = sorted(options, key=len)
+            head = (events[i - 1],) if i else ()
+            grown = []
+            for v in variants:
+                v += head
+                for x in options:
+                    if len(v) + len(x) > len_bound:
+                        break
+                    grown.append(v + x)
+            variants = grown
+        out.update(variants)
     return frozenset(out)
 
 

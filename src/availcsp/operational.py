@@ -144,39 +144,43 @@ class StepEngine:
 
 def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> TraceSet:
     """Canonical availability-trace set extracted from the transition
-    system, bounded in length, run length, and offer size."""
+    system, bounded in length, run length, and offer size.
+
+    The suffixes of a state with some length left depend on (state, run
+    left, last offer), a key, and every step, an event or an offer, takes
+    one length.  So the keys are found level by level, from the whole
+    length down to none, each with the actions it may take and the index
+    of what follows each in the level below; then each level's suffixes
+    are built from the level below's, which are then dropped.  Both
+    passes are loops, however long the length, and hold two levels of
+    suffixes at a time."""
     engine = StepEngine(env)
-    memo: dict = {}
-    empty_only = frozenset({()})
-
-    def suffixes(state, len_left, run_left, last_offer):
-        if len_left == 0:
-            # no step fits, so the closure need not be built
-            return empty_only
-        key = (state, len_left, run_left, last_offer)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        out = {()}
-        for t in engine.tau_closure(state):
-            for lab, succ in engine.steps(t):
-                if lab is TAU:
-                    continue
-                for suf in suffixes(succ, len_left - 1, params.run_bound, None):
-                    out.add((lab,) + suf)
-            if run_left is None or run_left > 0:
-                nxt_run = None if run_left is None else run_left - 1
-                for offer in max_offers(engine.initials(t), params.set_bound):
-                    if offer == last_offer:
-                        continue
-                    for suf in suffixes(t, len_left - 1, nxt_run, offer):
-                        out.add((offer,) + suf)
-        result = frozenset(out)
-        memo[key] = result
-        return result
-
-    canon = suffixes(term, bounds.trace_len, params.run_bound, None)
-    return TraceSet(canon, params, bounds.trace_len, "operational")
+    n, k = params.run_bound, params.set_bound
+    levels = []                 # per length left, longest first: each key's edges
+    keys = [(term, n, None)]
+    for _ in range(bounds.trace_len):
+        below = {}              # key one length down -> its index
+        edges = []
+        for state, run_left, last_offer in keys:
+            out = []
+            for t in engine.tau_closure(state):
+                for lab, succ in engine.steps(t):
+                    if lab is not TAU:
+                        out.append((lab, below.setdefault((succ, n, None), len(below))))
+                if run_left is None or run_left > 0:
+                    nxt_run = None if run_left is None else run_left - 1
+                    for offer in max_offers(engine.initials(t), k):
+                        if offer != last_offer:
+                            out.append((offer, below.setdefault((t, nxt_run, offer), len(below))))
+            edges.append(out)
+        levels.append(edges)
+        keys = list(below)
+    # no step fits at length 0, so those keys' closures are never built
+    suffixes = [frozenset({()})] * len(keys)
+    for edges in reversed(levels):
+        suffixes = [frozenset([()] + [(a,) + suf for a, i in out for suf in suffixes[i]])
+                    for out in edges]
+    return TraceSet(suffixes[0], params, bounds.trace_len, "operational")
 
 
 def std_traces(term, env: SpecEnv, max_len: int) -> frozenset:

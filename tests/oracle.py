@@ -203,24 +203,6 @@ def resample_oracle(choices, run_bound, len_bound: int) -> set:
     return out
 
 
-def run_table_oracle(options, most: int) -> list:
-    """``fitting._run_table`` from an explicit set of a run's options:
-    every selection of c positions of every option, for c up to ``most``,
-    normalised and flagged when the option is longer than c; a selection
-    is flagged when any option holding it is.  Rows past the last nonempty
-    one are dropped."""
-    table = [{} for _ in range(most + 1)]
-    for option in options:
-        for c in range(min(len(option), most) + 1):
-            row = table[c]
-            for picks in itertools.combinations(option, c):
-                x = normalize_trace(picks)
-                row[x] = row.get(x, False) or len(option) > c
-    while not table[-1]:
-        table.pop()
-    return table
-
-
 def solve_rounds_oracle(engine, term) -> frozenset:
     """``DenotationalEngine.solve`` by plain rounds: re-denote the term and
     every instantiation found so far, in place, until a round finds no new
@@ -241,8 +223,7 @@ def solve_rounds_oracle(engine, term) -> frozenset:
 
 def clause_whole_oracle(engine, term, operands, build, bilinear=False, step=0) -> frozenset:
     """``DenotationalEngine._clause`` with no per-node record: every call
-    builds the clause on its whole operands and finalizes all of it,
-    overlong traces included."""
+    builds the clause on its whole operands and finalizes all of it."""
     return finalize(build(*operands), engine.params, engine.eval_len)
 
 
@@ -339,8 +320,11 @@ def restrict_params(ts: TraceSet, params: ModelParams, len_bound: int | None = N
 
 
 def trim_length_oracle(traces, len_bound: int) -> set:
-    """``trim_length`` with every kept part rebuilt from an explicit list of
-    offer positions, whether or not it fits the bound."""
+    """Canonical cover of the restriction of a set of normalised traces to
+    traces of bounded length: an overlong trace is replaced by, for each
+    count w of kept events, every normalised trace made of its first w
+    events and as many of the offers before them as the bound leaves,
+    each rebuilt from an explicit list of offer positions."""
     out = set()
     for tr in traces:
         if len(tr) <= len_bound:

@@ -10,8 +10,9 @@ The snapshot holds:
   tail processes (PUMPCHOICE, WEAVE, MIXPAR and MASKLOOP) at len 5, whose
   bench jobs print only whether the engines agree, of QUAD, WEAVE and
   MIXPAR at len 6, whose traces overflow the run or set bound most often
-  in ``finalize``, and of MASKLOOP at len 6, whose hiding raises den's
-  evaluation length to 18;
+  in ``finalize``, of MASKLOOP at len 6, whose hiding raises den's
+  evaluation length to 18, and of QUAD at len 7, whose wide offers
+  ``finalize`` resamples most;
 * the den cores of the processes of ``conftest.RECURSION_SPEC``, which
   recurse through every operator, at the six points, len 4;
 * ``emit_script(to_simulation(...))`` of every corpus process at n=F,k=1 and
@@ -56,7 +57,7 @@ LENGTHS = (3, 4)
 DEEP_CORES = (("group_ab", "PUMPCHOICE", 5), ("group_abc", "WEAVE", 5),
               ("group_abc", "MIXPAR", 5), ("group_abc", "MASKLOOP", 5),
               ("group_abcd", "QUAD", 6), ("group_abc", "WEAVE", 6), ("group_abc", "MIXPAR", 6),
-              ("group_abc", "MASKLOOP", 6))
+              ("group_abc", "MASKLOOP", 6), ("group_abcd", "QUAD", 7))
 COMMANDS = ("traces", "equiv", "refine", "test", "health", "realize", "simulate",
             "distinguish", "congruence")
 SPEC = os.path.join("tests", "data", "group_ab.csp")

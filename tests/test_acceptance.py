@@ -371,7 +371,7 @@ def test_14_projection_lemma(capsys, corpus, engine_sets):
 
 
 def test_15_cores_are_closed_under_prefixes_and_offer_deletion(capsys, corpus, engine_sets):
-    # den drops overlong clause traces before finalize on this premise
+    # finalize takes closed sets only, and den hands it clause outputs of these
     def body():
         for group, name, term, env in corpus:
             for params in PARAM_POINTS:

@@ -9,9 +9,9 @@ operator's entry of ``denotational.CLAUSES`` to op's operand cores and
 fits the result with ``finalize``, as den does.  So a mismatch names the
 operator, and depends neither on den's recursion solver nor on its
 evaluation length.  The same loop checks that each unfitted clause output
-is closed under prefixes and under deleting one offer: den drops what a
-clause builds past its length bound before ``finalize`` on that premise
-(``denotational``'s docstring).
+is closed under prefixes and under deleting one offer: ``finalize`` takes
+closed sets only, and den hands it these outputs (``denotational``'s
+docstring).
 """
 from __future__ import annotations
 

@@ -185,6 +185,16 @@ def test_a_long_may_test_does_not_recurse(capsys, long_spec):
                                "test": "a . " * 1500 + "SUCCESS"}
 
 
+def test_traces_at_a_long_length_do_not_recurse(capsys, long_spec):
+    # op walks its (state, length left) keys with explicit stacks, and
+    # keeps the suffixes of only the keys still to be used
+    code, out, err = run(capsys, "traces", long_spec, "P", "--model", "n=0,k=1", "--len", "1000")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "# operational n=0,k=1 len=1000 count=1001"
+    assert lines[1:] == ["<" + ", ".join(["a"] * i) + ">" for i in range(1001)]
+
+
 def test_may_test_needs_exactly_one_source(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["test", SPEC, "EXT"])

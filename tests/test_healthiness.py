@@ -6,7 +6,6 @@ applies the literal closure rules to a materialised set.
 """
 from __future__ import annotations
 
-import itertools
 import os
 
 import pytest
@@ -18,18 +17,16 @@ from availcsp import (
     trace_to_json,
 )
 from availcsp.denotational import denote_traces
-from availcsp.fitting import _run_table
 from availcsp.healthiness import (
     _CONDITIONS, TraceSet, _resample_run, check_healthy, close_healthy,
     cond4_reduce, covered, covers_equal, finalize,
-    max_offers, saturate, trim_length,
+    max_offers, saturate,
 )
 from availcsp.kernel import decompose, in_obs, is_offer, normalize_trace, parse_trace
 from availcsp.operational import avail_traces
 from oracle import (
     check_healthy_oracle, close_prefixes_and_deletions, closure_oracle, enumerate_universe,
-    expand_cover, finalize_oracle, resample_oracle, restrict_params, run_table_oracle,
-    trim_length_oracle,
+    expand_cover, finalize_oracle, resample_oracle, restrict_params,
 )
 
 AB = Alphabet(["a", "b"])
@@ -130,7 +127,7 @@ def test_max_offers():
 def test_cap_offers_expands_runs_not_positions():
     # A stored three-event offer at k=2 must cover a run of two different
     # two-event subsets, so capping expands into runs, not just subsets.
-    caps = finalize({(FABC,)}, SETS2, 4)
+    caps = finalize(close_prefixes_and_deletions({(FABC,)}), SETS2, 4)
     assert (FAB, FBC) in caps
     assert () in caps
     t = TraceSet(finalize(saturate({(FABC,)}), SETS2, 4), SETS2, 4)
@@ -151,99 +148,34 @@ def test_resample_run_matches_brute_force(choices, run_bound, len_bound):
     assert _resample_run(choices, run_bound, len_bound) == want
 
 
-offers_abcd = st.sampled_from([frozenset(c) for size in range(1, 5)
-                               for c in itertools.combinations("abcd", size)])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(offers_abcd, min_size=1, max_size=3), st.integers(1, 3),
-       st.sampled_from([1, 2, 3, None]), st.integers(0, 5))
-def test_run_table_matches_every_selection_of_every_resampled_option(run, k, n, len_bound):
-    # finalize reads what trimming keeps of a resampled run off this table
-    choices = [max_offers(o, k) for o in run]
-    cap = len_bound if n is None else min(n, len_bound)
-    want = run_table_oracle(_resample_run(choices, n, len_bound), len_bound)
-    assert _run_table(choices, cap, len_bound) == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([FA, FB, FAB, FBC, FABC]), min_size=1, max_size=6).map(
-    normalize_trace), st.integers(0, 4), st.integers(0, 6))
-def test_run_table_of_a_clipped_or_kept_run(run, n, len_bound):
-    # a run is read one offer per position: clipped to n of its offers, or
-    # kept whole when it fits
-    single = [(o,) for o in run]
-    if len(run) > n:
-        clipped = {normalize_trace(c) for c in itertools.combinations(run, n)}
-        assert _run_table(single, n, len_bound) == run_table_oracle(clipped, len_bound)
-    assert _run_table(single, len(run), len_bound) == run_table_oracle([run], len_bound)
-
-
-# finalize's worst case before its runs were read off selection tables:
-# the variant product held 97,196 traces at k=1, nearly all too long
+# finalize's worst case while it trimmed overlong variants: the variant
+# product held 97,196 traces at k=1, nearly all too long
 BASELINE_CALL = (FABC, "a", FABC, "b", FBC)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_finalize_of_the_baseline_call_matches_its_pinned_image(k):
-    # the pinned sets were checked against finalize_oracle once: it takes
-    # about 7 s at k=2 and two minutes at k=1
+    # finalize takes a closed set: the call's trace with its prefixes and
+    # offer deletions, 14 traces.  The pinned sets were checked against
+    # finalize_oracle once: it takes about 10 s at k=2 and 70 s at k=1
     path = os.path.join(DATA_DIR, f"finalize_baseline_k{k}.txt")
     with open(path, encoding="utf-8") as fh:
         pinned = {parse_trace(line, ABC) for line in fh.read().splitlines()
                   if not line.startswith("#")}
-    assert len(pinned) == {1: 498, 2: 434}[k]
-    assert finalize({BASELINE_CALL}, ModelParams(run_bound=None, set_bound=k), 5) == pinned
+    assert len(pinned) == {1: 498, 2: 454}[k]
+    closed = close_prefixes_and_deletions({BASELINE_CALL})
+    assert len(closed) == 14
+    assert finalize(closed, ModelParams(run_bound=None, set_bound=k), 5) == pinned
 
 
 def test_finalize_clips_runs_and_length():
     p = ModelParams(run_bound=1, set_bound=1)
-    out = finalize({(FA, FB, "a")}, p, 3)
+    out = finalize(close_prefixes_and_deletions({(FA, FB, "a")}), p, 3)
     assert (FA, "a") in out and (FB, "a") in out
     assert all(len(tr) <= 2 or tr == ("a",) for tr in out) or ("a",) in out
-    long = finalize({("a", "b", "a", "b")}, SINGLE, 2)
+    long = finalize(close_prefixes_and_deletions({("a", "b", "a", "b")}), SINGLE, 2)
     assert ("a", "b") in long
     assert all(len(tr) <= 2 for tr in long)
-
-
-
-normalised_traces = st.lists(st.sampled_from(["a", "b", FA, FB, FAB]), max_size=9).map(
-    normalize_trace
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(normalised_traces, min_size=1, max_size=3), st.integers(0, 6))
-def test_trim_length_matches_position_enumeration(traces, len_bound):
-    assert trim_length(traces, len_bound) == trim_length_oracle(traces, len_bound)
-
-
-short_traces = st.lists(st.sampled_from(["a", "b", FA, FB, FAB]), max_size=6).map(
-    normalize_trace
-)
-
-
-@st.composite
-def shared_prefix_sets(draw):
-    """A prefix-closed set (every prefix of 1-6 drawn traces) or a sibling
-    set (one stem with 2-8 tails): the shapes whose traces share the most
-    prefixes in ``trim_length``'s trie."""
-    if draw(st.booleans()):
-        drawn = draw(st.lists(normalised_traces, min_size=1, max_size=6))
-        return {tr[:i] for tr in drawn for i in range(len(tr) + 1)}
-    stem = draw(short_traces)
-    tails = draw(st.lists(short_traces, min_size=2, max_size=8))
-    return {normalize_trace(stem + tail) for tail in tails}
-
-
-@settings(max_examples=300, deadline=None)
-@given(shared_prefix_sets(), st.integers(0, 8))
-def test_trim_length_over_shared_prefixes(traces, len_bound):
-    # each trace's image is its own: a shared prefix is worked out once,
-    # but no trace's selections may leak into a sibling's
-    out = trim_length(traces, len_bound)
-    assert out == trim_length_oracle(traces, len_bound)
-    assert out == set().union(*(trim_length([tr], len_bound) for tr in traces))
 
 
 # offers of up to three events overflow k=1 and k=2; seven actions overflow
@@ -280,27 +212,13 @@ any_bound = st.sampled_from([0, 1, 2, None])
        any_bound, any_bound, st.integers(0, 5))
 @example(frozenset({(FA, FB, FA)}), 2, 1, 2)     # clipping makes two offers adjacent
 def test_finalize_matches_three_pass_oracle(traces, n, k, len_bound):
+    # finalize drops an overlong trace where the oracle trims it: each
+    # image the oracle makes of it is a fitted variant of a prefix of it
+    # with some offers deleted, no longer than the image, which a set
+    # closed under prefixes and offer deletion already holds
+    closed = close_prefixes_and_deletions(traces)
     p = ModelParams(run_bound=n, set_bound=k)
-    assert finalize(traces, p, len_bound) == finalize_oracle(traces, p, len_bound)
-
-
-# up to six actions, two more than the longest bound the lemma is checked at
-closable_traces = st.lists(st.sampled_from(["a", "b", "c", FA, FB, FAB, FBC, FABC]),
-                           max_size=6).map(normalize_trace)
-
-
-@settings(max_examples=320, deadline=None)
-@given(st.lists(closable_traces, min_size=1, max_size=3))
-def test_finalize_of_a_closed_set_needs_only_its_short_traces(drawn):
-    # each image finalize makes of an overlong trace is a fitted variant of
-    # a prefix of it with some offers deleted, no longer than the image:
-    # a closed set already holds that trace, so den drops overlong clause
-    # traces before finalize
-    closed = close_prefixes_and_deletions(drawn)
-    for p in PARAM_POINTS + (ModelParams(run_bound=0, set_bound=1),):
-        for len_bound in range(5):
-            short = [tr for tr in closed if len(tr) <= len_bound]
-            assert finalize(closed, p, len_bound) == finalize(short, p, len_bound)
+    assert finalize(closed, p, len_bound) == finalize_oracle(closed, p, len_bound)
 
 
 SEED_CASES = [
