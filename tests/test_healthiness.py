@@ -221,6 +221,24 @@ def test_finalize_matches_three_pass_oracle(traces, n, k, len_bound):
     assert finalize(closed, p, len_bound) == finalize_oracle(closed, p, len_bound)
 
 
+# up to six actions, two more than the longest bound the lemma is checked at
+closable_traces = st.lists(st.sampled_from(["a", "b", "c", FA, FB, FAB, FBC, FABC]),
+                           max_size=6).map(normalize_trace)
+
+
+@settings(max_examples=320, deadline=None)
+@given(st.lists(closable_traces, min_size=1, max_size=3))
+def test_finalize_of_a_closed_set_needs_only_its_short_traces(drawn):
+    # the lemma finalize rests on: each image the oracle makes of an
+    # overlong trace by trimming is already an image of one of the closed
+    # set's short traces, so finalize may drop the overlong ones unseen
+    closed = close_prefixes_and_deletions(drawn)
+    for p in PARAM_POINTS + (ModelParams(run_bound=0, set_bound=1),):
+        for len_bound in range(5):
+            short = [tr for tr in closed if len(tr) <= len_bound]
+            assert finalize_oracle(closed, p, len_bound) == finalize(short, p, len_bound)
+
+
 SEED_CASES = [
     ([(FA, "a")], SINGLE, 3),
     ([(FA, "a")], ModelParams(1, 1), 3),
