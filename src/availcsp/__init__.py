@@ -11,7 +11,6 @@ observation with ordinary events.
 
 from .errors import (
     AvailCspError, BudgetError, OutOfUniverseError, ParseError, SpecError,
-    StateLimitError,
 )
 from .kernel import (
     TAU, Alphabet, Bounds, ModelParams, is_event, is_offer, normalize_trace,

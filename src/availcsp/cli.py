@@ -281,11 +281,10 @@ def _cmd_realize(args, env: SpecEnv, bounds: Bounds) -> int:
 
 
 @_command("simulate", "emit the offer-event simulation script", _arg("process"),
-          _arg("--state-cap", type=int, default=4096),
           _arg("--check", action="store_true", help="verify the decoded round trip"))
 def _cmd_simulate(args, env: SpecEnv, bounds: Bounds) -> int:
     term = _resolve(args.process, env)
-    sim = to_simulation(term, env, args.model, args.state_cap)
+    sim = to_simulation(term, env, args.model)
     sys.stdout.write(emit_script(sim))
     if args.check:
         decoded = {

@@ -29,9 +29,5 @@ class OutOfUniverseError(AvailCspError):
     """
 
 
-class StateLimitError(AvailCspError):
-    """State-graph exploration exceeded its configured bound."""
-
-
 class BudgetError(AvailCspError):
     """A computation could not finish within its configured budget."""

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .kernel import (
-    Alphabet, ModelParams, check_universe, decompose, in_obs,
+    Alphabet, Bounds, ModelParams, check_universe, decompose, in_obs,
     is_event, is_offer, normalize_trace, show_action, show_trace, trace_to_json,
 )
 
@@ -80,49 +80,17 @@ def covered(qruns, cruns) -> bool:
     return True
 
 
-def saturate(traces, run_bound: int | None = None, len_bound: int | None = None):
-    """Close a set of normalised traces under the skeleton-changing rules:
-    every prefix is a member; a final offer may instead perform one of its
-    events; an event may be cut off after the offer of itself (the prefix
-    of an offer insertion, licensed only while the inserted form stays
-    inside the run and length bounds); and any offer may be dropped.
-    Dropping matters because it shortens the trace, which can put a
-    length-guarded insertion back in reach."""
-    seen = set(traces)
-    seen.add(())
-    work = list(seen)
-    while work:
-        tr = work.pop()
-        if not tr:
-            continue
-        for cons in _skeleton_consequences(tr, run_bound, len_bound):
-            if cons not in seen:
-                seen.add(cons)
-                work.append(cons)
-    return frozenset(seen)
+def saturate(traces, params: ModelParams, len_bound: int) -> frozenset:
+    """The canonical core of the closure of some normalised traces, to
+    the (n, k, len) bounds.  The closure is the trace set of the process
+    ``realize`` builds from them (no junk), which op reads exactly, so
+    what follows only through a trace longer than the bound is kept."""
+    from .operational import avail_traces
+    from .process import SpecEnv
+    from .testing import realize
 
-
-def _skeleton_consequences(tr, run_bound, len_bound):
-    yield tr[:-1]
-    last = tr[-1]
-    if is_offer(last):
-        for a in last:
-            yield tr[:-1] + (a,)
-        # duplicating the final offer must keep the trace inside both bounds;
-        # in_obs of the whole trace measures only the final run because
-        # every rule keeps the other runs inside the run bound
-        if (len_bound is None or len(tr) < len_bound) and in_obs(tr + (last,), run_bound):
-            for a in last:
-                yield tr + (a,)
-    for i, a in enumerate(tr):
-        if is_offer(a):
-            yield normalize_trace(tr[:i] + tr[i + 1:])
-            continue
-        if len_bound is not None and i + 2 > len_bound:
-            continue
-        cut = normalize_trace(tr[:i] + (frozenset([a]),))
-        if in_obs(cut, run_bound):
-            yield cut
+    term = realize(set(traces) | {()})
+    return avail_traces(term, SpecEnv(Alphabet(())), params, Bounds(len_bound)).canon
 
 
 class TraceSet:
@@ -200,12 +168,13 @@ def _actions(traces) -> set:
 
 
 def close_healthy(raw, params: ModelParams, len_bound: int, alphabet: Alphabet | None = None) -> TraceSet:
-    """Least closed superset of ``raw`` within the bounded universe."""
+    """The closure of ``raw`` within the bounded universe: the truncation
+    of its unbounded closure, see ``saturate``."""
     normalized = set()
     for tr in raw:
         check_universe(tr, params, len_bound, alphabet)
-        normalized.add(cond4_reduce(normalize_trace(tr)))
-    return TraceSet(saturate(normalized, params.run_bound, len_bound), params, len_bound)
+        normalized.add(normalize_trace(tr))
+    return TraceSet(saturate(normalized, params, len_bound), params, len_bound)
 
 
 def _uncovered(a: TraceSet, b: TraceSet):

@@ -10,7 +10,7 @@ recovered by covering.
 """
 from __future__ import annotations
 
-from .errors import BudgetError, SpecError, StateLimitError
+from .errors import BudgetError, SpecError
 from .healthiness import TraceSet, max_offers
 from .kernel import TAU, Bounds, ModelParams
 from .process import (
@@ -146,41 +146,38 @@ def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> Tra
     """Canonical availability-trace set extracted from the transition
     system, bounded in length, run length, and offer size.
 
-    The suffixes of a state with some length left depend on (state, run
-    left, last offer), a key, and every step, an event or an offer, takes
-    one length.  So the keys are found level by level, from the whole
-    length down to none, each with the actions it may take and the index
-    of what follows each in the level below; then each level's suffixes
-    are built from the level below's, which are then dropped.  Both
-    passes are loops, however long the length, and hold two levels of
-    suffixes at a time."""
+    What a trace may do next depends only on the key it reaches: (state,
+    run left, last offer).  Every step, an event or an offer, takes one
+    length, so one forward pass keeps, per key, the traces that reach it
+    at the current length, extends each by every step the key takes, and
+    adds each level to the result: a loop, however long the length."""
     engine = StepEngine(env)
     n, k = params.run_bound, params.set_bound
-    levels = []                 # per length left, longest first: each key's edges
-    keys = [(term, n, None)]
+    out = {()}
+    level = {(term, n, None): {()}}     # key -> the traces reaching it
     for _ in range(bounds.trace_len):
-        below = {}              # key one length down -> its index
-        edges = []
-        for state, run_left, last_offer in keys:
-            out = []
+        nxt = {}
+        for (state, run_left, last_offer), traces in level.items():
+            moves = []
             for t in engine.tau_closure(state):
                 for lab, succ in engine.steps(t):
                     if lab is not TAU:
-                        out.append((lab, below.setdefault((succ, n, None), len(below))))
+                        moves.append((lab, (succ, n, None)))
                 if run_left is None or run_left > 0:
                     nxt_run = None if run_left is None else run_left - 1
                     for offer in max_offers(engine.initials(t), k):
                         if offer != last_offer:
-                            out.append((offer, below.setdefault((t, nxt_run, offer), len(below))))
-            edges.append(out)
-        levels.append(edges)
-        keys = list(below)
-    # no step fits at length 0, so those keys' closures are never built
-    suffixes = [frozenset({()})] * len(keys)
-    for edges in reversed(levels):
-        suffixes = [frozenset([()] + [(a,) + suf for a, i in out for suf in suffixes[i]])
-                    for out in edges]
-    return TraceSet(suffixes[0], params, bounds.trace_len, "operational")
+                            moves.append((offer, (t, nxt_run, offer)))
+            for a, key in moves:
+                reached = nxt.get(key)
+                if reached is None:
+                    nxt[key] = {tr + (a,) for tr in traces}
+                else:
+                    reached.update(tr + (a,) for tr in traces)
+        for traces in nxt.values():
+            out.update(traces)
+        level = nxt
+    return TraceSet(out, params, bounds.trace_len, "operational")
 
 
 def std_traces(term, env: SpecEnv, max_len: int) -> frozenset:
@@ -189,12 +186,12 @@ def std_traces(term, env: SpecEnv, max_len: int) -> frozenset:
     return avail_traces(term, env, ModelParams(run_bound=0), Bounds(max_len)).canon
 
 
-def build_lts(term, env: SpecEnv, state_cap: int = MAX_STATES):
+def build_lts(term, env: SpecEnv):
     """Reachable transition system by breadth-first exploration.
 
     Returns (states, transitions) with states in discovery order and
     transitions as a list of (source index, label, target index) triples.
-    Raises StateLimitError beyond the state cap.
+    Raises BudgetError when the states pass MAX_STATES.
     """
     engine = StepEngine(env)
     index = {term: 0}
@@ -207,10 +204,9 @@ def build_lts(term, env: SpecEnv, state_cap: int = MAX_STATES):
             for lab, succ in engine.steps(state):
                 j = index.get(succ)
                 if j is None:
-                    if len(states) >= state_cap:
-                        raise StateLimitError(
-                            f"transition system exceeds {state_cap} states"
-                        )
+                    if len(states) >= MAX_STATES:
+                        raise BudgetError(
+                            f"transition system exceeds MAX_STATES ({MAX_STATES} states)")
                     j = len(states)
                     index[succ] = j
                     states.append(succ)

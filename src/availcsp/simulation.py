@@ -65,8 +65,7 @@ def _state_name(i: int) -> str:
     return f"S{i}"
 
 
-def to_simulation(term, env: SpecEnv, params: ModelParams,
-                  state_cap: int = 4096) -> Simulation:
+def to_simulation(term, env: SpecEnv, params: ModelParams) -> Simulation:
     """Rebuild a process over ordinary events whose traces spell out the
     availability observations of the original at the given set bound."""
     for e in env.alphabet.events:
@@ -74,7 +73,7 @@ def to_simulation(term, env: SpecEnv, params: ModelParams,
             raise SpecError(
                 f"alphabet event {e!r} clashes with simulation offer events"
             )
-    states, transitions = build_lts(term, env, state_cap)
+    states, transitions = build_lts(term, env)
 
     visible: dict = {}
     internal: dict = {}

@@ -138,7 +138,7 @@ class MayVerdict:
         return "cannot pass: search exhausted"
 
 
-def may_pass(term, test, env: SpecEnv, engine: StepEngine | None = None) -> MayVerdict:
+def may_pass(term, test, env: SpecEnv) -> MayVerdict:
     """Search for an experiment run driving the test to success.
 
     States pair a position in the test (the steps it has made) with the
@@ -146,8 +146,7 @@ def may_pass(term, test, env: SpecEnv, engine: StepEngine | None = None) -> MayV
     test last progressed, and the cheapest state is expanded first.  Raises
     BudgetError when the states held for one position pass MAX_STATES.
     """
-    if engine is None:
-        engine = StepEngine(env)
+    engine = StepEngine(env)
     chain = list(_chain(test))
     held = [0] * (len(chain) + 1)
     best = {}

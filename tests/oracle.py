@@ -16,7 +16,7 @@ from availcsp import (
     Alphabet, Bounds, InputPrefix, ModelParams, OutOfUniverseError, SpecEnv,
 )
 from availcsp.denotational import MAX_ROUNDS
-from availcsp.errors import BudgetError, StateLimitError
+from availcsp.errors import BudgetError
 from availcsp.healthiness import (
     ConditionReport, HealthReport, TraceSet, _conditions, _prefixes, _resample_run,
     covers_equal, finalize, max_offers,
@@ -408,13 +408,13 @@ def stable_failures(term, env: SpecEnv, max_len: int) -> dict:
 
 
 
-def is_divergent(term, env: SpecEnv, state_cap: int = 4096) -> bool:
+def is_divergent(term, env: SpecEnv) -> bool:
     """Whether any reachable state starts an infinite internal run.  A
-    transition system above the state cap is conservatively reported as
+    transition system above MAX_STATES is conservatively reported as
     divergent."""
     try:
-        states, transitions = build_lts(term, env, state_cap)
-    except StateLimitError:
+        states, transitions = build_lts(term, env)
+    except BudgetError:
         return True
     tau_succ: dict = {}
     for i, lab, j in transitions:
@@ -448,14 +448,14 @@ NOT_SIMILAR = "not-similar"
 INDETERMINATE = "indeterminate"
 
 
-def sim_preorder(p, q, env: SpecEnv, state_cap: int = 4096) -> str:
+def sim_preorder(p, q, env: SpecEnv) -> str:
     """Strong simulation of the first process by the second, internal
     steps treated as ordinary labels.  Indeterminate when either
-    transition system exceeds the state cap."""
+    transition system exceeds MAX_STATES."""
     try:
-        pstates, ptrans = build_lts(p, env, state_cap)
-        qstates, qtrans = build_lts(q, env, state_cap)
-    except StateLimitError:
+        pstates, ptrans = build_lts(p, env)
+        qstates, qtrans = build_lts(q, env)
+    except BudgetError:
         return INDETERMINATE
 
     def succ_map(trans):
@@ -488,9 +488,9 @@ def sim_preorder(p, q, env: SpecEnv, state_cap: int = 4096) -> str:
     return SIMILAR if (0, 0) in related else NOT_SIMILAR
 
 
-def mutually_similar(p, q, env: SpecEnv, state_cap: int = 4096) -> str:
-    a = sim_preorder(p, q, env, state_cap)
-    b = sim_preorder(q, p, env, state_cap)
+def mutually_similar(p, q, env: SpecEnv) -> str:
+    a = sim_preorder(p, q, env)
+    b = sim_preorder(q, p, env)
     if INDETERMINATE in (a, b):
         return INDETERMINATE
     return SIMILAR if a == b == SIMILAR else NOT_SIMILAR

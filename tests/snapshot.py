@@ -26,6 +26,9 @@ The snapshot holds:
 * exit code, stdout and stderr of ``traces`` over malformed spec files
   (written to a temporary directory) and of ``traces`` of malformed inline
   expressions, so that parse and spec errors are compared too;
+* exit code, stdout and stderr of ``realize --check`` of seed files whose
+  closure follows only through traces longer than ``--len`` (written to a
+  temporary directory);
 * exit code, stdout and stderr of ``equiv`` and ``traces`` of a process
   that takes 150 internal steps before its one visible event, and of a
   1,500-step ``test`` (the spec written to a temporary directory).
@@ -85,6 +88,10 @@ HEALTH_CHECKS = (
 )
 # <a> is missing: the least failing member is <a, b>, not <a, b, a>
 MISSING_MIDDLE_PREFIX = "<>\n<a, b>\n<a, b, a>\n"
+
+# seeds whose closure follows only through traces one longer than len 3
+REALIZE_SEEDS = (("<offer{a,b}, c>\n<offer{c}, a, b>\n", "n=F,k=2"),
+                 ("<a, a, a>\n", "n=F,k=1"))
 
 # 150 hidden events before b, and a process that repeats a
 LONG_SPEC = "alphabet {a, b}\nLONGTAU = (" + "a -> " * 150 + "b -> STOP) \\ {a}\nP = a -> P\n"
@@ -154,6 +161,20 @@ def health_checks() -> list:
         row = run_cli(("health", SPEC, "--traces-file", path, "--len", "3"))
     row["argv"] = [arg.replace(path, "traces.txt") for arg in row["argv"]]
     return out + [row]
+
+
+def realizations() -> list:
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "seeds.txt")
+        for text, model in REALIZE_SEEDS:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            row = run_cli(("realize", os.path.join("tests", "data", "group_abc.csp"), path,
+                           "--model", model, "--len", "3", "--check"))
+            row["argv"] = [arg.replace(path, "seeds.txt") for arg in row["argv"]]
+            out.append(dict(row, seeds=text))
+    return out
 
 
 def parse_errors() -> list:
@@ -277,6 +298,7 @@ def main() -> None:
                 "help": [run_cli(argv) for argv in [("-h",)] + [(c, "-h") for c in COMMANDS]],
                 "usage_errors": [run_cli(argv) for argv in BAD_INVOCATIONS],
                 "health": health_checks(),
+                "realize": realizations(),
                 "parse_errors": parse_errors(),
                 "long_runs": long_runs()}
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -16,7 +16,7 @@ from availcsp.denotational import denote_traces
 from availcsp.equivalence import DISTINGUISHED, EQUAL, equal_in
 from availcsp.healthiness import check_healthy, close_healthy, covers_equal, finalize
 from availcsp.kernel import in_obs
-from availcsp.operational import StepEngine, avail_traces, std_traces
+from availcsp.operational import avail_traces, std_traces
 from availcsp.process import Call, SpecEnv
 from availcsp.simulation import decode_trace, to_simulation
 from availcsp.testing import may_pass, realize
@@ -206,12 +206,8 @@ def test_08_testing_matches_membership(capsys, corpus, probe_universes):
         vectors, n1_vectors, sets4, n1_sets = {}, {}, {}, {}
         for group, name, term, env in corpus:
             uni = probe_universes[group]
-            engine = StepEngine(env)
             ts = avail_traces(term, env, MODEL_A, L4)
-            vec = tuple(
-                may_pass(term, probe_of(tr), env, engine=engine).may
-                for tr in uni
-            )
+            vec = tuple(may_pass(term, probe_of(tr), env).may for tr in uni)
             for tr, may in zip(uni, vec):
                 assert may == ts.member(tr, env.alphabet), (name, tr)
             sets4[(group, name)] = ts

@@ -259,6 +259,17 @@ def test_realize_emits_process_text(capsys, tmp_path):
     assert "# round trip: exact" in out
 
 
+def test_realize_round_trip_is_exact_past_the_length_bound(capsys, tmp_path):
+    # the process shows <offer{c}, a, offer{b}>, a prefix of the overlong
+    # <offer{c}, a, offer{b}, b>; the closure holds it too
+    traces = tmp_path / "seeds.txt"
+    traces.write_text("<offer{a,b}, c>\n<offer{c}, a, b>\n", encoding="utf-8")
+    code, out, _ = run(capsys, "realize", os.path.join(ROOT, "tests", "data", "group_abc.csp"),
+                       str(traces), "--model", "n=F,k=2", "--len", "3", "--check")
+    assert code == 0
+    assert out.endswith("# round trip: exact\n")
+
+
 def test_realize_output_does_not_depend_on_the_hash_seed():
     # joint offers are frozensets, whose iteration order follows the
     # string-hash seed
@@ -495,8 +506,7 @@ SUBCOMMANDS = {
     "realize": {"spec": POSITIONAL, "traces_file": POSITIONAL,
                 "check": (("--check",), False), **COMMON},
     "simulate": {"spec": POSITIONAL, "process": POSITIONAL,
-                 "state_cap": (("--state-cap",), 4096), "check": (("--check",), False),
-                 **COMMON},
+                 "check": (("--check",), False), **COMMON},
     "distinguish": {"spec": POSITIONAL, "left": POSITIONAL, "right": POSITIONAL,
                     "grid": (("--grid",), "n=1..3,k=1..2"), **COMMON, **ENGINE},
     "congruence": {"spec": POSITIONAL, "process": POSITIONAL, **COMMON},

@@ -10,7 +10,7 @@ import itertools
 import pytest
 from conftest import PARAM_POINTS, group_processes
 
-from availcsp import Bounds, ModelParams, parse_process
+from availcsp import Bounds, ModelParams, parse_process, parse_spec
 from availcsp.equivalence import _minimal_witness, distinguish, equal_in, refine_in
 from availcsp.healthiness import TraceSet, _uncovered
 from availcsp.operational import avail_traces
@@ -155,8 +155,10 @@ def test_sim_asymmetric_pair_is_availability_equal(abcd):
 
 
 def test_state_cap_yields_indeterminate(ab):
-    assert sim_preorder(P("CYCLE"), P("CYCLE"), ab, state_cap=2) == INDETERMINATE
-    assert mutually_similar(P("CYCLE"), P("CYCLE"), ab, state_cap=2) == INDETERMINATE
+    # each a forks another copy, past MAX_STATES states
+    fork = parse_spec("alphabet {a}\nP = a -> (P ||| P)\n")
+    assert sim_preorder(P("P"), P("P"), fork) == INDETERMINATE
+    assert mutually_similar(P("P"), P("P"), fork) == INDETERMINATE
 
 
 def _witness(env, tp, tq):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 
 from availcsp import Alphabet, Bounds, ModelParams, parse_spec
-from availcsp.errors import StateLimitError
+from availcsp.errors import BudgetError
 from availcsp.healthiness import close_healthy, covers_equal
 from availcsp.kernel import TAU
 from availcsp.operational import StepEngine, avail_traces, build_lts, std_traces
@@ -158,8 +158,10 @@ def test_build_lts_and_state_cap(env):
     states, transitions = build_lts(proc(env, "PUMP"), env)
     assert states[0] == proc(env, "PUMP")
     assert all(lab is TAU or isinstance(lab, str) for _, lab, _ in transitions)
-    with pytest.raises(StateLimitError):
-        build_lts(proc(env, "CYCLE"), env, state_cap=2)
+    # each a forks another copy, so the states never stop growing
+    fork = parse_spec("alphabet {a}\nP = a -> (P ||| P)\n")
+    with pytest.raises(BudgetError, match="MAX_STATES"):
+        build_lts(Call("P", ()), fork)
 
 
 def test_divergence_detection(env):
