@@ -3,17 +3,18 @@
 Exit codes: 0 when the queried property holds (equal, refined, may pass,
 healthy, faithful round trip), 1 when it is refuted with a witness, and 2
 for usage errors, computations stopped by a budget, and crashes.
+
+Only the modules every command needs are imported here: ``equivalence``,
+``testing`` and ``simulation`` are imported by the handlers that use them,
+and ``json`` when output is written as JSON, so that a call does not pay
+to load what its command leaves unused.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .denotational import denote_traces
-from .equivalence import (
-    DISTINGUISHED, EQUAL, REFINED, _trace_set, distinguish, equal_in, refine_in,
-)
 from .errors import AvailCspError
 from .healthiness import check_healthy, close_healthy, covers_equal
 from .kernel import (
@@ -22,8 +23,6 @@ from .kernel import (
 from .operational import avail_traces, std_traces
 from .parser import parse_process, parse_spec
 from .process import Call, SpecEnv, pretty
-from .simulation import decode_trace, emit_script, to_simulation
-from .testing import may_pass, parse_test, realize, test_from_trace
 
 USAGE_ERROR = 2
 
@@ -111,6 +110,18 @@ def _resolve(expr: str, env: SpecEnv):
     return parse_process(expr, env)
 
 
+def _trace_set(term, env: SpecEnv, args, bounds: Bounds):
+    """The trace set of a term from the engine ``--engine`` names."""
+    engine = denote_traces if args.engine == "den" else avail_traces
+    return engine(term, env, args.model, bounds)
+
+
+def _print_json(obj) -> None:
+    import json
+
+    print(json.dumps(obj, sort_keys=True))
+
+
 def _check_bounds(args) -> None:
     if args.len < 0:
         _usage("--len must not be negative")
@@ -178,7 +189,7 @@ def _command(name: str, help: str, *arguments, spec_help: str | None = None):
           spec_help="spec file declaring the alphabet and definitions")
 def _cmd_traces(args, env: SpecEnv, bounds: Bounds) -> int:
     term = _resolve(args.process, env)
-    ts = _trace_set(term, env, args.model, bounds, ENGINE_NAMES[args.engine])
+    ts = _trace_set(term, env, args, bounds)
     if args.json:
         for line in ts.json_lines(env.alphabet):
             print(line)
@@ -196,7 +207,7 @@ def _compare(args, env: SpecEnv, bounds: Bounds, check, holds: str, left: str, r
     rterm = _resolve(right, env)
     result = check(lterm, rterm, env, args.model, bounds, ENGINE_NAMES[args.engine])
     if args.json:
-        print(json.dumps(result.json_obj(env.alphabet), sort_keys=True))
+        _print_json(result.json_obj(env.alphabet))
     else:
         print(result.describe(env.alphabet))
     return 0 if result.verdict == holds else 1
@@ -204,12 +215,16 @@ def _compare(args, env: SpecEnv, bounds: Bounds, check, holds: str, left: str, r
 
 @_command("equiv", "compare two processes for equality", _arg("left"), _arg("right"), _ENGINE)
 def _cmd_equiv(args, env: SpecEnv, bounds: Bounds) -> int:
+    from .equivalence import EQUAL, equal_in
+
     return _compare(args, env, bounds, equal_in, EQUAL, args.left, args.right)
 
 
 @_command("refine", "check that the second process refines the first",
           _arg("spec_process"), _arg("impl_process"), _ENGINE)
 def _cmd_refine(args, env: SpecEnv, bounds: Bounds) -> int:
+    from .equivalence import REFINED, refine_in
+
     return _compare(args, env, bounds, refine_in, REFINED, args.spec_process, args.impl_process)
 
 
@@ -218,6 +233,8 @@ def _cmd_refine(args, env: SpecEnv, bounds: Bounds) -> int:
                help="test literal, e.g. 'a . ready {b} & SUCCESS'"),
           _arg("--from-trace", dest="from_trace", help="derive the test from a trace literal"))
 def _cmd_test(args, env: SpecEnv, bounds: Bounds) -> int:
+    from .testing import may_pass, parse_test, test_from_trace
+
     term = _resolve(args.process, env)
     if bool(args.test_literal) == bool(args.from_trace):
         _usage("give exactly one of --test or --from-trace")
@@ -227,11 +244,7 @@ def _cmd_test(args, env: SpecEnv, bounds: Bounds) -> int:
         test = test_from_trace(parse_trace(args.from_trace, env.alphabet))
     verdict = may_pass(term, test, env)
     if args.json:
-        print(json.dumps({
-            "may": verdict.may,
-            "witness": verdict.witness,
-            "test": test.show(),
-        }, sort_keys=True))
+        _print_json({"may": verdict.may, "witness": verdict.witness, "test": test.show()})
     else:
         print(verdict.describe())
     return 0 if verdict.may else 1
@@ -249,10 +262,10 @@ def _cmd_health(args, env: SpecEnv, bounds: Bounds) -> int:
             check_universe(tr, args.model, args.len, env.alphabet)
     else:
         term = _resolve(args.process, env)
-        subject = _trace_set(term, env, args.model, bounds, ENGINE_NAMES[args.engine])
+        subject = _trace_set(term, env, args, bounds)
     report = check_healthy(subject, args.model, args.len)
     if args.json:
-        print(json.dumps(report.json_objs(env.alphabet), sort_keys=True))
+        _print_json(report.json_objs(env.alphabet))
     else:
         for cond in report.conditions:
             line = f"{cond.condition}: {'pass' if cond.ok else 'fail'}"
@@ -266,6 +279,8 @@ def _cmd_health(args, env: SpecEnv, bounds: Bounds) -> int:
           _arg("--check", action="store_true", help="verify the realization round trip"),
           spec_help="spec file (the alphabet header is enough)")
 def _cmd_realize(args, env: SpecEnv, bounds: Bounds) -> int:
+    from .testing import realize
+
     traces = _read_trace_lines(args.traces_file, env.alphabet)
     closed = close_healthy(traces, args.model, args.len, env.alphabet)
     term = realize(closed.canon)
@@ -283,6 +298,8 @@ def _cmd_realize(args, env: SpecEnv, bounds: Bounds) -> int:
 @_command("simulate", "emit the offer-event simulation script", _arg("process"),
           _arg("--check", action="store_true", help="verify the decoded round trip"))
 def _cmd_simulate(args, env: SpecEnv, bounds: Bounds) -> int:
+    from .simulation import decode_trace, emit_script, to_simulation
+
     term = _resolve(args.process, env)
     sim = to_simulation(term, env, args.model)
     sys.stdout.write(emit_script(sim))
@@ -307,11 +324,13 @@ def _cmd_simulate(args, env: SpecEnv, bounds: Bounds) -> int:
           _arg("--grid", type=parse_grid, default="n=1..3,k=1..2", help="e.g. n=1..3,k=1,2,F"),
           _ENGINE)
 def _cmd_distinguish(args, env: SpecEnv, bounds: Bounds) -> int:
+    from .equivalence import DISTINGUISHED, distinguish
+
     lterm = _resolve(args.left, env)
     rterm = _resolve(args.right, env)
     rows = distinguish(lterm, rterm, env, args.grid, bounds, ENGINE_NAMES[args.engine])
     if args.json:
-        print(json.dumps([r.json_obj(env.alphabet) for r in rows], sort_keys=True))
+        _print_json([r.json_obj(env.alphabet) for r in rows])
     else:
         for r in rows:
             print(r.describe(env.alphabet))
@@ -325,11 +344,11 @@ def _cmd_congruence(args, env: SpecEnv, bounds: Bounds) -> int:
     den = denote_traces(term, env, args.model, bounds)
     agree = covers_equal(op, den)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "agree": agree,
             "operational_count": len(op),
             "denotational_count": len(den),
-        }, sort_keys=True))
+        })
     else:
         print(f"engines {'agree' if agree else 'DISAGREE'} at {args.model.show()} "
               f"len={args.len}")

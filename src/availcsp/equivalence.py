@@ -11,11 +11,10 @@ at a time and stops at the first length that separates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .denotational import denote_traces
 from .healthiness import TraceSet, _resample_run, _subsets, _uncovered
-from .kernel import Alphabet, Bounds, ModelParams, compose, decompose, show_trace
+from .kernel import Alphabet, Bounds, ModelParams, Record, compose, decompose, show_trace
 from .operational import avail_traces
 from .process import SpecEnv
 
@@ -24,12 +23,15 @@ DISTINGUISHED = "distinguished"
 REFINED = "refined"
 
 
-@dataclass
-class CompareResult:
-    verdict: str
-    params: ModelParams
-    witness: tuple | None = None
-    witness_side: str | None = None
+class CompareResult(Record):
+    __slots__ = ("verdict", "params", "witness", "witness_side")
+
+    def __init__(self, verdict: str, params: ModelParams, witness: tuple | None = None,
+                 witness_side: str | None = None):
+        self.verdict = verdict
+        self.params = params
+        self.witness = witness
+        self.witness_side = witness_side
 
     def describe(self, alphabet: Alphabet | None = None) -> str:
         head = f"[{self.params.show()}] {self.verdict}"

@@ -39,12 +39,10 @@ replaced by its fitted variants that fit the length bound.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .kernel import (
-    Alphabet, Bounds, ModelParams, check_universe, decompose, in_obs,
+    Alphabet, Bounds, ModelParams, Record, check_universe, decompose, in_obs,
     is_event, is_offer, normalize_trace, show_action, show_trace, trace_to_json,
 )
 
@@ -141,6 +139,8 @@ class TraceSet:
         return sorted(self.canon, key=lambda tr: (len(tr), tuple(map(rank.__getitem__, tr))))
 
     def json_lines(self, alphabet: Alphabet):
+        import json
+
         head = {
             "count": len(self.canon),
             "engine": self.engine,
@@ -316,11 +316,13 @@ def finalize(traces, params: ModelParams, len_bound: int):
 # --- healthiness verification ----------------------------------------------
 
 
-@dataclass
-class ConditionReport:
-    condition: str
-    ok: bool
-    witness: tuple | None = None
+class ConditionReport(Record):
+    __slots__ = ("condition", "ok", "witness")
+
+    def __init__(self, condition: str, ok: bool, witness: tuple | None = None):
+        self.condition = condition
+        self.ok = ok
+        self.witness = witness
 
     def json_obj(self, alphabet: Alphabet | None = None) -> dict:
         obj = {"condition": self.condition, "verdict": "pass" if self.ok else "fail"}
@@ -329,9 +331,11 @@ class ConditionReport:
         return obj
 
 
-@dataclass
-class HealthReport:
-    conditions: list = field(default_factory=list)
+class HealthReport(Record):
+    __slots__ = ("conditions",)
+
+    def __init__(self, conditions: list | None = None):
+        self.conditions = [] if conditions is None else conditions
 
     @property
     def ok(self) -> bool:

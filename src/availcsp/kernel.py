@@ -15,9 +15,8 @@ may be (``set_bound``); ``None`` means unbounded.
 """
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import OutOfUniverseError, ParseError
 
@@ -103,8 +102,51 @@ class Alphabet:
         return (len(trace), tuple(self.action_key(a) for a in trace))
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class Record:
+    """Base of the package's record classes: a class names its fields in
+    ``__slots__`` (names that begin with ``_`` are not fields) and assigns
+    them in its own ``__init__``.  Two records are equal when they are of
+    one exact class and their fields are equal, and a record's repr names
+    its fields.  A record is unhashable unless it is a ``Value``."""
+
+    __slots__ = ()
+    _fields = ()
+    _key = staticmethod(lambda r: ())       # the fields equality compares
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(f for f in vars(cls).get("__slots__", ()) if not f.startswith("_"))
+        if fields:
+            cls._fields += fields
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Value(Record):
+    """An immutable record: its ``__init__`` stores ``hash`` of the tuple of
+    its fields in ``_hash`` once, so hashing never walks the fields again.
+    Fields are not reassigned after ``__init__``."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the hash is that of the new process
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class ModelParams(Value):
     """Selects a model from the hierarchy.
 
     ``run_bound`` limits the length of each maximal run of consecutive offers
@@ -115,16 +157,17 @@ class ModelParams:
     the plain traces model either way.
     """
 
-    run_bound: int | None = None
-    set_bound: int | None = 1
+    __slots__ = ("run_bound", "set_bound")
 
-    def __post_init__(self):
-        for v in (self.run_bound, self.set_bound):
+    def __init__(self, run_bound: int | None = None, set_bound: int | None = 1):
+        for v in (run_bound, set_bound):
             if v is not None and (not isinstance(v, int) or v < 0):
                 raise ValueError(f"bad bound: {v!r}")
-        if self.set_bound == 0:
-            object.__setattr__(self, "run_bound", 0)
-            object.__setattr__(self, "set_bound", 1)
+        if set_bound == 0:
+            run_bound, set_bound = 0, 1
+        self.run_bound = run_bound
+        self.set_bound = set_bound
+        self._hash = hash((run_bound, set_bound))
 
     def fits_offer(self, offer: frozenset) -> bool:
         return self.set_bound is None or len(offer) <= self.set_bound
@@ -141,8 +184,7 @@ class ModelParams:
         }
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Value):
     """Length bounds shared by both engines.
 
     ``trace_len`` is the observable-trace length bound and ``internal_len``
@@ -151,16 +193,18 @@ class Bounds:
     matters).
     """
 
-    trace_len: int = 5
-    internal_len: int | None = None
+    __slots__ = ("trace_len", "internal_len")
 
-    def __post_init__(self):
-        if self.trace_len < 0:
+    def __init__(self, trace_len: int = 5, internal_len: int | None = None):
+        if trace_len < 0:
             raise ValueError("bad bounds")
-        if self.internal_len is None:
-            object.__setattr__(self, "internal_len", 3 * self.trace_len)
-        if self.internal_len < self.trace_len:
+        if internal_len is None:
+            internal_len = 3 * trace_len
+        if internal_len < trace_len:
             raise ValueError("internal_len must be >= trace_len")
+        self.trace_len = trace_len
+        self.internal_len = internal_len
+        self._hash = hash((trace_len, internal_len))
 
 
 def offer_runs(trace):
@@ -332,6 +376,8 @@ def show_trace(trace, alphabet: Alphabet | None = None) -> str:
 
 
 def trace_to_json(trace) -> str:
+    import json
+
     items = []
     for a in trace:
         if is_event(a):
@@ -342,6 +388,8 @@ def trace_to_json(trace) -> str:
 
 
 def trace_from_json(text: str, alphabet: Alphabet | None = None) -> AvailTrace:
+    import json
+
     try:
         items = json.loads(text)
     except json.JSONDecodeError as exc:

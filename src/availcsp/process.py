@@ -1,7 +1,10 @@
 """Process terms, environments, substitution, and pretty-printing.
 
-Terms are immutable dataclasses compared structurally; the operational
-engine uses them directly as states.  Two kinds of name occur inside terms:
+Terms are immutable records (``kernel.Value``) compared structurally; the
+operational engine uses them directly as states.  Each constructor stores
+its term's hash, computed from its children's stored hashes, so hashing a
+term, however deep, costs one attribute read.  Two kinds of name occur
+inside terms:
 
 * process names, called by ``Call``: a spec's definitions and the
   definitions the parser makes of ``mu`` terms, so recursion has one form,
@@ -10,105 +13,134 @@ engine uses them directly as states.  Two kinds of name occur inside terms:
 
 Event variables are instantiated by textual substitution before a term is
 ever executed, so the semantic engines only see concrete event names.
+Substitution and printing walk a term with an explicit stack, as the
+parser does, so a deep term costs no Python frame per level.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 
 from .errors import SpecError
-from .kernel import Alphabet
+from .kernel import Alphabet, Record, Value
 
 
-@dataclass(frozen=True)
-class Stop:
-    pass
+class Stop(Value):
+    __slots__ = ()
+
+    def __init__(self):
+        self._hash = hash(())
 
 
-@dataclass(frozen=True)
-class Div:
-    pass
+class Div(Value):
+    __slots__ = ()
+
+    def __init__(self):
+        self._hash = hash(())
 
 
-@dataclass(frozen=True)
-class Prefix:
-    event: str
-    body: "Process"
+class Prefix(Value):
+    __slots__ = ("event", "body")
+
+    def __init__(self, event: str, body: "Process"):
+        self.event = event
+        self.body = body
+        self._hash = hash((event, body))
 
 
-@dataclass(frozen=True)
-class InputPrefix:
+class InputPrefix(Value):
     """``? x : {a,b} -> body`` offers the whole event set from one state and
     binds the chosen event to ``x`` inside the body.  An empty event set is
     allowed and deadlocks."""
 
-    binder: str
-    events: frozenset
-    body: "Process"
+    __slots__ = ("binder", "events", "body")
+
+    def __init__(self, binder: str, events: frozenset, body: "Process"):
+        self.binder = binder
+        self.events = events
+        self.body = body
+        self._hash = hash((binder, events, body))
 
 
-@dataclass(frozen=True)
-class _Choice:
+class _Choice(Value):
     """A chain of one choice operator, its operands left to right.  A
     parenthesised operand of the same operator stays its own node."""
 
-    branches: tuple
+    __slots__ = ("branches",)
 
-    def __post_init__(self):
-        if not self.branches:
+    def __init__(self, branches: tuple):
+        if not branches:
             raise ValueError(f"{type(self).__name__} needs at least one branch")
+        self.branches = branches
+        self._hash = hash((branches,))
 
 
-@dataclass(frozen=True)
 class ExtChoice(_Choice):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IntChoice(_Choice):
     """Internal choice: a ``|~|`` chain, or an indexed choice instantiated
     to one branch per event."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Timeout(_Choice):
     """``P [> Q [> R``: each branch may be left for the chain after it."""
 
-
-@dataclass(frozen=True)
-class Parallel:
-    left: "Process"
-    left_events: frozenset
-    right_events: frozenset
-    right: "Process"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Interleave:
-    left: "Process"
-    right: "Process"
+class Parallel(Value):
+    __slots__ = ("left", "left_events", "right_events", "right")
+
+    def __init__(self, left: "Process", left_events: frozenset,
+                 right_events: frozenset, right: "Process"):
+        self.left = left
+        self.left_events = left_events
+        self.right_events = right_events
+        self.right = right
+        self._hash = hash((left, left_events, right_events, right))
 
 
-@dataclass(frozen=True)
-class Hide:
-    body: "Process"
-    events: frozenset
+class Interleave(Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Process", right: "Process"):
+        self.left = left
+        self.right = right
+        self._hash = hash((left, right))
 
 
-@dataclass(frozen=True)
-class Rename:
+class Hide(Value):
+    __slots__ = ("body", "events")
+
+    def __init__(self, body: "Process", events: frozenset):
+        self.body = body
+        self.events = events
+        self._hash = hash((body, events))
+
+
+class Rename(Value):
     """Relational renaming: the process performs b whenever the body performs
     a with (a, b) in the relation.  Events without an image are blocked; list
     identity pairs explicitly to pass events through."""
 
-    body: "Process"
-    pairs: frozenset  # of (from_event, to_event)
+    __slots__ = ("body", "pairs")   # pairs: a frozenset of (from_event, to_event)
+
+    def __init__(self, body: "Process", pairs: frozenset):
+        self.body = body
+        self.pairs = pairs
+        self._hash = hash((body, pairs))
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple = ()
+class Call(Value):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple = ()):
+        self.name = name
+        self.args = args
+        self._hash = hash((name, args))
 
 
 Process = (
@@ -117,21 +149,27 @@ Process = (
 )
 
 
-@dataclass(frozen=True)
-class Definition:
-    params: tuple
-    body: "Process"
+class Definition(Value):
+    __slots__ = ("params", "body")
+
+    def __init__(self, params: tuple, body: "Process"):
+        self.params = params
+        self.body = body
+        self._hash = hash((params, body))
 
 
-@dataclass
-class SpecEnv:
+class SpecEnv(Record):
     """A parsed spec: an alphabet plus named (possibly parameterised,
     possibly mutually recursive) definitions, and apart from them the
     definitions the parser made of ``mu`` terms, named by their text."""
 
-    alphabet: Alphabet
-    definitions: dict = field(default_factory=dict)
-    recursions: dict = field(default_factory=dict)
+    __slots__ = ("alphabet", "definitions", "recursions")
+
+    def __init__(self, alphabet: Alphabet, definitions: dict | None = None,
+                 recursions: dict | None = None):
+        self.alphabet = alphabet
+        self.definitions = {} if definitions is None else definitions
+        self.recursions = {} if recursions is None else recursions
 
     def lookup(self, name: str) -> Definition:
         d = self.definitions.get(name) or self.recursions.get(name)
@@ -161,46 +199,57 @@ def _children(p) -> tuple:
     return ()
 
 
-def _map_children(p, f) -> "Process":
-    """The term with ``f`` applied to each direct subterm, left to right."""
-    if isinstance(p, _Choice):
-        return type(p)(tuple(map(f, p.branches)))
-    if isinstance(p, (Parallel, Interleave)):
-        return replace(p, left=f(p.left), right=f(p.right))
-    if isinstance(p, (Prefix, InputPrefix, Hide, Rename)):
-        return replace(p, body=f(p.body))
-    return p
-
-
-def _subst_ev(name: str, mapping: dict) -> str:
-    return mapping.get(name, name)
-
-
 def subst_events(p, mapping: dict) -> "Process":
-    """Replace event variables by concrete events everywhere events appear."""
+    """Replace event variables by concrete events everywhere events appear.
+    A term is rebuilt once its children are, from the last of ``done``; an
+    entry on the stack that lists the children is a term to rebuild."""
     if not mapping:
         return p
-    if isinstance(p, Prefix):
-        return Prefix(_subst_ev(p.event, mapping), subst_events(p.body, mapping))
-    if isinstance(p, InputPrefix):
-        events = frozenset(_subst_ev(e, mapping) for e in p.events)
-        inner = {k: v for k, v in mapping.items() if k != p.binder}
-        return InputPrefix(p.binder, events, subst_events(p.body, inner))
-    if isinstance(p, Parallel):
-        return Parallel(
-            subst_events(p.left, mapping),
-            frozenset(_subst_ev(e, mapping) for e in p.left_events),
-            frozenset(_subst_ev(e, mapping) for e in p.right_events),
-            subst_events(p.right, mapping),
-        )
-    if isinstance(p, Hide):
-        return Hide(subst_events(p.body, mapping), frozenset(_subst_ev(e, mapping) for e in p.events))
-    if isinstance(p, Rename):
-        pairs = frozenset((_subst_ev(a, mapping), _subst_ev(b, mapping)) for a, b in p.pairs)
-        return Rename(subst_events(p.body, mapping), pairs)
-    if isinstance(p, Call):
-        return Call(p.name, tuple(_subst_ev(a, mapping) for a in p.args))
-    return _map_children(p, lambda c: subst_events(c, mapping))
+    done = []
+    stack = [(p, mapping, None)]
+    while stack:
+        t, m, kids = stack.pop()
+        kind = type(t)
+        if kids is None:
+            kids = _children(t)
+            if kids:
+                stack.append((t, m, kids))
+                if kind is InputPrefix:
+                    m = {k: v for k, v in m.items() if k != t.binder}
+                    if not m:
+                        done.append(t.body)
+                        continue
+                for c in reversed(kids):
+                    stack.append((c, m, None))
+                continue
+            if kind is Call:
+                t = Call(t.name, tuple(m.get(a, a) for a in t.args))
+            done.append(t)
+            continue
+        if kind is Prefix:
+            t = Prefix(m.get(t.event, t.event), done.pop())
+        elif kind is InputPrefix:
+            t = InputPrefix(t.binder, _subst_set(t.events, m), done.pop())
+        elif kind is Hide:
+            t = Hide(done.pop(), _subst_set(t.events, m))
+        elif kind is Rename:
+            t = Rename(done.pop(), frozenset((m.get(a, a), m.get(b, b)) for a, b in t.pairs))
+        else:
+            new = done[len(done) - len(kids):]
+            del done[len(done) - len(kids):]
+            if kind is Parallel:
+                t = Parallel(new[0], _subst_set(t.left_events, m),
+                             _subst_set(t.right_events, m), new[1])
+            elif kind is Interleave:
+                t = Interleave(new[0], new[1])
+            else:
+                t = kind(tuple(new))
+        done.append(t)
+    return done[0]
+
+
+def _subst_set(events, mapping: dict) -> frozenset:
+    return frozenset(mapping.get(e, e) for e in events)
 
 
 # --- pretty printing ------------------------------------------------------
@@ -210,6 +259,8 @@ def subst_events(p, mapping: dict) -> "Process":
 # matching the parser, which rejects unparenthesised mixed choice.
 
 _CHOICE_OPS = {ExtChoice: "[]", IntChoice: "|~|", Timeout: "[>"}
+_LEVELS = {Stop: 0, Div: 0, Call: 0, Hide: 1, Rename: 1, Prefix: 2, InputPrefix: 2,
+           ExtChoice: 3, IntChoice: 3, Timeout: 3, Interleave: 4, Parallel: 4}
 
 
 def _ev_set(events) -> str:
@@ -218,49 +269,62 @@ def _ev_set(events) -> str:
 
 
 def pretty(p, level: int = 4) -> str:
-    text, my_level = _pretty(p)
-    if my_level > level:
-        return "(" + text + ")"
-    return text
-
-
-def _pretty(p):
-    if isinstance(p, Stop):
-        return "STOP", 0
-    if isinstance(p, Div):
-        return "DIV", 0
-    if isinstance(p, Call):
-        if p.name.startswith("mu "):
-            # a recursion's text with its parameters as holes; its body
-            # extends to the end of its context, so it is always bracketed
-            return "(" + re.sub(r"\$(\d+)", lambda m: p.args[int(m[1])], p.name) + ")", 0
-        if p.args:
-            return f"{p.name}({', '.join(p.args)})", 0
-        return p.name, 0
-    if isinstance(p, Hide):
-        return f"{pretty(p.body, 1)} \\ {_ev_set(p.events)}", 1
-    if isinstance(p, Rename):
-        pairs = ", ".join(f"{a} <- {b}" for a, b in sorted(p.pairs))
-        return f"{pretty(p.body, 1)}[[{pairs}]]", 1
-    if isinstance(p, Prefix):
-        return f"{p.event} -> {pretty(p.body, 2)}", 2
-    if isinstance(p, InputPrefix):
-        return f"? {p.binder} : {_ev_set(p.events)} -> {pretty(p.body, 2)}", 2
-    if isinstance(p, _Choice):
-        # a one-event indexed choice prints as its one branch; a branch that
-        # is itself a choice node was parenthesised in the source, so every
-        # choice-level branch is printed in parentheses
-        if len(p.branches) == 1:
-            return _pretty(p.branches[0])
-        parts = [pretty(b, 2) for b in p.branches]
-        return f" {_CHOICE_OPS[type(p)]} ".join(parts), 3
-    if isinstance(p, Interleave):
-        return f"{pretty(p.left)} ||| {pretty(p.right, 3)}", 4
-    if isinstance(p, Parallel):
-        left = pretty(p.left)
-        sync = f"[{_ev_set(p.left_events)} || {_ev_set(p.right_events)}]"
-        return f"{left} {sync} {pretty(p.right, 3)}", 4
-    raise TypeError(f"not a process: {p!r}")
+    """The text of a term in a context of ``level``: written left to right
+    from a stack of texts and of (term, context level) pairs still to
+    write, so a deep term costs no Python frame."""
+    out = []
+    stack = [(p, level)]
+    write = out.append
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            write(item)
+            continue
+        t, context = item
+        kind = type(t)
+        while kind in _CHOICE_OPS and len(t.branches) == 1:
+            # a one-event indexed choice prints as its one branch
+            t = t.branches[0]
+            kind = type(t)
+        if _LEVELS.get(kind, 0) > context:
+            stack += (")", (t, 4), "(")
+        elif kind is Prefix:
+            stack += ((t.body, 2), f"{t.event} -> ")
+        elif kind is Stop:
+            write("STOP")
+        elif kind is Call:
+            if t.name.startswith("mu "):
+                # a recursion's text with its parameters as holes; its body
+                # extends to the end of its context, so it is always bracketed
+                write("(" + re.sub(r"\$(\d+)", lambda m: t.args[int(m[1])], t.name) + ")")
+            elif t.args:
+                write(f"{t.name}({', '.join(t.args)})")
+            else:
+                write(t.name)
+        elif kind in _CHOICE_OPS:
+            # a branch that is itself a choice node was parenthesised in
+            # the source, so every choice-level branch is bracketed
+            sep = f" {_CHOICE_OPS[kind]} "
+            for b in reversed(t.branches[1:]):
+                stack += ((b, 2), sep)
+            stack.append((t.branches[0], 2))
+        elif kind is InputPrefix:
+            stack += ((t.body, 2), f"? {t.binder} : {_ev_set(t.events)} -> ")
+        elif kind is Hide:
+            stack += (f" \\ {_ev_set(t.events)}", (t.body, 1))
+        elif kind is Rename:
+            pairs = ", ".join(f"{a} <- {b}" for a, b in sorted(t.pairs))
+            stack += (f"[[{pairs}]]", (t.body, 1))
+        elif kind is Interleave:
+            stack += ((t.right, 3), " ||| ", (t.left, 4))
+        elif kind is Parallel:
+            sync = f"[{_ev_set(t.left_events)} || {_ev_set(t.right_events)}]"
+            stack += ((t.right, 3), f" {sync} ", (t.left, 4))
+        elif kind is Div:
+            write("DIV")
+        else:
+            raise TypeError(f"not a process: {t!r}")
+    return "".join(out)
 
 
 def pretty_env(env: SpecEnv) -> str:

@@ -11,11 +11,9 @@ traces of the original.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SpecError
 from .healthiness import _subsets
-from .kernel import TAU, Alphabet, ModelParams, normalize_trace
+from .kernel import TAU, Alphabet, ModelParams, Record, normalize_trace
 from .operational import build_lts
 from .process import (
     Call, Definition, ExtChoice, IntChoice, Prefix, SpecEnv, Timeout, pretty,
@@ -51,11 +49,13 @@ def decode_trace(event_trace) -> tuple:
     return normalize_trace(tuple(out))
 
 
-@dataclass
-class Simulation:
-    env: SpecEnv
-    root: str
-    state_count: int
+class Simulation(Record):
+    __slots__ = ("env", "root", "state_count")
+
+    def __init__(self, env: SpecEnv, root: str, state_count: int):
+        self.env = env
+        self.root = root
+        self.state_count = state_count
 
     def root_term(self) -> Call:
         return Call(self.root, ())

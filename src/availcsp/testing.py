@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 
 from .errors import BudgetError, ParseError, SpecError
-from .kernel import TAU, is_event, is_offer, show_trace
+from .kernel import TAU, Record, Value, is_event, is_offer, show_trace
 from .operational import MAX_STATES, StepEngine
 from .process import Div, InputPrefix, IntChoice, Prefix, SpecEnv, Stop, Timeout
 
 
-class _Test:
+class _Test(Value):
+    __slots__ = ()
+
     def show(self) -> str:
         return "".join(t.head() for t in _chain(self)) + "SUCCESS"
 
@@ -32,24 +33,32 @@ def _chain(test):
         test = test.cont
 
 
-@dataclass(frozen=True)
 class TestSuccess(_Test):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        self._hash = hash(())
 
 
-@dataclass(frozen=True)
 class TestEvent(_Test):
-    event: str
-    cont: object
+    __slots__ = ("event", "cont")
+
+    def __init__(self, event: str, cont):
+        self.event = event
+        self.cont = cont
+        self._hash = hash((event, cont))
 
     def head(self) -> str:
         return f"{self.event} . "
 
 
-@dataclass(frozen=True)
 class TestReady(_Test):
-    offer: frozenset
-    cont: object
+    __slots__ = ("offer", "cont")
+
+    def __init__(self, offer: frozenset, cont):
+        self.offer = offer
+        self.cont = cont
+        self._hash = hash((offer, cont))
 
     def head(self) -> str:
         return "ready {" + ",".join(sorted(self.offer)) + "} & "
@@ -127,10 +136,12 @@ def test_from_trace(trace) -> object:
     return _fold([(TestEvent if is_event(a) else TestReady, a) for a in trace])
 
 
-@dataclass
-class MayVerdict:
-    may: bool
-    witness: list | None = None
+class MayVerdict(Record):
+    __slots__ = ("may", "witness")
+
+    def __init__(self, may: bool, witness: list | None = None):
+        self.may = may
+        self.witness = witness
 
     def describe(self) -> str:
         if self.may:

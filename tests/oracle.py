@@ -324,8 +324,11 @@ def trim_length_oracle(traces, len_bound: int) -> set:
     traces of bounded length: an overlong trace is replaced by, for each
     count w of kept events, every normalised trace made of its first w
     events and as many of the offers before them as the bound leaves,
-    each rebuilt from an explicit list of offer positions."""
+    each rebuilt from an explicit list of offer positions.  What one count
+    adds depends only on the runs and events it keeps, so each of those is
+    worked out once a call."""
     out = set()
+    done = set()
     for tr in traces:
         if len(tr) <= len_bound:
             out.add(tr)
@@ -334,6 +337,9 @@ def trim_length_oracle(traces, len_bound: int) -> set:
         for w in range(min(len(events), len_bound) + 1):
             budget = len_bound - w
             kept_runs = runs[: w + 1]
+            if (kept_runs, events[:w]) in done:
+                continue
+            done.add((kept_runs, events[:w]))
             positions = [(i, j) for i, r in enumerate(kept_runs) for j in range(len(r))]
             for chosen in itertools.combinations(positions, min(budget, len(positions))):
                 new_runs = [[] for _ in kept_runs]

@@ -464,10 +464,18 @@ def test_simulate_check_of_a_wide_input_prefix_round_trips(capsys, wide_spec):
     assert lines[4] == "# round trip: exact"
 
 
-def test_traces_of_a_long_inline_prefix_chain_exits_two(capsys, wide_spec):
-    # the parser reads the chain in a loop; hashing the 3,000-deep term
-    # is what still recurses
-    assert_crash_exit(*run(capsys, "traces", wide_spec, "a -> " * 3000 + "STOP"))
+CHAIN = "a -> " * 3000 + "STOP"
+
+
+def test_op_traces_a_long_inline_prefix_chain_and_den_exits_two(capsys, wide_spec):
+    # the parser reads the chain in a loop, and each term stores its hash,
+    # so op's step cache hashes the 3,000-deep term at once; den's
+    # ``denote`` still recurses once per prefix
+    code, out, err = run(capsys, "traces", wide_spec, CHAIN, "--len", "3")
+    assert code == 0, err
+    assert out.splitlines()[0] == "# operational n=F,k=1 len=3 count=11"
+    assert_crash_exit(*run(capsys, "traces", wide_spec, CHAIN, "--len", "3",
+                           "--engine", "den"))
 
 
 def test_traces_of_deeply_nested_parentheses_is_stop(capsys, wide_spec):
@@ -478,10 +486,14 @@ def test_traces_of_deeply_nested_parentheses_is_stop(capsys, wide_spec):
     assert out.splitlines()[1:] == ["<>"]
 
 
-def test_traces_of_a_deep_spec_definition_exits_two(capsys, tmp_path):
+def test_op_traces_a_deep_spec_definition_and_den_exits_two(capsys, tmp_path):
     path = tmp_path / "deep.csp"
-    path.write_text("alphabet {a}\nDEEP = " + "a -> " * 3000 + "STOP\n", encoding="utf-8")
-    assert_crash_exit(*run(capsys, "traces", str(path), "DEEP"))
+    path.write_text("alphabet {a}\nDEEP = " + CHAIN + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "traces", str(path), "DEEP", "--len", "3")
+    assert code == 0, err
+    assert out.splitlines()[0] == "# operational n=F,k=1 len=3 count=11"
+    assert_crash_exit(*run(capsys, "traces", str(path), "DEEP", "--len", "3",
+                           "--engine", "den"))
 
 
 # --- the parser ---------------------------------------------------------------

@@ -175,13 +175,38 @@ def test_a_mu_takes_the_binders_its_body_mentions(env):
         "mu X @ $0 -> X", ("$0",))))
 
 
+def chain_end(term, event: str, depth: int):
+    """The term after ``depth`` prefixes of ``event``, walked in a loop."""
+    for _ in range(depth):
+        assert type(term) is Prefix and term.event == event
+        term = term.body
+    return term
+
+
 def test_a_long_prefix_chain_parses(env):
     term = parse_process("a -> " * 3000 + "STOP", env)
-    depth = 0
-    while type(term) is Prefix:         # walked in a loop: hashing would recurse
-        assert term.event == "a"
-        term, depth = term.body, depth + 1
-    assert depth == 3000 and type(term) is Stop
+    assert type(chain_end(term, "a", 3000)) is Stop
+    assert hash(term) == hash(("a", term.body))
+
+
+def test_a_long_chain_under_an_indexed_choice_parses():
+    # the choice's one branch is its body with x replaced by a, which
+    # subst_events builds with a stack
+    term = parse_process("|~| x : {a} @ " + "x -> " * 3000 + "STOP", parse_spec(SRC))
+    assert type(term) is IntChoice and len(term.branches) == 1
+    assert type(chain_end(term.branches[0], "a", 3000)) is Stop
+
+
+def test_a_long_chain_under_a_mu_parses():
+    # a recursion is named by its printed text, which pretty builds with a
+    # stack, and its body ends with a call of that name; a spec of its own
+    # keeps the deep definition out of the shared one
+    env = parse_spec(SRC)
+    text = "mu X @ " + "a -> " * 3000 + "X"
+    term = parse_process(text, env)
+    assert term == Call(text)
+    assert pretty(term) == "(" + text + ")"
+    assert chain_end(env.recursions[text].body, "a", 3000) == term
 
 
 def test_deeply_nested_parentheses_parse(env):
