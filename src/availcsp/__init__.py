@@ -27,7 +27,7 @@ _EXPORTS = {
     "operational": "StepEngine avail_traces build_lts std_traces",
     "trace_algebra": "merge_traces",
     "denotational": "denote_traces",
-    "testing": "MayVerdict may_pass parse_test process_from_trace realize test_from_trace",
+    "testing": "MayVerdict may_pass parse_test process_from_trace realize",
     "equivalence": "CompareResult distinguish equal_in refine_in",
     "simulation": "Simulation decode_trace emit_script offer_event_name to_simulation",
 }

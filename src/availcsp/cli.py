@@ -26,8 +26,6 @@ from .process import Call, SpecEnv, pretty
 
 USAGE_ERROR = 2
 
-ENGINE_NAMES = {"op": "operational", "den": "denotational"}
-
 
 def _usage(message: str):
     # SystemExit with a string exits with status 1; the contract is 2
@@ -110,10 +108,9 @@ def _resolve(expr: str, env: SpecEnv):
     return parse_process(expr, env)
 
 
-def _trace_set(term, env: SpecEnv, args, bounds: Bounds):
-    """The trace set of a term from the engine ``--engine`` names."""
-    engine = denote_traces if args.engine == "den" else avail_traces
-    return engine(term, env, args.model, bounds)
+def _chosen_engine(args):
+    """The function of the engine ``--engine`` names."""
+    return denote_traces if args.engine == "den" else avail_traces
 
 
 def _print_json(obj) -> None:
@@ -189,7 +186,7 @@ def _command(name: str, help: str, *arguments, spec_help: str | None = None):
           spec_help="spec file declaring the alphabet and definitions")
 def _cmd_traces(args, env: SpecEnv, bounds: Bounds) -> int:
     term = _resolve(args.process, env)
-    ts = _trace_set(term, env, args, bounds)
+    ts = _chosen_engine(args)(term, env, args.model, bounds)
     if args.json:
         for line in ts.json_lines(env.alphabet):
             print(line)
@@ -205,7 +202,7 @@ def _compare(args, env: SpecEnv, bounds: Bounds, check, holds: str, left: str, r
     arguments; exit 0 on its holding verdict ``holds``, else 1."""
     lterm = _resolve(left, env)
     rterm = _resolve(right, env)
-    result = check(lterm, rterm, env, args.model, bounds, ENGINE_NAMES[args.engine])
+    result = check(lterm, rterm, env, args.model, bounds, _chosen_engine(args))
     if args.json:
         _print_json(result.json_obj(env.alphabet))
     else:
@@ -233,7 +230,7 @@ def _cmd_refine(args, env: SpecEnv, bounds: Bounds) -> int:
                help="test literal, e.g. 'a . ready {b} & SUCCESS'"),
           _arg("--from-trace", dest="from_trace", help="derive the test from a trace literal"))
 def _cmd_test(args, env: SpecEnv, bounds: Bounds) -> int:
-    from .testing import may_pass, parse_test, test_from_trace
+    from .testing import may_pass, parse_test, show_test
 
     term = _resolve(args.process, env)
     if bool(args.test_literal) == bool(args.from_trace):
@@ -241,10 +238,10 @@ def _cmd_test(args, env: SpecEnv, bounds: Bounds) -> int:
     if args.test_literal:
         test = parse_test(args.test_literal, env.alphabet)
     else:
-        test = test_from_trace(parse_trace(args.from_trace, env.alphabet))
+        test = parse_trace(args.from_trace, env.alphabet)
     verdict = may_pass(term, test, env)
     if args.json:
-        _print_json({"may": verdict.may, "witness": verdict.witness, "test": test.show()})
+        _print_json({"may": verdict.may, "witness": verdict.witness, "test": show_test(test)})
     else:
         print(verdict.describe())
     return 0 if verdict.may else 1
@@ -262,7 +259,7 @@ def _cmd_health(args, env: SpecEnv, bounds: Bounds) -> int:
             check_universe(tr, args.model, args.len, env.alphabet)
     else:
         term = _resolve(args.process, env)
-        subject = _trace_set(term, env, args, bounds)
+        subject = _chosen_engine(args)(term, env, args.model, bounds)
     report = check_healthy(subject, args.model, args.len)
     if args.json:
         _print_json(report.json_objs(env.alphabet))
@@ -328,7 +325,7 @@ def _cmd_distinguish(args, env: SpecEnv, bounds: Bounds) -> int:
 
     lterm = _resolve(args.left, env)
     rterm = _resolve(args.right, env)
-    rows = distinguish(lterm, rterm, env, args.grid, bounds, ENGINE_NAMES[args.engine])
+    rows = distinguish(lterm, rterm, env, args.grid, bounds, _chosen_engine(args))
     if args.json:
         _print_json([r.json_obj(env.alphabet) for r in rows])
     else:

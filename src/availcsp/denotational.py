@@ -163,19 +163,19 @@ class DenotationalEngine:
     def _clause(self, term, operands: tuple, build, bilinear=False, step=0) -> frozenset:
         """``finalize`` of ``build(*operands)``, the clause of ``term`` (for a
         choice chain, of its ``step``-th fold).  The clause's record, keyed by
-        the node's identity and the step, holds the node (so that no other
-        node takes its id), the operands last seen and the output.  When each
-        operand is a superset of the recorded one, only the added traces Δ
-        are built: build(Δ…) if linear, build(ΔL, R′) ∪ build(L, ΔR) if
-        bilinear.  Of those, the ones already output are dropped, since
-        ``finalize`` maps each trace of its output to itself."""
-        key = (id(term), step)
+        the term and the step, holds the operands last seen and the output;
+        equal terms share it, as they have one clause.  When each operand is
+        a superset of the recorded one, only the added traces Δ are built:
+        build(Δ…) if linear, build(ΔL, R′) ∪ build(L, ΔR) if bilinear.  Of
+        those, the ones already output are dropped, since ``finalize`` maps
+        each trace of its output to itself."""
+        key = (term, step)
         rec = self.records.get(key)
-        if rec is None or rec[0] is not term or not all(
-                old is new or old <= new for old, new in zip(rec[1], operands)):
+        if rec is None or not all(
+                old is new or old <= new for old, new in zip(rec[0], operands)):
             out = finalize(build(*operands), self.params, self.eval_len)
         else:
-            seen, out = rec[1], rec[2]
+            seen, out = rec
             deltas = [() if old is new else new - old for old, new in zip(seen, operands)]
             if not bilinear:
                 raw = build(*deltas) if any(deltas) else set()
@@ -185,7 +185,7 @@ class DenotationalEngine:
             raw = [t for t in raw if t not in out]
             if raw:
                 out = out | finalize(raw, self.params, self.eval_len)
-        self.records[key] = (term, operands, out)
+        self.records[key] = (operands, out)
         return out
 
     def _evaluate(self, term):
@@ -246,10 +246,9 @@ class DenotationalEngine:
             raise SpecError(f"unknown process construct {kind.__name__}")
         clause, bilinear = entry
         if kind is InputPrefix:
-            # the node's clause record keeps it alive, so its id names it
-            operands = self.bodies.get(id(term))
+            operands = self.bodies.get(term)
             if operands is None:
-                operands = self.bodies[id(term)] = [
+                operands = self.bodies[term] = [
                     subst_events(term.body, {term.binder: a}) for a in sorted(term.events)]
         else:
             operands = _children(term)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 
-from .denotational import denote_traces
 from .healthiness import TraceSet, _resample_run, _subsets, _uncovered
 from .kernel import Alphabet, Bounds, ModelParams, Record, compose, decompose, show_trace
 from .operational import avail_traces
@@ -48,13 +47,6 @@ class CompareResult(Record):
         return obj
 
 
-def _trace_set(term, env: SpecEnv, params: ModelParams, bounds: Bounds, engine: str) -> TraceSet:
-    """The trace set of a term from the named semantic engine."""
-    if engine == "denotational":
-        return denote_traces(term, env, params, bounds)
-    return avail_traces(term, env, params, bounds)
-
-
 def _verdict(env, params, tp: TraceSet, tq: TraceSet, only_p, holds):
     """The holding verdict when neither side has members the other lacks
     (``only_p`` on the left, computed here on the right), else a minimal
@@ -67,17 +59,19 @@ def _verdict(env, params, tp: TraceSet, tq: TraceSet, only_p, holds):
 
 
 def equal_in(p, q, env: SpecEnv, params: ModelParams, bounds: Bounds,
-             engine: str = "operational") -> CompareResult:
-    """Do the two processes have the same trace set in this model?"""
-    tp, tq = (_trace_set(t, env, params, bounds, engine) for t in (p, q))
+             engine=avail_traces) -> CompareResult:
+    """Do the two processes have the same trace set in this model?  The
+    sets come from ``engine``, ``avail_traces`` or any function of its
+    signature, such as ``denote_traces``."""
+    tp, tq = (engine(t, env, params, bounds) for t in (p, q))
     return _verdict(env, params, tp, tq, list(_uncovered(tp, tq)), EQUAL)
 
 
 def refine_in(p, q, env: SpecEnv, params: ModelParams, bounds: Bounds,
-              engine: str = "operational") -> CompareResult:
+              engine=avail_traces) -> CompareResult:
     """Does the second process refine the first: every trace it can show,
     the first can show too?"""
-    tp, tq = (_trace_set(t, env, params, bounds, engine) for t in (p, q))
+    tp, tq = (engine(t, env, params, bounds) for t in (p, q))
     return _verdict(env, params, tp, tq, [], REFINED)
 
 
@@ -122,7 +116,6 @@ def _minimal_witness(alphabet: Alphabet, tp: TraceSet, tq: TraceSet,
     return None, None
 
 
-def distinguish(p, q, env: SpecEnv, grid, bounds: Bounds,
-                engine: str = "operational") -> list:
+def distinguish(p, q, env: SpecEnv, grid, bounds: Bounds, engine=avail_traces) -> list:
     """Compare two processes across a grid of model parameters."""
     return [equal_in(p, q, env, params, bounds, engine) for params in grid]

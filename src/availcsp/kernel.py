@@ -141,6 +141,28 @@ class Value(Record):
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other):
+        """Field by field, with a stack of pairs still to compare, so two
+        deep values built apart cost no Python frame per level.  Unequal
+        stored hashes settle a pair of values at once, and a pair that is
+        one object is skipped."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, Value):
+                if a.__class__ is not b.__class__ or a._hash != b._hash:
+                    return False
+                stack.append((a._key(a), b._key(b)))
+            elif type(a) is tuple and type(b) is tuple and len(a) == len(b):
+                stack.extend(zip(a, b))
+            elif a != b:
+                return False
+        return True
+
     def __reduce__(self):
         # rebuilt through __init__, so the hash is that of the new process
         return type(self), tuple(getattr(self, f) for f in self._fields)

@@ -1,10 +1,11 @@
 """May-testing: experiments that watch a process and report success.
 
-A test either succeeds, asks the process to perform an event, or checks
-that a set of events is currently on offer (an empty set trivially is).
-A process may pass a test when some resolution of internal choices drives
-the test to success.  The search is exact; it stops with a BudgetError when
-the states it holds for one test step pass MAX_STATES.
+A test is the availability trace it probes for: each event asks the
+process to perform it, and each offer checks that its events are currently
+on offer (an empty offer trivially is); after its last step the test
+succeeds.  A process may pass a test when some resolution of internal
+choices drives the test to success.  The search is exact; it stops with a
+BudgetError when the states it holds for one test step pass MAX_STATES.
 """
 from __future__ import annotations
 
@@ -12,73 +13,19 @@ import heapq
 import re
 
 from .errors import BudgetError, ParseError, SpecError
-from .kernel import TAU, Record, Value, is_event, is_offer, show_trace
+from .kernel import TAU, Record, is_event, is_offer, show_trace
 from .operational import MAX_STATES, StepEngine
 from .process import Div, InputPrefix, IntChoice, Prefix, SpecEnv, Stop, Timeout
 
 
-class _Test(Value):
-    __slots__ = ()
-
-    def show(self) -> str:
-        return "".join(t.head() for t in _chain(self)) + "SUCCESS"
-
-
-def _chain(test):
-    """The steps of a test in order, each followed by the rest in
-    ``cont``, up to its SUCCESS: a loop, as a test may be thousands of
-    steps long."""
-    while not isinstance(test, TestSuccess):
-        yield test
-        test = test.cont
-
-
-class TestSuccess(_Test):
-    __slots__ = ()
-
-    def __init__(self):
-        self._hash = hash(())
-
-
-class TestEvent(_Test):
-    __slots__ = ("event", "cont")
-
-    def __init__(self, event: str, cont):
-        self.event = event
-        self.cont = cont
-        self._hash = hash((event, cont))
-
-    def head(self) -> str:
-        return f"{self.event} . "
-
-
-class TestReady(_Test):
-    __slots__ = ("offer", "cont")
-
-    def __init__(self, offer: frozenset, cont):
-        self.offer = offer
-        self.cont = cont
-        self._hash = hash((offer, cont))
-
-    def head(self) -> str:
-        return "ready {" + ",".join(sorted(self.offer)) + "} & "
-
-
-SUCCESS = TestSuccess()
-
 _TEST_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_.]*|[{},.&]|$)")
 
 
-def _fold(steps):
-    """The test of (step class, argument) pairs in order, then SUCCESS."""
-    t = SUCCESS
-    for cls, arg in reversed(steps):
-        t = cls(arg, t)
-    return t
-
-
-def parse_test(text: str, alphabet=None):
-    """Parse a test literal such as ``a . ready {b,c} & SUCCESS``."""
+def parse_test(text: str, alphabet=None) -> tuple:
+    """Parse a test literal such as ``a . ready {b,c} & SUCCESS`` into the
+    trace it probes for: ``a .`` reads as the event ``a`` and
+    ``ready {..} &`` as that offer.  Steps are kept as written, so an empty
+    or repeated readiness check stays one step."""
     pos = 0
     tokens = []
     while pos < len(text):
@@ -119,21 +66,21 @@ def parse_test(text: str, alphabet=None):
                     tokens.pop()
             expect("}")
             expect("&")
-            steps.append((TestReady, frozenset(names)))
+            steps.append(frozenset(names))
         elif head in {"{", "}", ",", ".", "&"}:
             fail(f"unexpected {head!r}")
         else:
             expect(".")
-            steps.append((TestEvent, event(head)))
+            steps.append(event(head))
     if tokens:
         fail(f"trailing input {tokens[-1]!r}")
-    return _fold(steps)
+    return tuple(steps)
 
 
-def test_from_trace(trace) -> object:
-    """The test that probes for one availability trace: events are asked
-    for in order and offers become readiness checks."""
-    return _fold([(TestEvent if is_event(a) else TestReady, a) for a in trace])
+def show_test(test) -> str:
+    """The literal of a test, the inverse of ``parse_test``."""
+    return "".join("ready {" + ",".join(sorted(a)) + "} & " if is_offer(a) else f"{a} . "
+                   for a in test) + "SUCCESS"
 
 
 class MayVerdict(Record):
@@ -150,7 +97,7 @@ class MayVerdict(Record):
 
 
 def may_pass(term, test, env: SpecEnv) -> MayVerdict:
-    """Search for an experiment run driving the test to success.
+    """Search for an experiment run driving the test, a trace, to success.
 
     States pair a position in the test (the steps it has made) with the
     process term; the cost of a state is the internal steps taken since the
@@ -158,8 +105,7 @@ def may_pass(term, test, env: SpecEnv) -> MayVerdict:
     BudgetError when the states held for one position pass MAX_STATES.
     """
     engine = StepEngine(env)
-    chain = list(_chain(test))
-    held = [0] * (len(chain) + 1)
+    held = [0] * (len(test) + 1)
     best = {}
     heap = []
     counter = 0
@@ -185,20 +131,21 @@ def may_pass(term, test, env: SpecEnv) -> MayVerdict:
         if gap > best[state]:
             continue
         pos, p = state
-        if pos == len(chain):
+        if pos == len(test):
             labels = []
             while path is not None:
                 label, path = path
                 labels.append(label)
             return MayVerdict(True, labels[::-1])
-        t = chain[pos]
+        step = test[pos]
+        ready = is_offer(step)
         for lab, succ in engine.steps(p):
             if lab is TAU:
                 push((pos, succ), gap + 1, ("tau", path))
-            elif isinstance(t, TestEvent) and lab == t.event:
+            elif not ready and lab == step:
                 push((pos + 1, succ), 0, (lab, path))
-        if isinstance(t, TestReady) and t.offer <= frozenset(engine.initials(p)):
-            label = "ready{" + ",".join(sorted(t.offer)) + "}"
+        if ready and step <= frozenset(engine.initials(p)):
+            label = "ready{" + ",".join(sorted(step)) + "}"
             push((pos + 1, p), 0, (label, path))
     return MayVerdict(False)
 

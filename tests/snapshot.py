@@ -31,7 +31,11 @@ The snapshot holds:
   temporary directory);
 * exit code, stdout and stderr of ``equiv`` and ``traces`` of a process
   that takes 150 internal steps before its one visible event, and of a
-  1,500-step ``test`` (the spec written to a temporary directory).
+  1,500-step ``test`` (the spec written to a temporary directory);
+* exit code, stdout and stderr of ``test --json`` with readiness steps,
+  given as literals (an empty and a repeated ``ready`` among them) and as
+  traces, and of ``equiv``, ``refine``, ``distinguish``, ``health`` and
+  ``traces`` with ``--engine den``.
 
 Two checkouts give byte-identical output when their snapshots do not
 differ.  Run from any directory; the script re-runs itself with
@@ -99,6 +103,27 @@ LONG_RUNS = (
     ("equiv", "LONGTAU", "b -> STOP", "--len", "2"),
     ("traces", "LONGTAU", "--len", "2"),
     ("test", "P", "--test", "a . " * 1500 + "SUCCESS"),
+)
+
+TESTS_AND_DEN = (
+    ("test", SPEC, "EXT", "--test", "ready {} & a . SUCCESS", "--json"),
+    ("test", SPEC, "EXT", "--test", "ready {a} & ready {a} & ready {b,a} & b . SUCCESS",
+     "--json"),
+    ("test", SPEC, "INT", "--test", "ready {a,b} & SUCCESS", "--json"),
+    ("test", SPEC, "SWAYA", "--from-trace", "<offer{a}, offer{b}, b>", "--json"),
+    ("test", SPEC, "INT", "--from-trace", "<offer{a}, b>", "--json"),
+    ("equiv", SPEC, "EXT", "INT", "--engine", "den", "--len", "3"),
+    ("equiv", SPEC, "DOA", "MAYBE", "--engine", "den", "--len", "3", "--json"),
+    ("refine", SPEC, "INT", "SWAYPAIR", "--engine", "den", "--len", "3"),
+    ("refine", SPEC, "SWAYPAIR", "INT", "--engine", "den", "--len", "3", "--json"),
+    ("distinguish", SPEC, "STAIR2", "STAIR3", "--engine", "den", "--len", "4",
+     "--grid", "n=1..2,k=1,F"),
+    ("distinguish", SPEC, "TWINOFFER", "TWINLOOP", "--engine", "den", "--len", "3", "--json"),
+    ("health", SPEC, "CYCLE", "--engine", "den", "--len", "4"),
+    ("health", SPEC, "PUMPCHOICE", "--engine", "den", "--len", "4", "--model", "n=2,k=2",
+     "--json"),
+    ("traces", SPEC, "SWAYPAIR", "--engine", "den", "--len", "3"),
+    ("traces", SPEC, "ECHO", "--engine", "den", "--len", "3", "--model", "n=F,k=F", "--json"),
 )
 
 MALFORMED_SPECS = (
@@ -300,7 +325,8 @@ def main() -> None:
                 "health": health_checks(),
                 "realize": realizations(),
                 "parse_errors": parse_errors(),
-                "long_runs": long_runs()}
+                "long_runs": long_runs(),
+                "tests_and_den": [run_cli(argv) for argv in TESTS_AND_DEN]}
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")

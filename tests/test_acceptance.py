@@ -20,7 +20,6 @@ from availcsp.operational import avail_traces, std_traces
 from availcsp.process import Call, SpecEnv
 from availcsp.simulation import decode_trace, to_simulation
 from availcsp.testing import may_pass, realize
-from availcsp.testing import test_from_trace as probe_of
 from oracle import (
     NOT_SIMILAR, SIMILAR, avail_traces_full, closure_gaps, enumerate_universe, expand_cover,
     is_divergent, sim_preorder, stable_failures,
@@ -92,7 +91,7 @@ def test_02_offer_then_switch_separates_the_choices(capsys, ab):
 def test_03_availability_and_stable_failures_pull_apart(capsys, ab):
     def body():
         doa, maybe = Call("DOA", ()), Call("MAYBE", ())
-        for engine in ("operational", "denotational"):
+        for engine in (avail_traces, denote_traces):
             assert equal_in(doa, maybe, ab, MODEL_A, L5, engine).verdict == EQUAL
         doa_fails = stable_failures(doa, ab, 5)
         maybe_fails = stable_failures(maybe, ab, 5)
@@ -105,7 +104,7 @@ def test_03_availability_and_stable_failures_pull_apart(capsys, ab):
 
         sway, intc = Call("SWAYPAIR", ()), Call("INT", ())
         assert stable_failures(sway, ab, 5) == stable_failures(intc, ab, 5)
-        for engine in ("operational", "denotational"):
+        for engine in (avail_traces, denote_traces):
             res = equal_in(sway, intc, ab, MODEL_A, L5, engine)
             assert res.verdict == DISTINGUISHED
             assert res.witness == (FA, "b")
@@ -207,7 +206,7 @@ def test_08_testing_matches_membership(capsys, corpus, probe_universes):
         for group, name, term, env in corpus:
             uni = probe_universes[group]
             ts = avail_traces(term, env, MODEL_A, L4)
-            vec = tuple(may_pass(term, probe_of(tr), env).may for tr in uni)
+            vec = tuple(may_pass(term, tr, env).may for tr in uni)
             for tr, may in zip(uni, vec):
                 assert may == ts.member(tr, env.alphabet), (name, tr)
             sets4[(group, name)] = ts

@@ -496,6 +496,17 @@ def test_op_traces_a_deep_spec_definition_and_den_exits_two(capsys, tmp_path):
                            "--engine", "den"))
 
 
+def test_op_traces_a_choice_of_two_equal_deep_definitions(capsys, tmp_path):
+    # D1 and D2 are equal terms built apart, so op compares them 3,000
+    # levels deep
+    path = tmp_path / "twins.csp"
+    path.write_text(f"alphabet {{a}}\nD1 = {CHAIN}\nD2 = {CHAIN}\nP = D1 [] D2\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "traces", str(path), "P", "--len", "3")
+    assert code == 0, err
+    assert out.splitlines()[0] == "# operational n=F,k=1 len=3 count=11"
+
+
 # --- the parser ---------------------------------------------------------------
 
 COMMON = {"model": (("--model",), "n=F,k=1"), "len": (("--len",), 5),

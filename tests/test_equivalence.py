@@ -11,6 +11,7 @@ import pytest
 from conftest import PARAM_POINTS, group_processes
 
 from availcsp import Bounds, ModelParams, parse_process, parse_spec
+from availcsp.denotational import denote_traces
 from availcsp.equivalence import _minimal_witness, distinguish, equal_in, refine_in
 from availcsp.healthiness import TraceSet, _uncovered
 from availcsp.operational import avail_traces
@@ -116,7 +117,7 @@ def test_distinguish_grid_rows(xyz):
 def test_engines_agree_on_verdicts(ab):
     for pair in (("EXT", "INT"), ("DOA", "MAYBE")):
         op = equal_in(P(pair[0]), P(pair[1]), ab, K1, L4)
-        den = equal_in(P(pair[0]), P(pair[1]), ab, K1, L4, engine="denotational")
+        den = equal_in(P(pair[0]), P(pair[1]), ab, K1, L4, engine=denote_traces)
         assert op.verdict == den.verdict
         assert op.witness == den.witness
 

@@ -17,7 +17,7 @@ import pytest
 
 import availcsp
 from availcsp import (
-    Bounds, Call, CompareResult, Definition, ExtChoice, IntChoice, ModelParams,
+    Bounds, Call, CompareResult, Definition, Div, ExtChoice, IntChoice, ModelParams,
     Prefix, SpecEnv, Stop, Timeout, parse_spec,
 )
 
@@ -36,8 +36,8 @@ ALL = [
     "kernel", "may_pass", "merge_traces", "normalize_trace", "offer_event_name",
     "operational", "parse_process", "parse_spec", "parse_test", "parse_trace",
     "parser", "pretty", "pretty_env", "process", "process_from_trace", "realize",
-    "refine_in", "show_trace", "simulation", "std_traces", "test_from_trace",
-    "testing", "to_simulation", "trace_algebra", "trace_from_json", "trace_to_json",
+    "refine_in", "show_trace", "simulation", "std_traces", "testing", "to_simulation",
+    "trace_algebra", "trace_from_json", "trace_to_json",
 ]
 
 
@@ -94,6 +94,21 @@ def test_a_term_hashes_as_the_tuple_of_its_fields():
     assert hash(Prefix("a", body)) == hash(("a", body))
     assert hash(ExtChoice((body,))) == hash(((body,),))
     assert hash(ModelParams(2, 1)) == hash((2, 1))
+
+
+def test_deep_terms_built_apart_compare_without_recursing():
+    def chain(last):
+        t = last
+        for _ in range(5000):
+            t = Prefix("a", t)
+        return t
+
+    assert chain(Stop()) == chain(Stop())
+    assert chain(Stop()) != chain(Div())        # equal hashes, unequal at the bottom
+    assert chain(Stop()) != chain(Call("P"))
+    wide = ExtChoice((chain(Stop()), chain(Call("P"))))
+    assert wide == ExtChoice((chain(Stop()), chain(Call("P"))))
+    assert wide != ExtChoice((chain(Call("P")), chain(Stop())))
 
 
 def test_records_show_their_fields():

@@ -1,8 +1,8 @@
-"""Tests as programs: trace probes, may-testing, and trace-set realization.
+"""Tests as programs: test literals, may-testing, and trace-set realization.
 
-The central cross-check is the membership correspondence: a process may
-pass the probe of a trace exactly when the trace belongs to its closed
-availability-trace set.
+A test is the trace it probes for.  The central cross-check is the
+membership correspondence: a process may pass a trace as a test exactly
+when the trace belongs to its closed availability-trace set.
 """
 from __future__ import annotations
 
@@ -14,10 +14,7 @@ from availcsp.errors import BudgetError, ParseError, SpecError
 from availcsp.healthiness import close_healthy, covers_equal
 from availcsp.operational import avail_traces
 from availcsp.process import Call, Div, InputPrefix, Prefix, Stop, Timeout
-from availcsp.testing import SUCCESS, may_pass, parse_test, process_from_trace, realize
-from availcsp.testing import TestEvent as EventProbe
-from availcsp.testing import TestReady as ReadyProbe
-from availcsp.testing import test_from_trace as probe_of
+from availcsp.testing import may_pass, parse_test, process_from_trace, realize, show_test
 from oracle import enumerate_universe
 
 AB = Alphabet(["a", "b"])
@@ -39,17 +36,21 @@ def env():
     return parse_spec(SPEC)
 
 
-def test_probe_construction_follows_the_three_equations():
-    assert probe_of(()) is SUCCESS
-    assert probe_of(("a",)) == EventProbe("a", SUCCESS)
-    assert probe_of((FA, "b")) == ReadyProbe(FA, EventProbe("b", SUCCESS))
+def test_each_literal_reads_as_its_trace():
+    # an event request is the event, a readiness check its offer; an empty
+    # or repeated check stays one step
+    assert parse_test("SUCCESS") == ()
+    assert parse_test("a . SUCCESS") == ("a",)
+    assert parse_test("ready {a} & b . SUCCESS") == (FA, "b")
+    assert parse_test("ready {} & ready {b,a} & ready {a,b} & SUCCESS") == (
+        frozenset(), FAB, FAB)
 
 
 def test_literal_syntax_round_trips():
     # the last has 2,000 steps, read and printed without recursion
-    for text in ("SUCCESS", "a . SUCCESS", "ready {a,b} & SUCCESS",
+    for text in ("SUCCESS", "a . SUCCESS", "ready {a,b} & SUCCESS", "ready {} & SUCCESS",
                  "a . ready {b} & b . SUCCESS", "a . ready {a,b} & " * 1000 + "SUCCESS"):
-        assert parse_test(text).show() == text
+        assert show_test(parse_test(text)) == text
 
 
 def test_literal_syntax_errors():
@@ -67,28 +68,28 @@ def test_the_state_cap_holds_per_test_step(env):
     # 2,500 steps of a -> P hold two states each: 5,000 in all, past
     # MAX_STATES, yet the test passes
     pump = parse_spec("alphabet {a}\nP = a -> P\n")
-    v = may_pass(Call("P", ()), probe_of(("a",) * 2500), pump)
+    v = may_pass(Call("P", ()), ("a",) * 2500, pump)
     assert v.may and v.witness == ["tau", "a"] * 2500
     grow = parse_spec("alphabet {a, b}\nU1 = (U1 ||| U1) |~| a -> STOP\n")
     with pytest.raises(BudgetError, match="MAX_STATES"):
-        may_pass(Call("U1", ()), probe_of(("b",)), grow)
+        may_pass(Call("U1", ()), ("b",), grow)
 
 
 def test_may_pass_detects_the_offer_trace(env):
-    probe = probe_of((FA, "b"))
+    probe = (FA, "b")
     assert may_pass(Call("EXT", ()), probe, env).may
     verdict = may_pass(Call("INT", ()), probe, env)
     assert not verdict.may
 
 
 def test_may_pass_immediate_success(env):
-    v = may_pass(Stop(), SUCCESS, env)
+    v = may_pass(Stop(), (), env)
     assert v.may and v.witness == []
-    assert may_pass(Div(), SUCCESS, env).may
+    assert may_pass(Div(), (), env).may
 
 
 def test_may_verdict_witness_replays_the_run(env):
-    v = may_pass(Call("SWAY", ()), probe_of((FA, "b")), env)
+    v = may_pass(Call("SWAY", ()), (FA, "b"), env)
     assert v.may
     assert v.witness is not None
     assert v.witness.count("b") == 1
@@ -101,7 +102,7 @@ def test_membership_correspondence(env, name):
     bounds = Bounds(trace_len=2)
     traces = avail_traces(Call(name, ()), env, params, bounds)
     for tr in enumerate_universe(AB, params, 2):
-        got = may_pass(Call(name, ()), probe_of(tr), env)
+        got = may_pass(Call(name, ()), tr, env)
         assert got.may == traces.member(tr, AB), tr
 
 
