@@ -233,9 +233,9 @@ def _cmd_test(args, env: SpecEnv, bounds: Bounds) -> int:
     from .testing import may_pass, parse_test, show_test
 
     term = _resolve(args.process, env)
-    if bool(args.test_literal) == bool(args.from_trace):
+    if (args.test_literal is None) == (args.from_trace is None):
         _usage("give exactly one of --test or --from-trace")
-    if args.test_literal:
+    if args.test_literal is not None:
         test = parse_test(args.test_literal, env.alphabet)
     else:
         test = parse_trace(args.from_trace, env.alphabet)
@@ -251,9 +251,9 @@ def _cmd_test(args, env: SpecEnv, bounds: Bounds) -> int:
           _arg("--traces-file", help="explicit trace set, one literal or JSON trace per line"),
           _ENGINE)
 def _cmd_health(args, env: SpecEnv, bounds: Bounds) -> int:
-    if bool(args.process) == bool(args.traces_file):
+    if (args.process is None) == (args.traces_file is None):
         _usage("give exactly one of a process or --traces-file")
-    if args.traces_file:
+    if args.traces_file is not None:
         subject = _read_trace_lines(args.traces_file, env.alphabet)
         for tr in subject:
             check_universe(tr, args.model, args.len, env.alphabet)

@@ -25,9 +25,9 @@ Hiding consumes performed events, so when a term can reach a hiding
 operator the evaluation runs at the longer internal length bound, and the
 result's traces longer than the requested bound are dropped at the end.
 
-``finalize`` bounds length by dropping overlong traces, which is enough
-for a closed input (see its docstring).  Three premises make every input
-den hands it closed:
+``finalize`` drops each trace that is overlong, not normal or has a run
+longer than n, which one lemma in its docstring shows is enough for a
+closed input.  Three premises make every input den hands it closed:
 
 1. each clause maps closed operand cores to a closed set;
 2. every core is closed: ⟨⟩ is, and ``finalize`` maps a closed set to a

@@ -32,9 +32,9 @@ when it is visited, and any prefix missing below it fails it too, as a
 shorter member, so the verdict and the least witness stay the same.
 
 ``finalize`` fits a closed set of clause traces to the (n, k, len)
-bounds: each trace is normalised and checked against both offer bounds in
-one loop; an overlong one is dropped, and one too wide for the model is
-replaced by its fitted variants that fit the length bound.
+bounds in one loop: it drops a trace that is overlong, not normal or has
+an overlong run, keeps one that fits, and replaces one with offers wider
+than k by its capped variants that fit the length bound.
 """
 from __future__ import annotations
 
@@ -237,69 +237,70 @@ def _resample_run(choices, run_bound: int | None, len_bound: int) -> set:
 
 
 def finalize(traces, params: ModelParams, len_bound: int):
-    """The one place a trace set is fitted to the model: normalise, fit
-    every offer run to the set and run bounds, and bound length.  The
-    input must be closed: it holds each member's prefixes and each trace
-    made from a member by deleting one offer, then normalising.  Clauses
-    may hand it runs of any length and offers of any size; the result is
-    a saturated canonical core provided the input was one.
+    """The one place a trace set is fitted to the model: each trace is
+    kept, dropped or capped.  The input must be closed: it holds each
+    member's prefixes and each trace made from a member by deleting one
+    offer, then normalising.  Clauses may hand it runs of any length and
+    offers of any size; the result is a saturated canonical core provided
+    the input was one.
 
-    A trace longer than the bound is dropped as it stands: the input also
-    holds its normal form, made by deleting empty and repeated offers.
-    One loop over each other trace drops its empty offers, merges adjacent
-    equal offers and checks both bounds.  A trace that fits is kept, and
-    one that does not is replaced by the product of its runs' options,
-    each variant kept while it fits the bound.  A run holding an oversized
-    offer has every run of capped subsets resampled from it (a member of
-    the restricted universe may map several capped offers onto one
-    oversized offer); a run longer than the run bound has every selection
-    of that many of its offers, with repeats that become adjacent merged;
-    any other run is its own only option.  Each run's options are worked
-    out once a call, shortest first, so a variant stops growing at the
-    first that overruns.
+    A trace is dropped when it is longer than the bound, holds an empty
+    offer or two equal adjacent offers, or has a run of more than n
+    offers.  A trace that fits is kept.  One whose offers are wider than
+    k is capped: it is replaced by the product of its runs' options, each
+    variant kept while it fits the length bound.  A run holding an
+    oversized offer has every run of capped subsets resampled from it (a
+    member of the restricted universe may map several capped offers onto
+    one oversized offer, so a capped run may take more steps than it has
+    offers); any other run is its own only option.  Each run's options
+    are worked out once a call, shortest first, so a variant stops
+    growing at the first that overruns.
 
-    Dropping is enough for a closed input.  Trimming a variant to the
-    bound would keep a prefix of its events and some of the offers before
-    them, and that is a variant of a trace the input holds, a prefix of
-    the overlong trace with offers deleted, no longer than the bound."""
+    One lemma makes dropping enough for a closed input: each image of a
+    dropped trace in the bounded universe is also an image of a shorter
+    trace, within the bound, made from it by taking a prefix and deleting
+    offers, so the input holds it.  For an overlong trace, that is the
+    prefix the image was read from, with the offers it did not read
+    deleted; for one that is not normal, its normal form; for one with an
+    overlong run, the trace with the offers the image did not read
+    deleted.  By induction on length, each image is one of a member that
+    is kept or capped."""
     n, k = params.run_bound, params.set_bound
     out = set()
-    fitted = {}             # run -> its options, shortest first
+    capped = {}             # run -> its options, shortest first
     for tr in traces:
         if len(tr) > len_bound:
             continue
-        last = None             # the last offer kept in the current run
+        last = None             # the last offer in the current run
         run = 0
-        fits = normal = True
+        drop = wide = False
         for a in tr:
             if isinstance(a, frozenset):    # is_offer, inlined
-                if not a or a == last:
-                    normal = False
-                    continue
-                last = a
                 run += 1
-                if (k is not None and len(a) > k) or (n is not None and run > n):
-                    fits = False
+                if not a or a == last or (n is not None and run > n):
+                    drop = True
+                    break
+                last = a
+                if k is not None and len(a) > k:
+                    wide = True
             else:
                 last = None
                 run = 0
-        if not normal:
-            tr = normalize_trace(tr)
-        if fits:
+        if drop:
+            continue
+        if not wide:
             out.add(tr)
             continue
         runs, events = decompose(tr)
         variants = [()]
         for i, r in enumerate(runs):
-            options = fitted.get(r)
+            options = capped.get(r)
             if options is None:
-                if k is not None and any(len(o) > k for o in r):
+                if any(len(o) > k for o in r):
                     options = _resample_run([max_offers(o, k) for o in r], n, len_bound)
-                elif n is not None and len(r) > n:
-                    options = {normalize_trace(c) for c in itertools.combinations(r, n)}
                 else:
                     options = (r,)
-                options = fitted[r] = sorted(options, key=len)
+                options = capped[r] = sorted(options, key=len)
             head = (events[i - 1],) if i else ()
             grown = []
             for v in variants:

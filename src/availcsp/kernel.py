@@ -112,6 +112,7 @@ class Record:
     __slots__ = ()
     _fields = ()
     _key = staticmethod(lambda r: ())       # the fields equality compares
+    _hash = None                            # a Value's slot stores its hash
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -121,10 +122,26 @@ class Record:
             cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            key = self._key
-            return key(self) == key(other)
-        return NotImplemented
+        """Field by field, with a stack of pairs still to compare, so two
+        deep records built apart cost no Python frame per level.  Unequal
+        stored hashes settle a pair of values at once, and a pair that is
+        one object is skipped."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, Record):
+                if a.__class__ is not b.__class__ or a._hash != b._hash:
+                    return False
+                stack.append((a._key(a), b._key(b)))
+            elif type(a) is tuple and type(b) is tuple and len(a) == len(b):
+                stack.extend(zip(a, b))
+            elif a != b:
+                return False
+        return True
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -140,28 +157,6 @@ class Value(Record):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other):
-        """Field by field, with a stack of pairs still to compare, so two
-        deep values built apart cost no Python frame per level.  Unequal
-        stored hashes settle a pair of values at once, and a pair that is
-        one object is skipped."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if isinstance(a, Value):
-                if a.__class__ is not b.__class__ or a._hash != b._hash:
-                    return False
-                stack.append((a._key(a), b._key(b)))
-            elif type(a) is tuple and type(b) is tuple and len(a) == len(b):
-                stack.extend(zip(a, b))
-            elif a != b:
-                return False
-        return True
 
     def __reduce__(self):
         # rebuilt through __init__, so the hash is that of the new process

@@ -268,12 +268,12 @@ def _ev_set(events) -> str:
     return "{" + ",".join(members) + "}"
 
 
-def pretty(p, level: int = 4) -> str:
-    """The text of a term in a context of ``level``: written left to right
-    from a stack of texts and of (term, context level) pairs still to
-    write, so a deep term costs no Python frame."""
+def pretty(p) -> str:
+    """The text of a term: written left to right from a stack of texts and
+    of (term, context level) pairs still to write, starting at the loosest
+    level 4, so a deep term costs no Python frame."""
     out = []
-    stack = [(p, level)]
+    stack = [(p, 4)]
     write = out.append
     while stack:
         item = stack.pop()

@@ -5,7 +5,8 @@ plain process whose states additionally carry a self-loop event for every
 observable offer (every subset of the enabled events within the set
 bound, the empty one included).  Offer events are flat dotted names:
 ``Offer.a.b`` for the offer {a,b} and ``Offer.0`` for the empty offer
-(event names cannot start with a digit, so this cannot collide).  The
+(event names cannot start with a digit, so this cannot collide).  No
+alphabet event may be ``Offer`` or hold a dot, or names would clash.  The
 ordinary event traces of the result decode back to the availability
 traces of the original.
 """
@@ -69,7 +70,7 @@ def to_simulation(term, env: SpecEnv, params: ModelParams) -> Simulation:
     """Rebuild a process over ordinary events whose traces spell out the
     availability observations of the original at the given set bound."""
     for e in env.alphabet.events:
-        if e == "Offer" or e.startswith(OFFER_PREFIX):
+        if e == "Offer" or "." in e:
             raise SpecError(
                 f"alphabet event {e!r} clashes with simulation offer events"
             )

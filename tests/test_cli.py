@@ -246,6 +246,17 @@ def test_health_needs_exactly_one_subject(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["test", SPEC, "EXT", "--test", ""], "in test '': unexpected end"),
+    (["test", SPEC, "EXT", "--from-trace", ""],
+     "expected '<' in trace literal, got 'end of input'"),
+    (["health", SPEC, ""], "line 1, col 0: expected a process"),
+], ids=["test", "from-trace", "health"])
+def test_an_empty_argument_is_given_and_fails_to_parse(capsys, argv, err):
+    # an empty text is an argument given, not one left out
+    assert run(capsys, *argv) == (2, "", f"availcsp: {err}\n")
+
+
 # --- realize -----------------------------------------------------------------
 
 
@@ -302,6 +313,18 @@ def test_simulate_check_round_trip(capsys):
                        "--len", "3", "--model", "n=F,k=2", "--check")
     assert code == 0
     assert "# round trip: exact" in out
+
+
+@pytest.mark.parametrize("alphabet, event", [("a, Offer", "Offer"), ("a, b, a.b", "a.b")])
+def test_simulate_refuses_an_event_that_clashes_with_offer_events(capsys, tmp_path,
+                                                                  alphabet, event):
+    # a dotted event would make Offer.a.b stand for both {a.b} and {a, b}
+    path = tmp_path / "clash.csp"
+    path.write_text(f"alphabet {{{alphabet}}}\nP = {event} -> STOP\n", encoding="utf-8")
+    code, out, err = run(capsys, "simulate", str(path), "P",
+                         "--model", "n=F,k=F", "--check", "--len", "3")
+    assert (code, out) == (2, "")
+    assert err == f"availcsp: alphabet event {event!r} clashes with simulation offer events\n"
 
 
 # --- distinguish -------------------------------------------------------------

@@ -197,11 +197,16 @@ any_bound = st.sampled_from([0, 1, 2, None])
 @given(st.frozensets(st.one_of(raw_traces, joined_traces), max_size=3),
        any_bound, any_bound, st.integers(0, 5))
 @example(frozenset({(FA, FB, FA)}), 2, 1, 2)     # clipping makes two offers adjacent
+@example(frozenset({(FA, FAB, FAB, "a"), (frozenset(), FB)}), None, None, 4)  # repeated, empty
+@example(frozenset({(FA, FB, FA, "a", FB, FAB)}), 1, None, 5)                # runs longer than n
+@example(frozenset({(FABC, FA, FB, "b", FAB)}), 2, 2, 5)                     # ... and wider than k
 def test_finalize_matches_three_pass_oracle(traces, n, k, len_bound):
-    # finalize drops an overlong trace where the oracle trims it: each
-    # image the oracle makes of it is a fitted variant of a prefix of it
-    # with some offers deleted, no longer than the image, which a set
-    # closed under prefixes and offer deletion already holds
+    # finalize drops a trace that is overlong, holds an empty or a repeated
+    # offer, or has a run longer than n, where the oracle trims, normalises
+    # or clips it: each image the oracle makes of it is an image of a trace
+    # made from it by taking a prefix and deleting offers, no longer than
+    # the image, which a set closed under prefixes and offer deletion
+    # already holds and finalize keeps or caps
     closed = close_prefixes_and_deletions(traces)
     p = ModelParams(run_bound=n, set_bound=k)
     assert finalize(closed, p, len_bound) == finalize_oracle(closed, p, len_bound)
