@@ -1,10 +1,14 @@
 """Denotational semantics: compositional trace-set evaluation.
 
-``CLAUSES`` gives each operator its clause: a pure function of the node
-and its operands' cores that builds the composite trace set with no regard
-to the run and set bounds (a prefix offers all its events as one run, and
-merging may widen offers and join runs).  ``finalize``, the one place the
-(n, k, len) bounds are applied, makes the clause's output a canonical core.
+``CLAUSES`` gives each operator its clause: a pure function of the node,
+the length and run bounds and its operands' cores that builds the
+composite trace set with no regard to the set bound (a prefix offers all
+its events as one run, and merging may widen offers).  Only the parallel
+and interleaving clauses read the bounds: they stop a merge once it is
+longer than the length bound or its last run longer than n, where
+``finalize`` would drop it, so they build nothing it discards.
+``finalize``, the one place traces are fitted to the (n, k, len) bounds,
+makes the clause's output a canonical core.
 Every clause, like ``finalize``, is a union of per-trace images: of each
 operand trace for prefixing, internal choice, hiding and renaming
 (linear), of each pair of traces, one per operand, for external choice,
@@ -29,7 +33,9 @@ result's traces longer than the requested bound are dropped at the end.
 longer than n, which one lemma in its docstring shows is enough for a
 closed input.  Three premises make every input den hands it closed:
 
-1. each clause maps closed operand cores to a closed set;
+1. each clause maps closed operand cores to a closed set: a merge clause
+   to the part of one within both bounds, which is closed, since a prefix
+   or an offer deletion of a trace is no longer and has no longer run;
 2. every core is closed: ⟨⟩ is, and ``finalize`` maps a closed set to a
    closed core;
 3. ``finalize`` is a union of per-trace images, so the semi-naive rounds
@@ -82,7 +88,7 @@ def mentions_hiding(term, env: SpecEnv) -> bool:
     return False
 
 
-def _prefix(node, *conts) -> set:
+def _prefix(node, fit, *conts) -> set:
     """Composite of a prefix, ``conts`` in the order of its events: the
     stable state offers all its events as one run, which ``finalize``
     resamples into the runs the model can observe (offers capped, repeats
@@ -97,7 +103,7 @@ def _prefix(node, *conts) -> set:
     return out
 
 
-def _ext_choice(node, left: frozenset, right: frozenset) -> set:
+def _ext_choice(node, fit, left: frozenset, right: frozenset) -> set:
     """Composite of an external choice: both sides' offers accumulate
     until the first performed event resolves it.  Each side's members are
     grouped by the offers before their first event, and each pair of
@@ -122,7 +128,7 @@ def _ext_choice(node, left: frozenset, right: frozenset) -> set:
     return out
 
 
-def _timeout(node, left: frozenset, right: frozenset) -> set:
+def _timeout(node, fit, left: frozenset, right: frozenset) -> set:
     """Composite of a timeout: the left side's traces, and each of its
     offer-only traces followed by a trace of the right side."""
     out = set(left)
@@ -133,20 +139,25 @@ def _timeout(node, left: frozenset, right: frozenset) -> set:
 
 
 # constructor -> (clause, whether it is bilinear); ``Stop``, ``Div`` and
-# ``Call`` have none.  An input prefix's operands are its body substituted
-# with each of its events, in order; any other node's are its children.
+# ``Call`` have none.  A clause takes its node, ``fit`` and its operands'
+# cores.  ``fit`` is (len_bound, run_bound), the bounds ``finalize`` fits
+# the output at: the parallel and interleaving merges stop where it would
+# drop (premise 1 in the module docstring), and the other clauses ignore
+# it.  An input prefix's operands are its body substituted with each of
+# its events, in order; any other node's are its children.
 CLAUSES = {
     Prefix: (_prefix, False),
     InputPrefix: (_prefix, False),
-    IntChoice: (lambda node, *branches: set().union(*branches), False),
+    IntChoice: (lambda node, fit, *branches: set().union(*branches), False),
     ExtChoice: (_ext_choice, True),
     Timeout: (_timeout, True),
-    Parallel: (lambda node, left, right: merge_sets(
+    Parallel: (lambda node, fit, left, right: merge_sets(
         restrict_set(left, node.left_events), restrict_set(right, node.right_events),
-        node.left_events & node.right_events), True),
-    Interleave: (lambda node, left, right: merge_sets(left, right, frozenset()), True),
-    Hide: (lambda node, body: hide_set(body, node.events), False),
-    Rename: (lambda node, body: rename_set(body, node.pairs), False),
+        node.left_events & node.right_events, *fit), True),
+    Interleave: (lambda node, fit, left, right: merge_sets(left, right, frozenset(), *fit),
+                 True),
+    Hide: (lambda node, fit, body: hide_set(body, node.events), False),
+    Rename: (lambda node, fit, body: rename_set(body, node.pairs), False),
 }
 
 
@@ -253,7 +264,7 @@ class DenotationalEngine:
         else:
             operands = _children(term)
         cores = tuple(map(self.denote, operands))
-        build = partial(clause, term)
+        build = partial(clause, term, (self.eval_len, self.params.run_bound))
         if not bilinear:
             return self._clause(term, cores, build)
         # a chain folds the binary clause left to right, as its nesting

@@ -24,12 +24,14 @@ So ``check_healthy`` asks only what a core can violate.  The other four
 conditions keep or shrink a member's offers: by the covering lemma, each
 trace they require of a member is covered by it.  That makes it a member
 whenever every core member fits the length bound; only a core that does
-not fit, or an explicit set, has those four enumerated.  The two it does
-enumerate probe the core literally before that routine, and a computed
-core, closed under both rules, answers every probe.  Prefixes are asked
-longest first, down to the first core member: its own prefixes are asked
-when it is visited, and any prefix missing below it fails it too, as a
-shorter member, so the verdict and the least witness stay the same.
+not fit, or an explicit set, has those four enumerated.  Of the two it
+does enumerate, a member passes at once when each trace it asks is
+literally in the core and within the bound, which a computed core, closed
+under both rules, gives every member; only the rest are walked, with that
+routine behind each literal probe.  Prefixes are asked longest first, down
+to the first core member: its own prefixes are asked when it is visited,
+and any prefix missing below it fails it too, as a shorter member, so the
+verdict and the least witness stay the same.
 
 ``finalize`` fits a closed set of clause traces to the (n, k, len)
 bounds in one loop: it drops a trace that is overlong, not normal or has
@@ -246,15 +248,17 @@ def finalize(traces, params: ModelParams, len_bound: int):
 
     A trace is dropped when it is longer than the bound, holds an empty
     offer or two equal adjacent offers, or has a run of more than n
-    offers.  A trace that fits is kept.  One whose offers are wider than
-    k is capped: it is replaced by the product of its runs' options, each
-    variant kept while it fits the length bound.  A run holding an
-    oversized offer has every run of capped subsets resampled from it (a
-    member of the restricted universe may map several capped offers onto
-    one oversized offer, so a capped run may take more steps than it has
-    offers); any other run is its own only option.  Each run's options
-    are worked out once a call, shortest first, so a variant stops
-    growing at the first that overruns.
+    offers; the parallel and interleaving clauses hand it none of these,
+    since their merges are normalised and stop at both bounds.  A trace
+    that fits is kept.  One whose offers are wider than k is capped: it is
+    replaced by the product of its runs' options, each variant kept while
+    it fits the length bound.  A run holding an oversized offer has every
+    run of capped subsets resampled from it (a member of the restricted
+    universe may map several capped offers onto one oversized offer, so a
+    capped run may take more steps than it has offers); any other run is
+    its own only option.  Each run's options are worked out once a call,
+    shortest first, so a variant stops growing at the first that
+    overruns.
 
     One lemma makes dropping enough for a closed input: each image of a
     dropped trace in the bounded universe is also an image of a shorter
@@ -404,6 +408,25 @@ def _conditions(params: ModelParams):
     return _CONDITIONS if params.set_bound != 1 else _CONDITIONS[:4]
 
 
+def _not_literal(required, canon, inside) -> list:
+    """The members of ``canon`` that the literal probe leaves to the walk
+    for one of the two enumerated conditions: those that ask a trace
+    ``inside`` (the core within the bound) lacks.  A prefix member asks
+    its longest proper prefix first, and stops there when it is a core
+    member; a final-offer member asks each of its final offer's events."""
+    if required is _prefixes:
+        return [tr for tr in canon if tr and tr[:-1] not in inside]
+    rest = []
+    for tr in canon:
+        if tr and type(tr[-1]) is frozenset:
+            head = tr[:-1]
+            for a in tr[-1]:
+                if head + (a,) not in inside:
+                    rest.append(tr)
+                    break
+    return rest
+
+
 def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
     """Verify the healthiness conditions.
 
@@ -425,11 +448,12 @@ def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
         canon = subject.canon
         member = subject._member_normalized
         contains = lambda tr: len(tr) <= len_bound and (tr in canon or member(normalize_trace(tr)))
-        fits = all(len(tr) <= len_bound for tr in canon)
+        fits = max(map(len, canon), default=0) <= len_bound
     else:
         canon = frozenset(tuple(t) for t in subject)
         contains = canon.__contains__
         fits = False
+    inside = canon if fits else frozenset(tr for tr in canon if len(tr) <= len_bound)
 
     def within(tr) -> bool:
         return len(tr) <= len_bound and in_obs(tr, params.run_bound)
@@ -448,9 +472,12 @@ def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
         if required is _prefixes and not (canon and contains(())):
             report.conditions.append(ConditionReport(name, False, () if canon else None))
             continue
+        if absorbed:
+            rest = () if fits else canon
+        else:
+            rest = _not_literal(required, canon, inside)
         asked = prefix_walk if required is _prefixes else required
-        failing = () if absorbed and fits else (
-            tr for tr in canon if not all(map(contains, asked(tr, within))))
+        failing = (tr for tr in rest if not all(map(contains, asked(tr, within))))
         witness = min(failing, key=lambda t: (len(t), show_trace(t)), default=None)
         report.conditions.append(ConditionReport(name, witness is None, witness))
     return report

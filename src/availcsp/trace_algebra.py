@@ -1,11 +1,15 @@
 """Trace-level operators used by the denotational semantics.
 
-All functions work on canonical traces (see healthiness) and apply no
-model bound.  Outputs may leave the canonical universe (oversized offers
-from merging, joined runs from concatenation, shortened traces from
-hiding); ``finalize`` alone fits them to the model.
+All functions work on canonical traces (see healthiness).  Only
+``merge_sets`` takes model bounds: it stops a merge once it is longer than
+the length bound or its last run longer than the run bound, where
+``finalize`` would drop it.  Outputs may leave the canonical universe
+(oversized offers from merging, joined runs from concatenation, shortened
+traces from hiding); ``finalize`` alone fits them to the model.
 """
 from __future__ import annotations
+
+import math
 
 from .kernel import is_event, is_offer, normalize_trace
 
@@ -17,65 +21,123 @@ def merge_offer(o1: frozenset, o2: frozenset, sync: frozenset) -> frozenset:
     return (o1 & o2 & sync) | (o1 - sync) | (o2 - sync)
 
 
-def merge_traces(t1, t2, sync: frozenset) -> frozenset:
-    """All complete synchronised merges of two canonical traces.
+def _trie(traces):
+    """The prefix trie of some traces, its nodes numbered from the root, 0:
+    ``edges[u]`` lists node u's (action, child) pairs, ``label[c]`` is the
+    action into node c, and ``member[u]`` says whether the path to u is one
+    of the traces."""
+    edges, label, member = [[]], [None], [False]
+    child = {}
+    for tr in traces:
+        u = 0
+        for a in tr:
+            c = child.get((u, a))
+            if c is None:
+                c = child[u, a] = len(edges)
+                edges.append([])
+                label.append(a)
+                member.append(False)
+                edges[u].append((a, c))
+            u = c
+        member[u] = True
+    return edges, label, member
+
+
+def _alone(a, sync: frozenset) -> tuple:
+    """What the merge shows when one side takes its action ``a`` alone:
+    a free event, or an offer skipped (None) or shown without its
+    synchronised events; a synchronised event never moves alone."""
+    if type(a) is str:
+        return () if a in sync else (a,)
+    rest = a - sync
+    return (None, rest) if rest else (None,)
+
+
+def merge_sets(left, right, sync: frozenset, len_bound=None, run_bound=None) -> set:
+    """Every synchronised merge of a trace of ``left`` with one of
+    ``right`` that is at most ``len_bound`` long and has no run of more
+    than ``run_bound`` offers (None: no bound).
 
     An observation point of the composite samples one position in each
     component, moving monotonically through both; the same component offer
     may be sampled repeatedly, sampled once, or skipped.  Synchronised
     events must pair up exactly; free events interleave.  Results are
-    normalised but may exceed run, offer-size, or length bounds.
-    """
-    len1, len2 = len(t1), len(t2)
-    memo: dict = {}
+    normalised but may hold offers of any size.
 
-    def rec(i, j):
-        key = (i, j)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        out = set()
-        if i == len1 and j == len2:
-            out.add(())
-        a1 = t1[i] if i < len1 else None
-        a2 = t2[j] if j < len2 else None
-        if a1 is not None and is_event(a1):
-            if a1 not in sync:
-                out.update((a1,) + suf for suf in rec(i + 1, j))
-            elif a2 is not None and a2 == a1:
-                out.update((a1,) + suf for suf in rec(i + 1, j + 1))
-        if a2 is not None and is_event(a2):
-            if a2 not in sync:
-                out.update((a2,) + suf for suf in rec(i, j + 1))
-        if a1 is not None and is_offer(a1):
-            out.update(rec(i + 1, j))
-            alone = a1 - sync
-            if alone:
-                out.update((alone,) + suf for suf in rec(i + 1, j))
-        if a2 is not None and is_offer(a2):
-            out.update(rec(i, j + 1))
-            alone = a2 - sync
-            if alone:
-                out.update((alone,) + suf for suf in rec(i, j + 1))
-        if a1 is not None and is_offer(a1) and a2 is not None and is_offer(a2):
-            joint = merge_offer(a1, a2, sync)
-            if joint:
-                conts = rec(i + 1, j) | rec(i, j + 1) | rec(i + 1, j + 1)
-                out.update((joint,) + suf for suf in conts)
-        result = frozenset(out)
-        memo[key] = result
-        return result
+    One forward walk over the product of the two sets' prefix tries: a
+    state is a position on each side and the merge so far, normalised as
+    it grows, and each is expanded once, so a prefix pair that many trace
+    pairs share is merged once.  A position is a node, or an offer edge
+    (``~child``) that was joined while only the other side moved on: the
+    walk must take it next, or it would switch to a sibling branch the
+    joint offer did not come from.  A move keeps the merge or makes it one
+    longer, so the states are grouped by merge, one length at a time, and
+    a position pair's moves are worked out once.  A merge is emitted where
+    both positions are members, and dropped once past a bound: normalising
+    only appends, so no extension brings it back, and ``finalize`` would
+    drop it."""
+    ledges, llabel, lmember = _trie(left)
+    redges, rlabel, rmember = _trie(right)
+    longest = math.inf if len_bound is None else len_bound
+    widest = math.inf if run_bound is None else run_bound
+    table = {}              # position pair -> its (action or None, position pair) moves
+    ends = set()            # position pairs where both positions are members
 
-    return frozenset(normalize_trace(tr) for tr in rec(0, 0))
+    def moves(pos) -> list:
+        p, q = pos
+        if p >= 0 and q >= 0 and lmember[p] and rmember[q]:
+            ends.add(pos)
+        lmoves = ledges[p] if p >= 0 else ((llabel[~p], ~p),)
+        rmoves = redges[q] if q >= 0 else ((rlabel[~q], ~q),)
+        out = []
+        for a1, c1 in lmoves:
+            out += ((x, (c1, q)) for x in _alone(a1, sync))
+            for a2, c2 in rmoves:
+                if type(a1) is str:
+                    if a1 == a2 and a1 in sync:
+                        out.append((a1, (c1, c2)))
+                elif type(a2) is not str and (joint := merge_offer(a1, a2, sync)):
+                    out += ((joint, (c1, ~c2)), (joint, (~c1, c2)), (joint, (c1, c2)))
+        for a2, c2 in rmoves:
+            out += ((x, (p, c2)) for x in _alone(a2, sync))
+        table[pos] = out
+        return out
 
-
-def merge_sets(canon1, canon2, sync: frozenset) -> set:
-    """Union of all pairwise merges of two canonical cores."""
     out = set()
-    for t1 in canon1:
-        for t2 in canon2:
-            out.update(merge_traces(t1, t2, sync))
+    level = {(): {(0, 0): None}}        # merge -> its positions, for one length
+    while level:
+        longer = {}
+        for m, seen in level.items():
+            run = 0
+            while run < len(m) and type(m[-1 - run]) is not str:
+                run += 1
+            into = {None: seen}         # action -> the positions of m followed by it
+            if run:
+                into[m[-1]] = seen
+            todo = list(seen)
+            for pos in todo:
+                listed = table.get(pos)
+                if listed is None:
+                    listed = moves(pos)
+                if pos in ends:
+                    out.add(m)
+                for x, nxt in listed:
+                    target = into.get(x, False)
+                    if target is False:
+                        past = len(m) == longest or (type(x) is not str and run == widest)
+                        target = into[x] = None if past else longer.setdefault(m + (x,), {})
+                    if target is not None and nxt not in target:
+                        target[nxt] = None
+                        if target is seen:
+                            todo.append(nxt)
+        level = longer
     return out
+
+
+def merge_traces(t1, t2, sync: frozenset) -> frozenset:
+    """All complete synchronised merges of two traces: ``merge_sets`` of
+    the two one-trace sets, with no bound."""
+    return frozenset(merge_sets((t1,), (t2,), sync))
 
 
 def restrict_trace(trace, allowed: frozenset):

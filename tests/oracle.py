@@ -22,9 +22,10 @@ from availcsp.healthiness import (
     covers_equal, finalize, max_offers,
 )
 from availcsp.kernel import (
-    TAU, compose, decompose, in_obs, is_offer, normalize_trace, show_trace,
+    TAU, compose, decompose, in_obs, is_event, is_offer, normalize_trace, show_trace,
 )
 from availcsp.operational import StepEngine, build_lts
+from availcsp.trace_algebra import merge_offer
 
 
 def _proper_subsets(offer):
@@ -92,6 +93,53 @@ def shuffle_oracle(t1, t2) -> frozenset:
             next(r1) if i in first else next(r2) for i in range(n1 + n2)
         ))
     return frozenset(out)
+
+
+def merge_oracle(t1, t2, sync: frozenset) -> frozenset:
+    """All complete synchronised merges of two traces, by recursion over
+    a position in each: one set of suffix merges per position pair, each
+    built whole, then normalised."""
+    len1, len2 = len(t1), len(t2)
+    memo: dict = {}
+
+    def rec(i, j):
+        key = (i, j)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        out = set()
+        if i == len1 and j == len2:
+            out.add(())
+        a1 = t1[i] if i < len1 else None
+        a2 = t2[j] if j < len2 else None
+        if a1 is not None and is_event(a1):
+            if a1 not in sync:
+                out.update((a1,) + suf for suf in rec(i + 1, j))
+            elif a2 is not None and a2 == a1:
+                out.update((a1,) + suf for suf in rec(i + 1, j + 1))
+        if a2 is not None and is_event(a2):
+            if a2 not in sync:
+                out.update((a2,) + suf for suf in rec(i, j + 1))
+        if a1 is not None and is_offer(a1):
+            out.update(rec(i + 1, j))
+            alone = a1 - sync
+            if alone:
+                out.update((alone,) + suf for suf in rec(i + 1, j))
+        if a2 is not None and is_offer(a2):
+            out.update(rec(i, j + 1))
+            alone = a2 - sync
+            if alone:
+                out.update((alone,) + suf for suf in rec(i, j + 1))
+        if a1 is not None and is_offer(a1) and a2 is not None and is_offer(a2):
+            joint = merge_offer(a1, a2, sync)
+            if joint:
+                conts = rec(i + 1, j) | rec(i, j + 1) | rec(i + 1, j + 1)
+                out.update((joint,) + suf for suf in conts)
+        result = frozenset(out)
+        memo[key] = result
+        return result
+
+    return frozenset(normalize_trace(tr) for tr in rec(0, 0))
 
 
 def avail_traces_full(term, env: SpecEnv, params: ModelParams, bounds: Bounds,
@@ -295,7 +343,7 @@ def prefix_clause_oracle(params: ModelParams, len_bound: int):
     fits the whole clause."""
     n = params.run_bound
 
-    def clause(node, *conts) -> set:
+    def clause(node, fit, *conts) -> set:
         events = sorted(node.events) if isinstance(node, InputPrefix) else (node.event,)
         choices = max_offers(events, params.set_bound)
         runs = {()}

@@ -11,8 +11,10 @@ The snapshot holds:
   bench jobs print only whether the engines agree, of QUAD, WEAVE and
   MIXPAR at len 6, whose traces overflow the run or set bound most often
   in ``finalize``, of MASKLOOP at len 6, whose hiding raises den's
-  evaluation length to 18, and of QUAD at len 7, whose wide offers
-  ``finalize`` resamples most;
+  evaluation length to 18, of QUAD at len 7, whose wide offers
+  ``finalize`` resamples most, and of the interleaving
+  ``ECHO ||| PUMPCHOICE`` at len 4 and the parallel RELAY at len 6, whose
+  merges stop at the length and run bounds;
 * the den cores of the processes of ``conftest.RECURSION_SPEC``, which
   recurse through every operator, at the six points, len 4;
 * ``emit_script(to_simulation(...))`` of every corpus process at n=F,k=1 and
@@ -64,7 +66,8 @@ LENGTHS = (3, 4)
 DEEP_CORES = (("group_ab", "PUMPCHOICE", 5), ("group_abc", "WEAVE", 5),
               ("group_abc", "MIXPAR", 5), ("group_abc", "MASKLOOP", 5),
               ("group_abcd", "QUAD", 6), ("group_abc", "WEAVE", 6), ("group_abc", "MIXPAR", 6),
-              ("group_abc", "MASKLOOP", 6), ("group_abcd", "QUAD", 7))
+              ("group_abc", "MASKLOOP", 6), ("group_abcd", "QUAD", 7),
+              ("group_ab", "ECHO ||| PUMPCHOICE", 4), ("group_abc", "RELAY", 6))
 COMMANDS = ("traces", "equiv", "refine", "test", "health", "realize", "simulate",
             "distinguish", "congruence")
 SPEC = os.path.join("tests", "data", "group_ab.csp")
@@ -249,14 +252,15 @@ def corpus_cores() -> dict:
 
 
 def deep_cores() -> dict:
-    from availcsp import Bounds, Call, denote_traces, show_trace
+    from availcsp import Bounds, denote_traces, parse_process, show_trace
     from conftest import PARAM_POINTS, load_group
 
     out = {}
     for group, name, length in DEEP_CORES:
         env = load_group(group)
+        term = parse_process(name, env)
         for params in PARAM_POINTS:
-            ts = denote_traces(Call(name, ()), env, params, Bounds(trace_len=length))
+            ts = denote_traces(term, env, params, Bounds(trace_len=length))
             key = f"{group} {name} n={params.run_bound},k={params.set_bound} len={length}"
             out[key] = sorted(show_trace(t) for t in ts.canon)
     return out

@@ -65,14 +65,15 @@ def clause_raws(node, cores, params, length) -> list:
     """The node's clause over the given operand cores, unfitted: one set
     for a linear clause, one per fold for a bilinear chain, which folds the
     clause left to right and fits each fold with ``finalize`` as den
-    does."""
+    does.  Each clause is given the bounds its output is fitted at."""
     clause, bilinear = CLAUSES[type(node)]
+    fit = (length, params.run_bound)
     if not bilinear:
-        return [clause(node, *cores)]
+        return [clause(node, fit, *cores)]
     raws = []
     acc = cores[0]
     for core in cores[1:]:
-        raws.append(clause(node, acc, core))
+        raws.append(clause(node, fit, acc, core))
         acc = finalize(raws[-1], params, length)
     return raws
 

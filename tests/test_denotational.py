@@ -10,11 +10,14 @@ import pytest
 
 from conftest import PARAM_POINTS, RECURSION_SPEC, group_processes
 
-from availcsp import Alphabet, Bounds, ModelParams, denotational, parse_spec, trace_algebra
+from availcsp import (
+    Alphabet, Bounds, ModelParams, denotational, parse_process, parse_spec, trace_algebra,
+)
 from availcsp.denotational import DenotationalEngine, denote_traces, mentions_hiding
 from availcsp.healthiness import close_healthy, covers_equal
 from availcsp.operational import avail_traces
-from availcsp.process import Call, Hide, InputPrefix, Prefix, Stop
+from availcsp.kernel import in_obs
+from availcsp.process import Call, Hide, InputPrefix, Interleave, Parallel, Prefix, Stop
 from oracle import (
     clause_whole_oracle, prefix_clause_oracle, restrict_params, solve_rounds_oracle,
 )
@@ -348,6 +351,40 @@ def test_choice_recursion_merges_each_pair_once(envs, monkeypatch):
     monkeypatch.setattr(trace_algebra, "merge_traces", counting)
     den(envs["group_ab"], "PUMPCHOICE", ModelParams(None, 1), 5)
     assert len(calls) <= 100          # 1,144 when every round merges every pair
+
+
+def test_merge_clauses_hand_finalize_only_what_it_keeps(envs, monkeypatch):
+    # the merges stop at eval_len and n, so no trace of theirs is one that
+    # finalize drops for its length or its runs
+    env = envs["group_ab"]
+    term = parse_process("ECHO ||| PUMPCHOICE", env)
+    clause, fitting = DenotationalEngine._clause, denotational.finalize
+    merging = []        # whether each clause being built is a merge
+    merged = []         # the number of traces of each merge clause's call
+    handed = []         # merge traces finalize drops
+
+    def tracked(self, node, *args):
+        merging.append(type(node) in (Interleave, Parallel))
+        try:
+            return clause(self, node, *args)
+        finally:
+            merging.pop()
+
+    def checked(traces, params, len_bound):
+        traces = list(traces)
+        if merging[-1]:
+            merged.append(len(traces))
+            handed.extend(tr for tr in traces
+                          if len(tr) > len_bound or not in_obs(tr, params.run_bound))
+        return fitting(traces, params, len_bound)
+
+    monkeypatch.setattr(DenotationalEngine, "_clause", tracked)
+    monkeypatch.setattr(denotational, "finalize", checked)
+    bounds = Bounds(trace_len=3)
+    for params in PARAM_POINTS:
+        got = denote_traces(term, env, params, bounds)
+        assert covers_equal(got, avail_traces(term, env, params, bounds)), params.show()
+    assert merged and handed == []
 
 
 def test_mentions_hiding_walks_a_deep_chain_without_recursing():

@@ -1,23 +1,25 @@
 """Trace-level operators: merging, hiding, renaming, restriction.
 
-Interleavings are pinned against ``oracle.shuffle_oracle``; merge behaviour
-that only makes sense up to closure (offer skipping, prefixing) is compared
-via ``close_healthy`` rather than literal set equality.  Bounds are applied
-the way the denotational engine applies them, by ``finalize``.
+Interleavings are pinned against ``oracle.shuffle_oracle``, and merges of
+whole sets against ``oracle.merge_oracle``, a recursion over one pair of
+traces at a time; merge behaviour that only makes sense up to closure
+(offer skipping, prefixing) is compared via ``close_healthy`` rather than
+literal set equality.  Bounds are applied the way the denotational engine
+applies them, by ``finalize``.
 """
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from availcsp import Alphabet, ModelParams
 from availcsp.healthiness import TraceSet, close_healthy, covers_equal, finalize
-from availcsp.kernel import check_universe, is_event, normalize_trace
+from availcsp.kernel import check_universe, in_obs, is_event, normalize_trace
 from availcsp.trace_algebra import (
-    concat_traces, hide_set, hide_trace, merge_offer, merge_traces,
+    concat_traces, hide_set, hide_trace, merge_offer, merge_sets, merge_traces,
     offers_only, rename_trace, restrict_trace, split_first_event,
 )
-from oracle import shuffle_oracle
+from oracle import merge_oracle, shuffle_oracle
 
 AB = Alphabet(["a", "b"])
 FA = frozenset("a")
@@ -101,6 +103,32 @@ def test_sync_merge_results_respect_params(t1, t2, sync):
     for params in (SINGLE, ModelParams(2, 2)):
         for tr in finalize(merge_traces(t1, t2, sync), params, 6):
             check_universe(tr, params, 6)
+
+
+@st.composite
+def trace_sets(draw):
+    """Up to four traces over a, b, c and four offers, closed under
+    prefixes in half the draws: a semi-naive delta is not."""
+    traces = draw(st.lists(
+        st.lists(st.sampled_from(["a", "b", "c", FA, FB, FAB, FBC]), max_size=4).map(tuple),
+        max_size=4))
+    if draw(st.booleans()):
+        traces = [tr[:i] for tr in traces for i in range(len(tr) + 1)]
+    return frozenset(traces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_sets(), trace_sets(), st.frozensets(st.sampled_from("abc")),
+       st.none() | st.integers(0, 6), st.none() | st.integers(0, 2))
+# the offer {a} joined with the right side's {a}, while only the right side
+# moves on, must stay the left side's next action: the right side's {b}
+# branch then has nothing to merge with
+@example(frozenset({(), (FA,)}), frozenset({(), (FA,), (FB,)}), FA, None, None)
+def test_merge_sets_is_the_union_of_pair_merges_within_the_bounds(
+        left, right, sync, len_bound, run_bound):
+    want = {tr for t1 in left for t2 in right for tr in merge_oracle(t1, t2, sync)
+            if (len_bound is None or len(tr) <= len_bound) and in_obs(tr, run_bound)}
+    assert merge_sets(left, right, sync, len_bound, run_bound) == want
 
 
 event_traces = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)
