@@ -6,13 +6,16 @@ canonical trace cores.  A disagreement is reported with a minimal witness
 by the disagreeing canonical members; covering is transitive and
 down-closed, so every separating trace lies under some disagreeing member.
 The search goes shortest first: it tries the covered traces of one length
-at a time and stops at the first length that separates.
+at a time and stops at the first length that separates.  Each search keeps
+one table, from an offer run to its re-samplings grouped by length, that
+every length and every disagreeing member shares: a run is re-sampled once
+a call, and only as far as the longest length tried needs.
 """
 from __future__ import annotations
 
 import itertools
 
-from .healthiness import TraceSet, _resample_run, _subsets, _uncovered
+from .healthiness import TraceSet, _resample_layers, _subsets, _uncovered
 from .kernel import Alphabet, Bounds, ModelParams, Record, compose, decompose, show_trace
 from .operational import avail_traces
 from .process import SpecEnv
@@ -75,22 +78,27 @@ def refine_in(p, q, env: SpecEnv, params: ModelParams, bounds: Bounds,
     return _verdict(env, params, tp, tq, [], REFINED)
 
 
-def _covered_variants(trace, params: ModelParams, length: int):
+def _covered_variants(trace, params: ModelParams, length: int, resamples: dict):
     """Every in-universe trace of exactly ``length`` covered by a canonical
     trace: per run, the monotone re-samplings into nonempty subsets, with
-    run lengths that add up to what the events leave over."""
+    run lengths that add up to what the events leave over.  ``resamples``
+    is the caller's table from a run to its re-samplings grouped by
+    length, shortest first, and the generator of the longer ones; a run's
+    entry is made on first use and grown only as far as a length needs."""
     runs, events = decompose(trace)
     free = length - len(events)
     if free < 0:
         return
     by_len = []
     for r in runs:
-        groups = {}
-        for run in _resample_run([_subsets(o, 1, params.set_bound) for o in r],
-                                 params.run_bound, free):
-            groups.setdefault(len(run), []).append(run)
-        by_len.append(groups)
-    for sizes in itertools.product(*by_len):
+        entry = resamples.get(r)
+        if entry is None:
+            entry = resamples[r] = ([], _resample_layers(
+                [_subsets(o, 1, params.set_bound) for o in r], params.run_bound))
+        layers, rest = entry
+        layers.extend(itertools.islice(rest, max(0, free + 1 - len(layers))))
+        by_len.append(layers[:free + 1])
+    for sizes in itertools.product(*(range(len(g)) for g in by_len)):
         if sum(sizes) == free:
             for combo in itertools.product(*(g[n] for g, n in zip(by_len, sizes))):
                 yield compose(combo, events)
@@ -101,14 +109,17 @@ def _minimal_witness(alphabet: Alphabet, tp: TraceSet, tq: TraceSet,
     """The least separating trace by ``Alphabet.trace_key`` and its side.
     The key orders by length first, so lengths are tried in turn and the
     first one with a separating variant holds the witness.  Disagreeing
-    members share variants, so each side asks about each variant once."""
+    members share variants, so each side asks about each variant once, and
+    runs, so each run is re-sampled once a call, one step per length."""
     sides = ((only_p, tp, tq, "left"), (only_q, tq, tp, "right"))
+    resamples = {}
     for length in range(tp.len_bound + 1):
         found = [
             (var, side)
             for disagreeing, mine, other, side in sides
             for var in dict.fromkeys(
-                v for c in disagreeing for v in _covered_variants(c, mine.params, length))
+                v for c in disagreeing
+                for v in _covered_variants(c, mine.params, length, resamples))
             if mine._member_normalized(var) and not other._member_normalized(var)
         ]
         if found:

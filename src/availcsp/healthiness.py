@@ -181,11 +181,13 @@ def close_healthy(raw, params: ModelParams, len_bound: int, alphabet: Alphabet |
 
 def _uncovered(a: TraceSet, b: TraceSet):
     """The members of ``a``'s core that ``b`` does not cover, lazily; ``a``
-    is a subset of ``b`` exactly when there are none."""
+    is a subset of ``b`` exactly when there are none.  A member of both
+    cores is covered, so only the set difference of the cores, taken at
+    once, is walked; two equal cores walk nothing."""
     if a.params != b.params or a.len_bound != b.len_bound:
         raise ValueError("trace sets compared at different parameters")
     member = b._member_normalized
-    return (tr for tr in a.canon if not member(tr))
+    return (tr for tr in a.canon - b.canon if not member(tr))
 
 
 def covers_equal(a: TraceSet, b: TraceSet) -> bool:
@@ -221,9 +223,23 @@ def _resample_run(choices, run_bound: int | None, len_bound: int) -> set:
     taking one of ``choices[j]`` at each step from the current position j
     on, with adjacent repeats merged and at most min(run bound, length
     bound) steps.  The empty run is included."""
-    out = {()}
+    out = set()
+    for layer in itertools.islice(_resample_layers(choices, run_bound), len_bound + 1):
+        out.update(layer)
+    return out
+
+
+def _resample_layers(choices, run_bound: int | None):
+    """The runs ``_resample_run`` reads, one layer per number of steps:
+    the runs of exactly i steps for i = 0, 1, ..., at most the run bound,
+    up to the first empty layer.  Each layer is worked out only when it is
+    asked for, so a caller can take as many as its length budget needs."""
     frontier = {(): 0}          # run -> least position it can end at
-    for _ in range(len_bound if run_bound is None else min(run_bound, len_bound)):
+    steps = 0
+    while frontier:
+        yield frontier
+        if steps == run_bound:
+            return
         nxt = {}
         for run, start in frontier.items():
             last = run[-1] if run else None
@@ -231,11 +247,8 @@ def _resample_run(choices, run_bound: int | None, len_bound: int) -> set:
                 for o in choices[j]:
                     if o != last:
                         nxt.setdefault(run + (o,), j)
-        if not nxt:
-            break
-        out.update(nxt)
         frontier = nxt
-    return out
+        steps += 1
 
 
 def finalize(traces, params: ModelParams, len_bound: int):

@@ -150,11 +150,13 @@ def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> Tra
     run left, last offer).  Every step, an event or an offer, takes one
     length, so one forward pass keeps, per key, the traces that reach it
     at the current length, extends each by every step the key takes, and
-    adds each level to the result: a loop, however long the length."""
+    adds each level to the result: a loop, however long the length.  A
+    state's maximal offers are worked out once a call."""
     engine = StepEngine(env)
     n, k = params.run_bound, params.set_bound
     out = {()}
     level = {(term, n, None): {()}}     # key -> the traces reaching it
+    offers = {}                         # state -> its maximal offers
     for _ in range(bounds.trace_len):
         nxt = {}
         for (state, run_left, last_offer), traces in level.items():
@@ -165,7 +167,10 @@ def avail_traces(term, env: SpecEnv, params: ModelParams, bounds: Bounds) -> Tra
                         moves.append((lab, (succ, n, None)))
                 if run_left is None or run_left > 0:
                     nxt_run = None if run_left is None else run_left - 1
-                    for offer in max_offers(engine.initials(t), k):
+                    maximal = offers.get(t)
+                    if maximal is None:
+                        maximal = offers[t] = max_offers(engine.initials(t), k)
+                    for offer in maximal:
                         if offer != last_offer:
                             moves.append((offer, (t, nxt_run, offer)))
             for a, key in moves:

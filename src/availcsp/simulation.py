@@ -50,6 +50,35 @@ def decode_trace(event_trace) -> tuple:
     return normalize_trace(tuple(out))
 
 
+def decode_traces(event_traces) -> set:
+    """``{decode_trace(t) for t in event_traces}``, one step per trace.
+
+    Each distinct event name is decoded once, and a trace whose parent
+    (the trace without its last event) is in the set is decoded from the
+    parent's image, shortest first: normalising only appends, so the image
+    of t.e is t's image with e's action appended, unless that action is
+    the empty offer or an offer equal to the image's last action, which
+    append nothing.  A trace whose parent is absent is decoded on its own.
+    """
+    actions = {}            # event name -> the action it stands for
+    image = {}
+    for tr in sorted(event_traces, key=len):
+        parent = image.get(tr[:-1]) if tr else None
+        if parent is None:
+            image[tr] = decode_trace(tr)
+            continue
+        e = tr[-1]
+        a = actions.get(e)
+        if a is None:
+            offer = decode_offer_event(e)
+            a = actions[e] = e if offer is None else offer
+        if isinstance(a, frozenset) and (not a or (parent and parent[-1] == a)):
+            image[tr] = parent
+        else:
+            image[tr] = parent + (a,)
+    return set(image.values())
+
+
 class Simulation(Record):
     __slots__ = ("env", "root", "state_count")
 

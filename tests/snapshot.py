@@ -22,6 +22,9 @@ The snapshot holds:
 * ``pretty_env`` of every spec file under ``tests/data`` and ``bench/data``;
 * the ``-h`` text of the top-level parser and of every subcommand;
 * exit code, stdout and stderr of a fixed list of bad invocations;
+* exit code, stdout and stderr of ``simulate --check`` past the bench
+  sizes: an input prefix and FANLOOP3 of ``bench/data/family.csp`` at
+  n=F,k=2, len 5 and 4;
 * exit code, stdout and stderr of ``health`` at len 5 of three processes
   with large cores, and of ``health --traces-file`` of a set that lacks a
   middle prefix (written to a temporary directory);
@@ -85,14 +88,19 @@ BAD_INVOCATIONS = (
     ("traces", "/no/such.csp", "EXT", "--model", "m=1"),
 )
 
+FAMILY = os.path.join("bench", "data", "family.csp")
 HEALTH_CHECKS = (
-    ("health", os.path.join("bench", "data", "family.csp"), "FANLOOP5",
-     "--model", "n=F,k=1", "--len", "5"),
-    ("health", os.path.join("bench", "data", "family.csp"), "FANLOOP4",
-     "--model", "n=2,k=2", "--len", "5"),
+    ("health", FAMILY, "FANLOOP5", "--model", "n=F,k=1", "--len", "5"),
+    ("health", FAMILY, "FANLOOP4", "--model", "n=2,k=2", "--len", "5"),
     ("health", os.path.join("tests", "data", "group_abcd.csp"), "QUAD",
      "--model", "n=F,k=2", "--len", "5"),
 )
+SIMULATE_CHECKS = (
+    ("simulate", FAMILY, "? x : {b, c, e} -> x -> STOP", "--model", "n=F,k=2", "--len", "5",
+     "--check"),
+    ("simulate", FAMILY, "FANLOOP3", "--model", "n=F,k=2", "--len", "4", "--check"),
+)
+
 # <a> is missing: the least failing member is <a, b>, not <a, b, a>
 MISSING_MIDDLE_PREFIX = "<>\n<a, b>\n<a, b, a>\n"
 
@@ -326,6 +334,7 @@ def main() -> None:
                 "pretty": spec_texts(),
                 "help": [run_cli(argv) for argv in [("-h",)] + [(c, "-h") for c in COMMANDS]],
                 "usage_errors": [run_cli(argv) for argv in BAD_INVOCATIONS],
+                "simulate_checks": [run_cli(argv) for argv in SIMULATE_CHECKS],
                 "health": health_checks(),
                 "realize": realizations(),
                 "parse_errors": parse_errors(),

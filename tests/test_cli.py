@@ -315,6 +315,21 @@ def test_simulate_check_round_trip(capsys):
     assert "# round trip: exact" in out
 
 
+@pytest.mark.parametrize("simulated", [
+    "a -> STOP [] b -> STOP",   # decodes to traces a -> STOP does not cover
+    "STOP",                     # its decoding lacks the core member <a>
+])
+def test_simulate_check_reports_a_mismatch_in_either_half(capsys, monkeypatch, simulated):
+    from availcsp import parse_process, simulation
+
+    real = simulation.to_simulation
+    monkeypatch.setattr(simulation, "to_simulation", lambda term, env, params: real(
+        parse_process(simulated, env), env, params))
+    code, out, _ = run(capsys, "simulate", SPEC, "a -> STOP",
+                       "--len", "3", "--model", "n=F,k=2", "--check")
+    assert (code, out.splitlines()[-1]) == (1, "# round trip: MISMATCH")
+
+
 @pytest.mark.parametrize("alphabet, event", [("a, Offer", "Offer"), ("a, b, a.b", "a.b")])
 def test_simulate_refuses_an_event_that_clashes_with_offer_events(capsys, tmp_path,
                                                                   alphabet, event):

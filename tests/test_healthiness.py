@@ -18,7 +18,7 @@ from availcsp import (
 )
 from availcsp.denotational import denote_traces
 from availcsp.healthiness import (
-    _CONDITIONS, TraceSet, _resample_run, check_healthy, close_healthy,
+    _CONDITIONS, TraceSet, _resample_run, _uncovered, check_healthy, close_healthy,
     cond4_reduce, covered, covers_equal, finalize,
     max_offers,
 )
@@ -270,19 +270,23 @@ def truncated_closure(seeds, params, len_bound):
         closed = closure_oracle(closed | follow, params, longer)
 
 
+def seed_lists(params: ModelParams, len_bound: int):
+    """1-3 normalised seeds over {a, b, c} inside the universe of a point."""
+    actions = ["a", "b", "c"]
+    if params.run_bound != 0:
+        actions += [o for o in (FA, FB, FC, FAB, FBC, FABC) if params.fits_offer(o)]
+    seed = st.lists(st.sampled_from(actions), max_size=len_bound).map(normalize_trace)
+    return st.lists(seed.filter(lambda tr: in_obs(tr, params.run_bound)),
+                    min_size=1, max_size=3)
+
+
 @st.composite
 def seeded_points(draw):
     """1-3 normalised seeds over {a, b, c} inside the universe of one of
     the six points or n=0, at len 0-4."""
     params = draw(st.sampled_from(PARAM_POINTS + (ModelParams(run_bound=0, set_bound=None),)))
     len_bound = draw(st.integers(0, 4))
-    actions = ["a", "b", "c"]
-    if params.run_bound != 0:
-        actions += [o for o in (FA, FB, FC, FAB, FBC, FABC) if params.fits_offer(o)]
-    seed = st.lists(st.sampled_from(actions), max_size=len_bound).map(normalize_trace)
-    seeds = draw(st.lists(seed.filter(lambda tr: in_obs(tr, params.run_bound)),
-                          min_size=1, max_size=3))
-    return seeds, params, len_bound
+    return draw(seed_lists(params, len_bound)), params, len_bound
 
 
 @settings(max_examples=150, deadline=None)
@@ -326,6 +330,28 @@ def test_closure_laws_random_seeds(seeds):
     again = close_healthy(t.canon, SETS2, 3, AB)
     assert covers_equal(t, again)
     assert expand_cover(t, AB) == truncated_closure(seeds, SETS2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_points(), st.data())
+def test_uncovered_is_the_core_members_the_other_set_does_not_cover(ab, case, data):
+    # each side the closure of drawn seeds or op's core of a group_ab
+    # process, so that equal, nested and unrelated cores all occur
+    seeds, params, len_bound = case
+    names = sorted(name for name, d in ab.definitions.items() if not d.params)
+
+    def drawn_set():
+        if data.draw(st.booleans()):
+            return close_healthy(data.draw(seed_lists(params, len_bound)), params, len_bound, ABC)
+        term = Call(data.draw(st.sampled_from(names)), ())
+        return avail_traces(term, ab, params, Bounds(trace_len=len_bound))
+
+    a = close_healthy(seeds, params, len_bound, ABC)
+    for b in (a, drawn_set(), drawn_set()):
+        for x, y in ((a, b), (b, a)):
+            got = list(_uncovered(x, y))
+            assert len(got) == len(set(got))
+            assert set(got) == {tr for tr in x.canon if not y._member_normalized(tr)}
 
 
 def test_closure_monotone():

@@ -1,14 +1,17 @@
 """Offer-event simulation: encoding, emission, and the decode round trip."""
 from __future__ import annotations
 
+import os
+
 import pytest
+from conftest import DATA_DIR, GROUP_NAMES, group_processes, load_group
 
 from availcsp import Bounds, ModelParams, parse_spec
 from availcsp.errors import SpecError
 from availcsp.operational import avail_traces, std_traces
 from availcsp.process import Call, IntChoice, Prefix, Stop, Timeout
 from availcsp.simulation import (
-    decode_offer_event, decode_trace, emit_script, offer_event_name,
+    decode_offer_event, decode_trace, decode_traces, emit_script, offer_event_name,
     to_simulation,
 )
 
@@ -37,6 +40,43 @@ def test_decode_trace_normalizes():
     assert decode_trace(("Offer.0", "a", "Offer.0")) == ("a",)
     assert decode_trace(("Offer.a", "Offer.a")) == (FA,)
     assert decode_trace(()) == ()
+
+
+FAMILY = os.path.join(os.path.dirname(os.path.dirname(DATA_DIR)), "bench", "data", "family.csp")
+# At len 4 the simulations of FAN5 and FANLOOP5 at k=F have 1.26 and 1.93
+# million event traces (offers are every subset of five events), which
+# take most of a minute and hundreds of MB to decode one by one.
+WIDE_AT_F = ("FAN5", "FANLOOP5")
+
+
+@pytest.mark.parametrize("k", (1, 2, None))
+@pytest.mark.parametrize("group", GROUP_NAMES + ("family",))
+def test_decode_traces_decodes_each_trace_as_decode_trace_does(group, k):
+    if group == "family":
+        with open(FAMILY, encoding="utf-8") as fh:
+            env = parse_spec(fh.read())
+    else:
+        env = load_group(group)
+    for name, term in group_processes(env):
+        sim = to_simulation(term, env, ModelParams(None, k))
+        length = 3 if k is None and name in WIDE_AT_F else 4
+        raw = std_traces(sim.root_term(), sim.env, length)
+        assert decode_traces(raw) == {decode_trace(t) for t in raw}, name
+
+
+def test_decode_traces_decodes_a_trace_without_its_parent_on_its_own():
+    # no trace's parent is present but those of the second and the last,
+    # which are decoded from their parents' images
+    raw = {
+        ("a", "Offer.a", "Offer.a"),        # not the image of its last event
+        ("Offer.a.b", "a", "Offer.0"),
+        ("Offer.a.b", "a"),
+        ("b", "Offer.b", "Offer.b", "b"),
+        ("b", "Offer.b", "Offer.b", "b", "b"),
+    }
+    assert decode_traces(raw) == {decode_trace(t) for t in raw} == {
+        ("a", FA), (FAB, "a"), ("b", FB, "b"), ("b", FB, "b", "b"),
+    }
 
 
 def test_stop_simulation_is_the_empty_offer_loop(ab):
