@@ -21,7 +21,7 @@ _EXPORTS = {
     "kernel": "TAU Alphabet Bounds ModelParams is_event is_offer normalize_trace "
               "parse_trace show_trace trace_from_json trace_to_json",
     "process": "Call Definition Div ExtChoice Hide InputPrefix IntChoice Interleave "
-               "Parallel Prefix Rename SpecEnv Stop Timeout pretty pretty_env",
+               "Parallel Prefix Rename SpecEnv Stop Timeout pretty",
     "parser": "parse_process parse_spec",
     "healthiness": "HealthReport TraceSet check_healthy close_healthy covers_equal",
     "operational": "StepEngine avail_traces build_lts std_traces",

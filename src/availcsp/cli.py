@@ -16,7 +16,7 @@ import sys
 
 from .denotational import denote_traces
 from .errors import AvailCspError
-from .healthiness import check_healthy, close_healthy, covers_equal
+from .healthiness import TraceSet, check_healthy, close_healthy, covers_equal
 from .kernel import (
     Bounds, ModelParams, check_universe, parse_trace, show_trace, trace_from_json,
 )
@@ -272,6 +272,14 @@ def _cmd_health(args, env: SpecEnv, bounds: Bounds) -> int:
     return 0 if report.ok else 1
 
 
+def _round_trip(got: TraceSet, want: TraceSet) -> int:
+    """Print whether a round trip gave back a set with the closure of
+    ``want``; exit 0 when it did, else 1."""
+    exact = covers_equal(got, want)
+    print(f"# round trip: {'exact' if exact else 'MISMATCH'}")
+    return 0 if exact else 1
+
+
 @_command("realize", "build a process from a trace set", _arg("traces_file"),
           _arg("--check", action="store_true", help="verify the realization round trip"),
           spec_help="spec file (the alphabet header is enough)")
@@ -283,12 +291,8 @@ def _cmd_realize(args, env: SpecEnv, bounds: Bounds) -> int:
     term = realize(closed.canon)
     print(pretty(term))
     if args.check:
-        back = avail_traces(term, SpecEnv(env.alphabet, {}), args.model, bounds)
-        if covers_equal(back, closed):
-            print("# round trip: exact")
-        else:
-            print("# round trip: MISMATCH")
-            return 1
+        return _round_trip(avail_traces(term, SpecEnv(env.alphabet, {}), args.model, bounds),
+                           closed)
     return 0
 
 
@@ -305,13 +309,7 @@ def _cmd_simulate(args, env: SpecEnv, bounds: Bounds) -> int:
         reference = avail_traces(
             term, env, ModelParams(run_bound=None, set_bound=args.model.set_bound), bounds
         )
-        # a core member is in the universe and covers itself, so only the
-        # decoded traces the core lacks are walked
-        ok = all(
-            reference.member(tr, env.alphabet) for tr in decoded - reference.canon
-        ) and reference.canon <= decoded
-        print(f"# round trip: {'exact' if ok else 'MISMATCH'}")
-        return 0 if ok else 1
+        return _round_trip(TraceSet(decoded, reference.params, args.len), reference)
     return 0
 
 

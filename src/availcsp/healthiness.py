@@ -25,13 +25,14 @@ conditions keep or shrink a member's offers: by the covering lemma, each
 trace they require of a member is covered by it.  That makes it a member
 whenever every core member fits the length bound; only a core that does
 not fit, or an explicit set, has those four enumerated.  Of the two it
-does enumerate, a member passes at once when each trace it asks is
-literally in the core and within the bound, which a computed core, closed
-under both rules, gives every member; only the rest are walked, with that
-routine behind each literal probe.  Prefixes are asked longest first, down
-to the first core member: its own prefixes are asked when it is visited,
-and any prefix missing below it fails it too, as a shorter member, so the
-verdict and the least witness stay the same.
+does enumerate, a member passes at once when what the literal probe asks
+is in the core and within the bound, which a computed core, closed under
+both rules, gives every member; only the rest are walked, with that
+routine behind each query.  For prefixes the probe asks only the longest
+proper prefix: when that is a core member within the bound, its own
+prefixes are asked when it is visited, and any prefix missing below it
+fails a shorter member, so the verdict and the least witness stay the
+same.  A walked member is asked each of its prefixes, shortest first.
 
 ``finalize`` fits a closed set of clause traces to the (n, k, len)
 bounds in one loop: it drops a trace that is overlong, not normal or has
@@ -183,7 +184,8 @@ def _uncovered(a: TraceSet, b: TraceSet):
     """The members of ``a``'s core that ``b`` does not cover, lazily; ``a``
     is a subset of ``b`` exactly when there are none.  A member of both
     cores is covered, so only the set difference of the cores, taken at
-    once, is walked; two equal cores walk nothing."""
+    once, is walked; two equal cores walk nothing.  A core holds normalised
+    traces of the bounded universe, so each is asked as it is."""
     if a.params != b.params or a.len_bound != b.len_bound:
         raise ValueError("trace sets compared at different parameters")
     member = b._member_normalized
@@ -218,22 +220,14 @@ def max_offers(events, set_bound: int | None):
     return _subsets(events, set_bound, set_bound)
 
 
-def _resample_run(choices, run_bound: int | None, len_bound: int) -> set:
+def _resample_layers(choices, run_bound: int | None):
     """Every offer run read order-preservingly off a run of positions,
     taking one of ``choices[j]`` at each step from the current position j
-    on, with adjacent repeats merged and at most min(run bound, length
-    bound) steps.  The empty run is included."""
-    out = set()
-    for layer in itertools.islice(_resample_layers(choices, run_bound), len_bound + 1):
-        out.update(layer)
-    return out
-
-
-def _resample_layers(choices, run_bound: int | None):
-    """The runs ``_resample_run`` reads, one layer per number of steps:
-    the runs of exactly i steps for i = 0, 1, ..., at most the run bound,
-    up to the first empty layer.  Each layer is worked out only when it is
-    asked for, so a caller can take as many as its length budget needs."""
+    on, with adjacent repeats merged, one layer per number of steps: the
+    runs of exactly i steps for i = 0, 1, ..., at most the run bound, up to
+    the first empty layer (the empty run is the first).  Each layer is
+    worked out only when it is asked for, so a caller can take as many as
+    its length budget needs."""
     frontier = {(): 0}          # run -> least position it can end at
     steps = 0
     while frontier:
@@ -268,10 +262,10 @@ def finalize(traces, params: ModelParams, len_bound: int):
     it fits the length bound.  A run holding an oversized offer has every
     run of capped subsets resampled from it (a member of the restricted
     universe may map several capped offers onto one oversized offer, so a
-    capped run may take more steps than it has offers); any other run is
-    its own only option.  Each run's options are worked out once a call,
-    shortest first, so a variant stops growing at the first that
-    overruns.
+    capped run may take more steps than it has offers): its options are the
+    first len + 1 layers of ``_resample_layers``, shortest first.  Any
+    other run is its own only option.  Each run's options are worked out
+    once a call, so a variant stops growing at the first that overruns.
 
     One lemma makes dropping enough for a closed input: each image of a
     dropped trace in the bounded universe is also an image of a shorter
@@ -314,10 +308,12 @@ def finalize(traces, params: ModelParams, len_bound: int):
             options = capped.get(r)
             if options is None:
                 if any(len(o) > k for o in r):
-                    options = _resample_run([max_offers(o, k) for o in r], n, len_bound)
+                    layers = _resample_layers([max_offers(o, k) for o in r], n)
+                    options = [x for layer in itertools.islice(layers, len_bound + 1)
+                               for x in layer]
                 else:
                     options = (r,)
-                options = capped[r] = sorted(options, key=len)
+                capped[r] = options
             head = (events[i - 1],) if i else ()
             grown = []
             for v in variants:
@@ -425,8 +421,8 @@ def _not_literal(required, canon, inside) -> list:
     """The members of ``canon`` that the literal probe leaves to the walk
     for one of the two enumerated conditions: those that ask a trace
     ``inside`` (the core within the bound) lacks.  A prefix member asks
-    its longest proper prefix first, and stops there when it is a core
-    member; a final-offer member asks each of its final offer's events."""
+    only its longest proper prefix (see the module docstring); a
+    final-offer member asks each of its final offer's events."""
     if required is _prefixes:
         return [tr for tr in canon if tr and tr[:-1] not in inside]
     rest = []
@@ -471,13 +467,6 @@ def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
     def within(tr) -> bool:
         return len(tr) <= len_bound and in_obs(tr, params.run_bound)
 
-    # longest first, down to the first core member (see the module docstring)
-    def prefix_walk(tr, within):
-        for i in range(len(tr) - 1, -1, -1):
-            yield tr[:i]
-            if tr[:i] in canon:
-                return
-
     report = HealthReport()
     for name, required, absorbed in _conditions(params):
         # nonemptiness and <> itself are required by no member: an empty
@@ -489,8 +478,7 @@ def check_healthy(subject, params: ModelParams, len_bound: int) -> HealthReport:
             rest = () if fits else canon
         else:
             rest = _not_literal(required, canon, inside)
-        asked = prefix_walk if required is _prefixes else required
-        failing = (tr for tr in rest if not all(map(contains, asked(tr, within))))
+        failing = (tr for tr in rest if not all(map(contains, required(tr, within))))
         witness = min(failing, key=lambda t: (len(t), show_trace(t)), default=None)
         report.conditions.append(ConditionReport(name, witness is None, witness))
     return report

@@ -325,12 +325,3 @@ def pretty(p) -> str:
         else:
             raise TypeError(f"not a process: {t!r}")
     return "".join(out)
-
-
-def pretty_env(env: SpecEnv) -> str:
-    lines = ["alphabet {" + ",".join(env.alphabet.events) + "}"]
-    for name, d in env.definitions.items():
-        head = name if not d.params else f"{name}({', '.join(d.params)})"
-        lines.append(f"{head} = {pretty(d.body)}")
-    return "\n".join(lines) + "\n"
-

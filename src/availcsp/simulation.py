@@ -105,17 +105,13 @@ def to_simulation(term, env: SpecEnv, params: ModelParams) -> Simulation:
             )
     states, transitions = build_lts(term, env)
 
-    visible: dict = {}
-    internal: dict = {}
+    visible: dict = {}          # state -> {(event, target)}
+    internal: dict = {}         # state -> {target: None}, in first-seen order
     for i, lab, j in transitions:
         if lab is TAU:
-            internal.setdefault(i, [])
-            if j not in internal[i]:
-                internal[i].append(j)
+            internal.setdefault(i, {})[j] = None
         else:
-            visible.setdefault(i, [])
-            if (lab, j) not in visible[i]:
-                visible[i].append((lab, j))
+            visible.setdefault(i, set()).add((lab, j))
 
     offer_names = set()
     definitions = {}
@@ -125,10 +121,10 @@ def to_simulation(term, env: SpecEnv, params: ModelParams) -> Simulation:
             name = offer_event_name(offer)
             offer_names.add(name)
             branches.append(Prefix(name, Call(_state_name(i), ())))
-        for lab, j in sorted(visible.get(i, ()), key=lambda e: (e[0], e[1])):
+        for lab, j in sorted(visible.get(i, ())):
             branches.append(Prefix(lab, Call(_state_name(j), ())))
         body = branches[0] if len(branches) == 1 else ExtChoice(tuple(branches))
-        targets = [Call(_state_name(j), ()) for j in internal.get(i, [])]
+        targets = [Call(_state_name(j), ()) for j in internal.get(i, ())]
         if targets:
             cont = targets[0] if len(targets) == 1 else IntChoice(tuple(targets))
             body = Timeout((body, cont))

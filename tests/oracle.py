@@ -18,7 +18,7 @@ from availcsp import (
 from availcsp.denotational import MAX_ROUNDS
 from availcsp.errors import BudgetError
 from availcsp.healthiness import (
-    ConditionReport, HealthReport, TraceSet, _conditions, _prefixes, _resample_run,
+    ConditionReport, HealthReport, TraceSet, _conditions, _prefixes, _resample_layers,
     covers_equal, finalize, max_offers,
 )
 from availcsp.kernel import (
@@ -238,6 +238,15 @@ def minimal_witness_oracle(alphabet: Alphabet, tp: TraceSet, tq: TraceSet):
     return None, None
 
 
+def resample_run(choices, run_bound: int | None, len_bound: int) -> set:
+    """The runs of ``healthiness._resample_layers`` of at most the length
+    bound's steps, as one set."""
+    out = set()
+    for layer in itertools.islice(_resample_layers(choices, run_bound), len_bound + 1):
+        out.update(layer)
+    return out
+
+
 def resample_oracle(choices, run_bound, len_bound: int) -> set:
     """Every offer run of at most min(run bound, length bound) steps read
     at non-decreasing positions of ``choices``, adjacent repeats merged, by
@@ -319,7 +328,7 @@ def finalize_oracle(traces, params: ModelParams, len_bound: int) -> frozenset:
         runs, events = decompose(tr)
         options = [
             [r] if all(len(o) <= k for o in r)
-            else _resample_run([max_offers(o, k) for o in r], n, len_bound)
+            else resample_run([max_offers(o, k) for o in r], n, len_bound)
             for r in runs
         ]
         capped.update(compose(combo, events) for combo in itertools.product(*options))

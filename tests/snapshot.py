@@ -32,15 +32,15 @@ The snapshot holds:
   (written to a temporary directory) and of ``traces`` of malformed inline
   expressions, so that parse and spec errors are compared too;
 * exit code, stdout and stderr of ``realize --check`` of seed files whose
-  closure follows only through traces longer than ``--len`` (written to a
-  temporary directory);
+  closure follows only through traces longer than ``--len``, and of one
+  that is a ``traces --json`` dump (written to a temporary directory);
 * exit code, stdout and stderr of ``equiv`` and ``traces`` of a process
   that takes 150 internal steps before its one visible event, and of a
   1,500-step ``test`` (the spec written to a temporary directory);
 * exit code, stdout and stderr of ``test --json`` with readiness steps,
   given as literals (an empty and a repeated ``ready`` among them) and as
-  traces, and of ``equiv``, ``refine``, ``distinguish``, ``health`` and
-  ``traces`` with ``--engine den``.
+  traces, of ``equiv``, ``refine``, ``distinguish``, ``health`` and
+  ``traces`` with ``--engine den``, and of ``congruence --json``.
 
 Two checkouts give byte-identical output when their snapshots do not
 differ.  Run from any directory; the script re-runs itself with
@@ -107,6 +107,8 @@ MISSING_MIDDLE_PREFIX = "<>\n<a, b>\n<a, b, a>\n"
 # seeds whose closure follows only through traces one longer than len 3
 REALIZE_SEEDS = (("<offer{a,b}, c>\n<offer{c}, a, b>\n", "n=F,k=2"),
                  ("<a, a, a>\n", "n=F,k=1"))
+# a seed file in the JSON form, head line included, realized at its own model
+JSON_DUMP = ("traces", SPEC, "EXT", "--model", "n=F,k=2", "--len", "3", "--json")
 
 # 150 hidden events before b, and a process that repeats a
 LONG_SPEC = "alphabet {a, b}\nLONGTAU = (" + "a -> " * 150 + "b -> STOP) \\ {a}\nP = a -> P\n"
@@ -135,6 +137,7 @@ TESTS_AND_DEN = (
      "--json"),
     ("traces", SPEC, "SWAYPAIR", "--engine", "den", "--len", "3"),
     ("traces", SPEC, "ECHO", "--engine", "den", "--len", "3", "--model", "n=F,k=F", "--json"),
+    ("congruence", SPEC, "PUMPCHOICE", "--len", "4", "--model", "n=2,k=2", "--json"),
 )
 
 MALFORMED_SPECS = (
@@ -200,10 +203,11 @@ def health_checks() -> list:
 
 
 def realizations() -> list:
+    seeds = REALIZE_SEEDS + ((run_cli(JSON_DUMP)["stdout"], "n=F,k=2"),)
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "seeds.txt")
-        for text, model in REALIZE_SEEDS:
+        for text, model in seeds:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             row = run_cli(("realize", os.path.join("tests", "data", "group_abc.csp"), path,
@@ -303,8 +307,19 @@ def simulation_scripts() -> dict:
     return out
 
 
+def pretty_env(env) -> str:
+    """The alphabet and every definition of a spec, printed."""
+    from availcsp import pretty
+
+    lines = ["alphabet {" + ",".join(env.alphabet.events) + "}"]
+    for name, d in env.definitions.items():
+        head = name if not d.params else f"{name}({', '.join(d.params)})"
+        lines.append(f"{head} = {pretty(d.body)}")
+    return "\n".join(lines) + "\n"
+
+
 def spec_texts() -> dict:
-    from availcsp import parse_spec, pretty_env
+    from availcsp import parse_spec
 
     out = {}
     paths = glob.glob(os.path.join("tests", "data", "**", "*.csp"), recursive=True)

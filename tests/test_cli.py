@@ -281,6 +281,35 @@ def test_realize_round_trip_is_exact_past_the_length_bound(capsys, tmp_path):
     assert out.endswith("# round trip: exact\n")
 
 
+def test_realize_check_reports_a_set_read_back_that_differs(capsys, monkeypatch, tmp_path):
+    from availcsp import Stop
+
+    real = cli.avail_traces
+    monkeypatch.setattr(cli, "avail_traces", lambda term, env, params, bounds: real(
+        Stop(), env, params, bounds))
+    traces = tmp_path / "one.txt"
+    traces.write_text("<a>\n", encoding="utf-8")
+    code, out, _ = run(capsys, "realize", SPEC, str(traces), "--len", "2", "--check")
+    assert (code, out.splitlines()[-1]) == (1, "# round trip: MISMATCH")
+
+
+def test_a_json_dump_reads_back_as_a_seed_file(capsys, tmp_path):
+    from availcsp import Bounds, avail_traces, parse_process
+
+    code, dump, _ = run(capsys, "traces", SPEC, "EXT", "--model", "n=F,k=2", "--len", "3",
+                        "--json")
+    assert code == 0 and dump.startswith("{")
+    seeds = tmp_path / "ext.json"
+    seeds.write_text(dump, encoding="utf-8")
+    env = cli.parse_spec(open(SPEC, encoding="utf-8").read())
+    core = avail_traces(parse_process("EXT", env), env, ModelParams(None, 2), Bounds(3)).canon
+    read = cli._read_trace_lines(str(seeds), env.alphabet)     # the head line is skipped
+    assert len(read) == len(core) and set(read) == core
+    code, out, _ = run(capsys, "realize", SPEC, str(seeds), "--model", "n=F,k=2", "--len", "3",
+                       "--check")
+    assert (code, out.splitlines()[-1]) == (0, "# round trip: exact")
+
+
 def test_realize_output_does_not_depend_on_the_hash_seed():
     # joint offers are frozensets, whose iteration order follows the
     # string-hash seed
@@ -368,6 +397,20 @@ def test_congruence_agrees(capsys):
     code, out, _ = run(capsys, "congruence", SPEC, "CYCLE", "--len", "3")
     assert code == 0
     assert "engines agree" in out
+
+
+def test_congruence_json_output(capsys):
+    from availcsp import Bounds, avail_traces, denote_traces, parse_process
+
+    code, out, _ = run(capsys, "congruence", SPEC, "CYCLE", "--len", "3", "--json")
+    env = cli.parse_spec(open(SPEC, encoding="utf-8").read())
+    term, params = parse_process("CYCLE", env), ModelParams(None, 1)
+    assert code == 0
+    assert json.loads(out) == {
+        "agree": True,
+        "operational_count": len(avail_traces(term, env, params, Bounds(3))),
+        "denotational_count": len(denote_traces(term, env, params, Bounds(3))),
+    }
 
 
 def test_traces_stops_at_the_instantiation_budget(capsys, tmp_path):

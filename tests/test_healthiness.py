@@ -18,7 +18,7 @@ from availcsp import (
 )
 from availcsp.denotational import denote_traces
 from availcsp.healthiness import (
-    _CONDITIONS, TraceSet, _resample_run, _uncovered, check_healthy, close_healthy,
+    _CONDITIONS, TraceSet, _uncovered, check_healthy, close_healthy,
     cond4_reduce, covered, covers_equal, finalize,
     max_offers,
 )
@@ -26,7 +26,7 @@ from availcsp.kernel import decompose, in_obs, is_offer, normalize_trace, parse_
 from availcsp.operational import avail_traces
 from oracle import (
     check_healthy_oracle, close_prefixes_and_deletions, closure_oracle, enumerate_universe,
-    expand_cover, finalize_oracle, resample_oracle, restrict_params,
+    expand_cover, finalize_oracle, resample_oracle, resample_run, restrict_params,
 )
 
 AB = Alphabet(["a", "b"])
@@ -129,9 +129,9 @@ def test_cap_offers_expands_runs_not_positions():
     st.integers(0, 4),
 )
 def test_resample_run_matches_brute_force(choices, run_bound, len_bound):
-    # offer capping and the witness search share it
+    # offer capping and the witness search share these layers
     want = resample_oracle(choices, run_bound, len_bound)
-    assert _resample_run(choices, run_bound, len_bound) == want
+    assert resample_run(choices, run_bound, len_bound) == want
 
 
 # finalize's worst case while it trimmed overlong variants: the variant

@@ -23,7 +23,7 @@ from availcsp import (
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(availcsp.__file__)))
 
-# the package's names as they were when every module was imported eagerly
+# every name the package exports
 ALL = [
     "Alphabet", "AvailCspError", "Bounds", "BudgetError", "Call", "CompareResult",
     "Definition", "Div", "ExtChoice", "HealthReport", "Hide", "InputPrefix",
@@ -35,7 +35,7 @@ ALL = [
     "equal_in", "equivalence", "errors", "healthiness", "is_event", "is_offer",
     "kernel", "may_pass", "merge_traces", "normalize_trace", "offer_event_name",
     "operational", "parse_process", "parse_spec", "parse_test", "parse_trace",
-    "parser", "pretty", "pretty_env", "process", "process_from_trace", "realize",
+    "parser", "pretty", "process", "process_from_trace", "realize",
     "refine_in", "show_trace", "simulation", "std_traces", "testing", "to_simulation",
     "trace_algebra", "trace_from_json", "trace_to_json",
 ]
