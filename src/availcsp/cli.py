@@ -299,13 +299,15 @@ def _cmd_realize(args, env: SpecEnv, bounds: Bounds) -> int:
 @_command("simulate", "emit the offer-event simulation script", _arg("process"),
           _arg("--check", action="store_true", help="verify the decoded round trip"))
 def _cmd_simulate(args, env: SpecEnv, bounds: Bounds) -> int:
-    from .simulation import decode_traces, emit_script, to_simulation
+    from .simulation import decode_traces, emit_script, to_simulation, widest_offers
 
     term = _resolve(args.process, env)
     sim = to_simulation(term, env, args.model)
     sys.stdout.write(emit_script(sim))
     if args.check:
-        decoded = decode_traces(std_traces(sim.root_term(), sim.env, args.len))
+        # the widest offer branches decode to a set with the same closure
+        widest = widest_offers(sim)
+        decoded = decode_traces(std_traces(widest.root_term(), widest.env, args.len))
         reference = avail_traces(
             term, env, ModelParams(run_bound=None, set_bound=args.model.set_bound), bounds
         )

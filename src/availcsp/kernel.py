@@ -144,8 +144,30 @@ class Record:
         return True
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({shown})"
+        """``Name(field=value, ...)``, written from a stack of values and
+        text still to write, so a deep record costs no Python frame per
+        level.  Records, tuples and lists are opened here; any other value
+        is written by its own ``repr``."""
+        out = []
+        todo = [(False, self)]
+        while todo:
+            is_text, v = todo.pop()
+            if is_text:
+                out.append(v)
+            elif isinstance(v, Record):
+                todo.append((True, ")"))
+                for i in reversed(range(len(v._fields))):
+                    f = v._fields[i]
+                    todo += ((False, getattr(v, f)), (True, f"{', ' if i else ''}{f}="))
+                todo.append((True, f"{type(v).__qualname__}("))
+            elif type(v) is tuple or type(v) is list:
+                todo.append((True, "]" if type(v) is list else ",)" if len(v) == 1 else ")"))
+                for i in reversed(range(len(v))):
+                    todo += ((False, v[i]), (True, ", " if i else ""))
+                todo.append((True, "[" if type(v) is list else "("))
+            else:
+                out.append(repr(v))
+        return "".join(out)
 
 
 class Value(Record):

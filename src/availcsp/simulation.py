@@ -9,6 +9,20 @@ bound, the empty one included).  Offer events are flat dotted names:
 alphabet event may be ``Offer`` or hold a dot, or names would clash.  The
 ordinary event traces of the result decode back to the availability
 traces of the original.
+
+Those traces hold every subset offer as an event, so checking the round
+trip reads them from ``widest_offers`` of a simulation, which drops each
+offer branch ``Offer.X -> T`` of an external choice that also has a
+branch ``Offer.Y -> T`` with X a strict subset of Y.  That keeps the
+closure of the decoded set, for any simulation, right or wrong (the twin
+lemma): a standard trace through a dropped branch has a twin through a
+widest such sibling, with the same source state, the same target and
+the same rest of the trace, so the same events; the twin's decoding
+covers the dropped trace's run by run, pointwise by subset (the offers
+it shows only grow), and the twin is a trace of the pruned simulation
+once every dropped branch it takes is swapped so.  Covering is one of
+the closure rules and it composes, so both decoded sets have the same
+closure, and ``covers_equal`` gives the same verdict on either.
 """
 from __future__ import annotations
 
@@ -134,6 +148,42 @@ def to_simulation(term, env: SpecEnv, params: ModelParams) -> Simulation:
     sim_alphabet = Alphabet(events)
     sim_env = SpecEnv(sim_alphabet, definitions)
     return Simulation(sim_env, _state_name(0), len(states))
+
+
+def _widest(branches: tuple) -> tuple:
+    """The branches of one external choice, without each offer branch that
+    a sibling offer branch with the same target and a strictly wider offer
+    dominates.  Offers are visited widest first, so every dominated one has
+    a strict superset among those already kept."""
+    widest: dict = {}           # target -> the kept offers into it
+    dropped = set()
+    offers = [(decode_offer_event(b.event), i) for i, b in enumerate(branches)
+              if isinstance(b, Prefix) and b.event.startswith(OFFER_PREFIX)]
+    for offer, i in sorted(offers, key=lambda o: -len(o[0])):
+        into = widest.setdefault(branches[i].body, [])
+        if any(offer < w for w in into):
+            dropped.add(i)
+        else:
+            into.append(offer)
+    return tuple(b for i, b in enumerate(branches) if i not in dropped)
+
+
+def _without_dominated(body):
+    if isinstance(body, Timeout):
+        return Timeout((_without_dominated(body.branches[0]),) + body.branches[1:])
+    if isinstance(body, ExtChoice):
+        return ExtChoice(_widest(body.branches))
+    return body
+
+
+def widest_offers(sim: Simulation) -> Simulation:
+    """``sim`` with each dominated offer branch dropped from its external
+    choices; event branches, internal choices and every other branch stay.
+    Its decoded standard traces have the closure of ``sim``'s (see the
+    module docstring)."""
+    definitions = {name: Definition(d.params, _without_dominated(d.body))
+                   for name, d in sim.env.definitions.items()}
+    return Simulation(SpecEnv(sim.env.alphabet, definitions), sim.root, sim.state_count)
 
 
 def emit_script(sim: Simulation) -> str:

@@ -11,6 +11,7 @@ transition system: stable failures, divergence and strong simulation.
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 from availcsp import (
     Alphabet, Bounds, InputPrefix, ModelParams, OutOfUniverseError, SpecEnv,
@@ -22,9 +23,10 @@ from availcsp.healthiness import (
     covers_equal, finalize, max_offers,
 )
 from availcsp.kernel import (
-    TAU, compose, decompose, in_obs, is_event, is_offer, normalize_trace, show_trace,
+    TAU, Record, compose, decompose, in_obs, is_event, is_offer, normalize_trace, show_trace,
 )
-from availcsp.operational import StepEngine, build_lts
+from availcsp.operational import StepEngine, build_lts, std_traces
+from availcsp.simulation import decode_traces
 from availcsp.trace_algebra import merge_offer
 
 
@@ -260,6 +262,14 @@ def resample_oracle(choices, run_bound, len_bound: int) -> set:
     return out
 
 
+def round_trip_oracle(sim, reference: TraceSet) -> bool:
+    """``simulate --check``'s verdict by the full decode: every standard
+    trace of the simulation as built, every subset offer included, decoded
+    and compared with the reference core by ``covers_equal``."""
+    decoded = decode_traces(std_traces(sim.root_term(), sim.env, reference.len_bound))
+    return covers_equal(TraceSet(decoded, reference.params, reference.len_bound), reference)
+
+
 def solve_rounds_oracle(engine, term) -> frozenset:
     """``DenotationalEngine.solve`` by plain rounds: re-denote the term and
     every instantiation found so far, in place, until a round finds no new
@@ -434,6 +444,19 @@ def check_healthy_oracle(subject, params: ModelParams, len_bound: int) -> Health
         )
         report.conditions.append(ConditionReport(name, witness is None, witness))
     return report
+
+
+def _recursive_record_repr(self) -> str:
+    shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def record_repr_oracle(value) -> str:
+    """``repr(value)`` with every record written by a recursive
+    ``Record.__repr__``: each field by its own ``repr``, one Python frame
+    per level."""
+    with mock.patch.object(Record, "__repr__", _recursive_record_repr):
+        return repr(value)
 
 
 # --- analyses only the tests use ---------------------------------------------

@@ -24,7 +24,9 @@ The snapshot holds:
 * exit code, stdout and stderr of a fixed list of bad invocations;
 * exit code, stdout and stderr of ``simulate --check`` past the bench
   sizes: an input prefix and FANLOOP3 of ``bench/data/family.csp`` at
-  n=F,k=2, len 5 and 4;
+  n=F,k=2, len 5 and 4, FANLOOP4 at n=F,k=2, len 4, a loop whose decoded
+  set has 35,581 traces, and FAN5 at n=F,k=F, len 3, a state with every
+  subset of five events;
 * exit code, stdout and stderr of ``health`` at len 5 of three processes
   with large cores, and of ``health --traces-file`` of a set that lacks a
   middle prefix (written to a temporary directory);
@@ -99,6 +101,8 @@ SIMULATE_CHECKS = (
     ("simulate", FAMILY, "? x : {b, c, e} -> x -> STOP", "--model", "n=F,k=2", "--len", "5",
      "--check"),
     ("simulate", FAMILY, "FANLOOP3", "--model", "n=F,k=2", "--len", "4", "--check"),
+    ("simulate", FAMILY, "FANLOOP4", "--model", "n=F,k=2", "--len", "4", "--check"),
+    ("simulate", FAMILY, "FAN5", "--model", "n=F,k=F", "--len", "3", "--check"),
 )
 
 # <a> is missing: the least failing member is <a, b>, not <a, b, a>

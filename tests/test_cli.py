@@ -12,9 +12,11 @@ import pytest
 from availcsp import ModelParams
 from availcsp import cli
 from availcsp.cli import main, parse_grid, parse_model
+from availcsp.operational import std_traces
 
 SPEC = os.path.join(os.path.dirname(__file__), "data", "group_ab.csp")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FAMILY = os.path.join(ROOT, "bench", "data", "family.csp")
 
 # 150 hidden events before b: a closure of 151 states, 150 steps deep
 LONG_SPEC = "alphabet {a, b}\nLONGTAU = (" + "a -> " * 150 + "b -> STOP) \\ {a}\nP = a -> P\n"
@@ -357,6 +359,23 @@ def test_simulate_check_reports_a_mismatch_in_either_half(capsys, monkeypatch, s
     code, out, _ = run(capsys, "simulate", SPEC, "a -> STOP",
                        "--len", "3", "--model", "n=F,k=2", "--check")
     assert (code, out.splitlines()[-1]) == (1, "# round trip: MISMATCH")
+
+
+def test_simulate_check_of_a_wide_loop_extracts_only_the_widest_offers(capsys, monkeypatch):
+    # the simulation as built has 1,926,221 standard traces at len 4, one
+    # per choice of subset offers; its widest offer branches have 2,640
+    counts = []
+
+    def counted(*args):
+        traces = std_traces(*args)
+        counts.append(len(traces))
+        return traces
+
+    monkeypatch.setattr(cli, "std_traces", counted)
+    code, out, _ = run(capsys, "simulate", FAMILY, "FANLOOP5", "--model", "n=F,k=F",
+                       "--len", "4", "--check")
+    assert (code, out.splitlines()[-1]) == (0, "# round trip: exact")
+    assert len(counts) == 1 and counts[0] <= 5000
 
 
 @pytest.mark.parametrize("alphabet, event", [("a, Offer", "Offer"), ("a, b, a.b", "a.b")])

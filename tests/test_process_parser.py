@@ -1,8 +1,12 @@
 """Process terms, the spec reader, and the pretty printer."""
 from __future__ import annotations
 
+import glob
+import os
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from oracle import record_repr_oracle
 
 from availcsp import (
     Call, Definition, Div, ExtChoice, Hide, InputPrefix, IntChoice,
@@ -338,6 +342,27 @@ def test_pretty_round_trips(env):
         assert parse_process(pretty(term), env) == term
 
 
+def test_repr_of_a_long_prefix_chain_returns():
+    term = Stop()
+    for _ in range(5000):
+        term = Prefix("a", term)
+    assert repr(term) == "Prefix(event='a', body=" * 5000 + "Stop()" + ")" * 5000
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("path", sorted(
+    glob.glob(os.path.join(ROOT, "tests", "data", "*.csp"))
+    + glob.glob(os.path.join(ROOT, "bench", "data", "**", "*.csp"), recursive=True)))
+def test_repr_of_corpus_terms_is_the_recursive_repr(path):
+    with open(path, encoding="utf-8") as fh:
+        spec = parse_spec(fh.read())
+    assert repr(spec) == record_repr_oracle(spec)
+    for name, d in spec.definitions.items():
+        assert repr(d.body) == record_repr_oracle(d.body), name
+
+
 def _operand(text: str) -> str:
     return f"({text})"
 
@@ -388,6 +413,14 @@ def process_texts(draw, depth=3, rec_vars=(), binders=()):
 def test_pretty_round_trips_generated_terms(env, text):
     term = parse_process(text, env)
     assert parse_process(pretty(term), env) == term
+
+
+@settings(max_examples=100, deadline=None)
+@given(process_texts())
+@example("(a -> STOP) [[a <- b, b <- a]]")
+def test_repr_of_generated_terms_is_the_recursive_repr(env, text):
+    term = parse_process(text, env)
+    assert repr(term) == record_repr_oracle(term)
 
 
 _FILLER = st.sampled_from(("", "   ", "\t", "# note", "  # note $ ~",

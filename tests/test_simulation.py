@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 from conftest import DATA_DIR, GROUP_NAMES, group_processes, load_group
@@ -9,11 +10,14 @@ from conftest import DATA_DIR, GROUP_NAMES, group_processes, load_group
 from availcsp import Bounds, ModelParams, parse_spec
 from availcsp.errors import SpecError
 from availcsp.operational import avail_traces, std_traces
-from availcsp.process import Call, IntChoice, Prefix, Stop, Timeout
-from availcsp.simulation import (
-    decode_offer_event, decode_trace, decode_traces, emit_script, offer_event_name,
-    to_simulation,
+from availcsp.process import (
+    Call, Definition, ExtChoice, IntChoice, Prefix, SpecEnv, Stop, Timeout,
 )
+from availcsp.simulation import (
+    Simulation, decode_offer_event, decode_trace, decode_traces, emit_script,
+    offer_event_name, to_simulation,
+)
+from oracle import round_trip_oracle
 
 FA = frozenset({"a"})
 FB = frozenset({"b"})
@@ -183,3 +187,93 @@ def test_decoded_simulation_traces_match_availability(ab, name, k):
     decoded = {decode_trace(t) for t in std_traces(sim.root_term(), sim.env, length)}
     assert all(ts.member(tr, ab.alphabet) for tr in decoded)
     assert all(tr in decoded for tr in ts.canon)
+
+
+# --- simulate --check against the full decode ---------------------------------
+
+ORACLE_LEN = 3
+FAMILY_CASES = ("FAN3", "FANLOOP3", "FAN4")
+
+
+def _choice_of(body):
+    """The external choice of a state's body: the body itself, or the first
+    operand of its timeout."""
+    return body.branches[0] if isinstance(body, Timeout) else body
+
+
+def _with_choice(body, branches):
+    choice = branches[0] if len(branches) == 1 else ExtChoice(tuple(branches))
+    if isinstance(body, Timeout):
+        return Timeout((choice,) + body.branches[1:])
+    return choice
+
+
+def _mutant(sim, rng, kind):
+    """``sim`` with one seeded change to one state's external choice: a
+    branch dropped, an offer branch retargeted to another state, or a
+    branch's event renamed; None when ``sim`` has no such branch."""
+    states = list(sim.env.definitions)
+    sites = []
+    for state in states:
+        choice = _choice_of(sim.env.definitions[state].body)
+        branches = list(choice.branches) if isinstance(choice, ExtChoice) else [choice]
+        for i, b in enumerate(branches):
+            if kind == "drop" and len(branches) > 1:
+                sites.append((state, branches, i, None))
+            elif kind == "retarget" and decode_offer_event(b.event) is not None:
+                sites.extend((state, branches, i, Prefix(b.event, Call(other, ())))
+                             for other in states if Call(other, ()) != b.body)
+            elif kind == "rename":
+                sites.extend((state, branches, i, Prefix(e, b.body))
+                             for e in sim.env.alphabet.events if e != b.event)
+    if not sites:
+        return None
+    state, branches, i, new = rng.choice(sites)
+    branches[i:i + 1] = [] if new is None else [new]
+    definitions = dict(sim.env.definitions)
+    definitions[state] = Definition((), _with_choice(definitions[state].body, branches))
+    return Simulation(SpecEnv(sim.env.alphabet, definitions), sim.root, sim.state_count)
+
+
+def _round_trip_cases():
+    for group in GROUP_NAMES:
+        spec = os.path.join(DATA_DIR, group + ".csp")
+        yield from ((spec, name) for name, _ in group_processes(load_group(group)))
+    yield from ((FAMILY, name) for name in FAMILY_CASES)
+
+
+# two of the kinds twice, so that a simulation gets five mutants
+MUTANT_KINDS = ("drop", "retarget", "rename", "retarget", "rename")
+
+
+@pytest.mark.parametrize("k", (1, 2, None))
+def test_simulate_check_gives_the_full_decode_s_verdict(capsys, monkeypatch, k):
+    """``simulate --check`` decodes only the widest offer branches; its
+    verdict is that of decoding every standard trace of the simulation as
+    built, on the simulation of each corpus process and of three
+    ``family.csp`` ones, and on seeded mutants of each, wrong ones
+    included."""
+    from availcsp import cli, simulation
+
+    params = ModelParams(None, k)
+    mismatches = 0
+    for spec, name in _round_trip_cases():
+        with open(spec, encoding="utf-8") as fh:
+            env = parse_spec(fh.read())
+        term = Call(name, ())
+        sim = to_simulation(term, env, params)
+        reference = avail_traces(term, env, params, Bounds(trace_len=ORACLE_LEN))
+        args = cli.PARSER.parse_args(["simulate", spec, name, "--model", params.show(),
+                                      "--len", str(ORACLE_LEN), "--check"])
+        rng = random.Random(f"{os.path.basename(spec)}/{name}/{k}")
+        candidates = [sim] + [_mutant(sim, rng, kind) for kind in MUTANT_KINDS]
+        for i, candidate in enumerate(filter(None, candidates)):
+            monkeypatch.setattr(simulation, "to_simulation", lambda *_: candidate)
+            code = args.handler(args, env, Bounds(trace_len=ORACLE_LEN))
+            last = capsys.readouterr().out.splitlines()[-1]
+            exact = round_trip_oracle(candidate, reference)
+            assert exact or i, f"the simulation of {name} as built fails its round trip"
+            assert (code, last) == ((0, "# round trip: exact") if exact else
+                                    (1, "# round trip: MISMATCH")), (name, candidate.env)
+            mismatches += not exact
+    assert mismatches >= 20
